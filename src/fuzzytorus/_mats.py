@@ -25,6 +25,12 @@ def unitary_power(u: np.ndarray, k: int, order: int) -> np.ndarray:
     return np.linalg.matrix_power(u, k)
 
 
+def fiber_words(p: int, q: int, support) -> list[np.ndarray]:
+    """u^{k0} v^{p k1} on C^q for each k of a 2-d support: the rational fibers."""
+    u, v = clock(q), shift(q)
+    return [unitary_power(u, k[0], q) @ unitary_power(v, k[1] * p, q) for k in support]
+
+
 def max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 

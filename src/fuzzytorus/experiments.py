@@ -8,6 +8,7 @@ produce byte-identical reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -23,7 +24,7 @@ from .lattice import (
     gromov_entries_for_coords,
     product_multiplier,
 )
-from .lipnorm import lip_ball_sample, lip_seminorm, lip_seminorm_on_model
+from .lipnorm import _model_gamma, lip_ball_sample, lip_seminorm, lip_seminorm_on_model
 from .matrixmodel import (
     MatrixModel,
     ModelElement,
@@ -168,13 +169,7 @@ class SymbolGrid:
         self.P = P
         self.fiber_mats = None
         if fiber is not None:
-            p, q = fiber
-            u = _mats.clock(q)
-            v = _mats.shift(q)
-            self.fiber_mats = [
-                _mats.unitary_power(u, k[0], q) @ _mats.unitary_power(v, k[1] * p, q)
-                for k in self.support
-            ]
+            self.fiber_mats = _mats.fiber_words(*fiber, self.support)
 
     def _lift(self, blocks: dict[tuple[int, ...], np.ndarray], m: int) -> np.ndarray:
         zero_q = 1 if self.fiber_mats is None else self.fiber_mats[0].shape[0]
@@ -219,10 +214,7 @@ def _batched_max_eig(H: np.ndarray) -> np.ndarray:
 
 
 def _window(band: int, d: int) -> list[tuple[int, ...]]:
-    pts = [()]
-    for _ in range(d):
-        pts = [p + (k,) for p in pts for k in range(-band, band + 1)]
-    return pts
+    return list(itertools.product(range(-band, band + 1), repeat=d))
 
 
 def _draw_blocks(rng, coords, m) -> dict[tuple[int, ...], np.ndarray]:
@@ -255,25 +247,11 @@ def run_intertwining(cfg: ExperimentConfig) -> list[ReportRow]:
         for i in range(cfg.samples):
             rng = np.random.default_rng((cfg.seed, n, i))
             f = NCPoly(tw, 1, _draw_blocks(rng, _window(cfg.band, 1), 1))
-            lhs = _model_gamma_from_poly(f, model, psi_n, axes=(0,))
+            lhs = _model_gamma(f.coeffs, model, psi_n, (0,), f.m)
             rhs = embed(gradient_form(f, f, psi_inf), model).matrix
             worst = max(worst, _mats.max_abs(lhs - rhs))
         rows.append(ReportRow.make(cfg.experiment, n, "intertwining_defect", worst, cfg.tol))
     return rows
-
-
-def _model_gamma_from_poly(f: NCPoly, model: MatrixModel, psi_n: LengthFunction,
-                           axes: Sequence[int]) -> np.ndarray:
-    from .lipnorm import _kron_stack, cocycle_rows_cached
-
-    support = f.support()
-    rows = cocycle_rows_cached(psi_n, support)
-    N = model.dim * f.m
-    if rows.size == 0:
-        return np.zeros((N, N), dtype=complex)
-    stack = _kron_stack(f.coeffs, model, support, axes, f.m)
-    D = (rows @ stack).reshape(-1, N)
-    return D.conj().T @ D
 
 
 # ---------------------------------------------------------------------------

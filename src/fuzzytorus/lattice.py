@@ -6,6 +6,7 @@ in the canonical window (-n/2, n/2]; the tie at n/2 for even n resolves to +n/2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -388,10 +389,7 @@ def _window_points(psi: LengthFunction, window: Optional[int]) -> list[tuple[int
             if window is None:
                 raise ValueError("infinite modulus needs a window radius")
             per_axis.append(list(range(-window, window + 1)))
-    pts = [()]
-    for axis_vals in per_axis:
-        pts = [p + (v,) for p in pts for v in axis_vals]
-    return pts
+    return list(itertools.product(*per_axis))
 
 
 def build_smoothing_multiplier(

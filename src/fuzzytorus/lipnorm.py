@@ -9,6 +9,8 @@ eigenvalue beyond roundoff.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -22,10 +24,9 @@ from .matrixmodel import (
     ModelElement,
     clock_shift,
     embed,
-    full_window_coefficients,
+    model_coefficients,
     op_norm,
-    _window_coords,
-    _extract_blocks,
+    _kron_stack,
 )
 from .ncpoly import (
     NCPoly,
@@ -78,62 +79,48 @@ def _model_psi(psi: LengthFunction, x: ModelElement, naxes: int) -> LengthFuncti
     raise ValueError("length function moduli do not match the model lattice")
 
 
-def _model_coeff_list(x: ModelElement):
-    axes = x.axes if x.axes is not None else tuple(range(x.model.n_generators))
-    if x.band is not None and 2 * x.band < x.model.order:
-        coords = _window_coords(x.band, len(axes))
-        blocks = _extract_blocks(x, coords, axes)
-    else:
-        blocks = full_window_coefficients(x)
-    blocks = {k: b for k, b in blocks.items() if _mats.max_abs(b) > 1e-15}
-    return axes, blocks
-
-
-_ROWS_CACHE: dict = {}
+ROWS_CACHE_SIZE = 256
 
 
 def cocycle_rows_cached(psi: LengthFunction, support) -> np.ndarray:
     """Cocycle factor rows, memoized on (kind, moduli, support) for the
-    built-in length families (supports here are small band windows)."""
+    built-in length families (supports here are small band windows); the
+    cache keeps the ROWS_CACHE_SIZE most recent keys."""
     if psi.kind == "custom":
         return cocycle_rows_for_coords(psi, support)
-    key = (psi.kind, psi.moduli, tuple(support))
-    if key not in _ROWS_CACHE:
-        _ROWS_CACHE[key] = cocycle_rows_for_coords(psi, support)
-    return _ROWS_CACHE[key]
+    return _cocycle_rows(psi.kind, psi.moduli, tuple(support))
 
 
-def _kron_stack(blocks, model, support, axes, m) -> np.ndarray:
-    N = model.dim * m
-    stack = np.empty((len(support), N, N), dtype=complex)
-    for i, k in enumerate(support):
-        w = model.monomial(k, axes)
-        b = blocks[k]
-        stack[i] = b[0, 0] * w if m == 1 else np.kron(b, w)
-    return stack.reshape(len(support), N * N)
+@functools.lru_cache(maxsize=ROWS_CACHE_SIZE)
+def _cocycle_rows(kind: str, moduli: tuple, support: tuple) -> np.ndarray:
+    return cocycle_rows_for_coords(LengthFunction(kind, moduli), support)
 
 
-def model_gradient_matrix(
-    x: ModelElement, psi: LengthFunction
-) -> np.ndarray:
-    """Gamma(x, x) inside the model, PSD by construction.
+def _model_gamma(blocks, model, psi_n: LengthFunction, axes, m: int) -> np.ndarray:
+    """Gamma(x, x) inside the model from x's coefficients, PSD by construction.
 
     With G the cocycle factor of the Gromov form over x's support and
     X_a = xhat(a) (x) W^a, the rows D_i = sum_a G[i,a] X_a satisfy
     Gamma = sum_i D_i* D_i.
     """
-    axes, blocks = _model_coeff_list(x)
-    if not blocks:
-        return np.zeros_like(x.matrix)
-    psi_n = _model_psi(psi, x, len(axes))
-    support = sorted(blocks.keys())
-    rows = cocycle_rows_cached(psi_n, support)
+    blocks = {k: b for k, b in blocks.items() if _mats.max_abs(b) > 1e-15}
+    support = sorted(blocks)
+    rows = cocycle_rows_cached(psi_n, support) if support else np.zeros((0, 0))
+    N = model.dim * m
     if rows.size == 0:
-        return np.zeros_like(x.matrix)
-    N = x.model.dim * x.m
-    stack = _kron_stack(blocks, x.model, support, axes, x.m)
-    D = (rows @ stack).reshape(-1, N)
+        return np.zeros((N, N), dtype=complex)
+    D = (rows @ _kron_stack(blocks, model, support, axes, m)).reshape(-1, N)
     return D.conj().T @ D
+
+
+def _sqrt_top(gamma: np.ndarray) -> float:
+    return math.sqrt(max(_mats.hermitian_max_eig(gamma), 0.0))
+
+
+def model_gradient_matrix(x: ModelElement, psi: LengthFunction) -> np.ndarray:
+    """Gamma(x, x) inside the model, PSD by construction (see _model_gamma)."""
+    axes, blocks = model_coefficients(x)
+    return _model_gamma(blocks, x.model, _model_psi(psi, x, len(axes)), axes, x.m)
 
 
 def _adjoint_element(x: ModelElement) -> ModelElement:
@@ -162,10 +149,8 @@ def lip_seminorm(
             psi=psi.describe(),
             m=x.m,
         )
-    col = math.sqrt(max(_mats.hermitian_max_eig(model_gradient_matrix(x, psi)), 0.0))
-    row = math.sqrt(
-        max(_mats.hermitian_max_eig(model_gradient_matrix(_adjoint_element(x), psi)), 0.0)
-    )
+    col = _sqrt_top(model_gradient_matrix(x, psi))
+    row = _sqrt_top(model_gradient_matrix(_adjoint_element(x), psi))
     naxes = len(x.axes) if x.axes is not None else x.model.n_generators
     return LipReport(
         column=col,
@@ -175,28 +160,6 @@ def lip_seminorm(
         psi=_model_psi(psi, x, naxes).describe(),
         m=x.m,
     )
-
-
-
-def _stacked_model_lip(
-    blocks: dict[tuple[int, ...], np.ndarray],
-    model,
-    psi_n: LengthFunction,
-    axes: Sequence[int],
-    m: int,
-) -> float:
-    blocks = {k: b for k, b in blocks.items() if _mats.max_abs(b) > 1e-15}
-    if not blocks:
-        return 0.0
-    support = sorted(blocks.keys())
-    rows = cocycle_rows_cached(psi_n, support)
-    if rows.size == 0:
-        return 0.0
-    N = model.dim * m
-    stack = _kron_stack(blocks, model, support, axes, m)
-    D = (rows @ stack).reshape(-1, N)
-    gamma = D.conj().T @ D
-    return math.sqrt(max(_mats.hermitian_max_eig(gamma), 0.0))
 
 
 def _model_adjoint_blocks(
@@ -230,10 +193,9 @@ def lip_seminorm_on_model(f: NCPoly, model, psi: LengthFunction) -> LipReport:
     axes = _embed_axes(f, model)
     mods = tuple([model.order] * len(axes))
     psi_n = psi if psi.moduli == mods else psi.with_moduli(mods)
-    col = _stacked_model_lip(f.coeffs, model, psi_n, axes, f.m)
-    row = _stacked_model_lip(
-        _model_adjoint_blocks(f.coeffs, model, axes), model, psi_n, axes, f.m
-    )
+    col = _sqrt_top(_model_gamma(f.coeffs, model, psi_n, axes, f.m))
+    adj = _model_adjoint_blocks(f.coeffs, model, axes)
+    row = _sqrt_top(_model_gamma(adj, model, psi_n, axes, f.m))
     return LipReport(
         column=col,
         row=row,
@@ -358,10 +320,7 @@ def lip_ball_sample(
         raise ValueError("R must be positive; D_0 has empty interior here")
     if twist is None:
         twist = TwistMatrix.zero(psi.dim)
-    d = twist.d
-    coords = [()]
-    for _ in range(d):
-        coords = [c + (k,) for c in coords for k in range(-band, band + 1)]
+    coords = list(itertools.product(range(-band, band + 1), repeat=twist.d))
     out = []
     for i in range(count):
         for attempt in range(max_retries):

@@ -24,6 +24,7 @@ import dataclasses
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,13 +51,28 @@ class ManifestError(ValueError):
     pass
 
 
+_HINTS = typing.get_type_hints(ExperimentConfig)
+
+
+def _is_a(value, kind: type) -> bool:
+    """JSON type check: an int is also a float, a bool is neither."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind
+    )
+
+
 def _coerce(name: str, value, path: str):
+    kinds = typing.get_args(_HINTS[name]) or (_HINTS[name],)  # Optional[X] -> (X, None)
+    if value is None and type(None) in kinds:
+        return None
     if name in _TUPLE_FIELDS:
-        if value is None:
-            return None
-        if not isinstance(value, (list, tuple)):
-            raise ManifestError(f"{path}.{name}: expected a list")
+        if not isinstance(value, (list, tuple)) or not all(_is_a(v, int) for v in value):
+            raise ManifestError(f"{path}.{name}: expected a list of integers")
         return tuple(value)
+    if not _is_a(value, kinds[0]):
+        raise ManifestError(
+            f"{path}.{name}: expected {kinds[0].__name__}, got {type(value).__name__}"
+        )
     return value
 
 
@@ -68,8 +84,13 @@ def manifest_from_dict(doc: dict) -> RunManifest:
         raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
     if "seed" not in doc:
         raise ManifestError("seed required")
-    seed = int(doc["seed"])
+    try:
+        seed = int(doc["seed"])
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"seed: {exc}") from exc
     out = doc.get("out", "reports")
+    if not isinstance(out, str):
+        raise ManifestError(f"out: expected a string, got {type(out).__name__}")
     fmt = doc.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ManifestError(f"format: expected 'csv' or 'json', got {fmt!r}")
@@ -96,7 +117,10 @@ def manifest_from_dict(doc: dict) -> RunManifest:
             if key not in _CFG_FIELDS:
                 raise ManifestError(f"{path}.{key}: unknown configuration key")
             kwargs[key] = _coerce(key, value, path)
-        configs.append(ExperimentConfig(experiment=exp_id, **kwargs))
+        try:
+            configs.append(ExperimentConfig(experiment=exp_id, **kwargs))
+        except ValueError as exc:
+            raise ManifestError(f"{path}: {exc}") from exc
     return RunManifest(seed=seed, out=out, fmt=fmt, experiments=tuple(configs))
 
 

@@ -1,14 +1,20 @@
 """Concrete matrix realizations: clock/shift, fuzzy tori, and M_{n^d} generators.
 
-Every model keeps a list of unitary generators of a common order n together
-with the pairwise commutation phases they were built to satisfy; the
-constructor verifies unitarity, order and phases to 1e-12 before handing the
-model out.  Coefficient transport between polynomials and models goes through
-the trace-orthonormal monomial basis W^k.
+Every model keeps unitary generators of a common order n, each a scalar times
+a tensor product of clock and shift powers, together with the pairwise
+commutation phases they were built to satisfy.  Every word W^k in them is a
+generalized permutation, stored as (perm, phase) arrays; the constructor
+verifies unitarity, order, adjoints and phases on those arrays (permutations
+exactly, phases to 1e-12) before handing the model out.  Coefficient transport
+between polynomials and models goes through the trace-orthonormal monomial
+basis W^k: embedding is a scatter-add and extraction a gather, O(m^2 N) per
+coefficient.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -20,6 +26,7 @@ from .lattice import LengthFunction, MultiplierSpec, window_range
 from .ncpoly import NCPoly, TwistMatrix
 
 __all__ = [
+    "Generator",
     "MatrixModel",
     "ModelElement",
     "clock_shift",
@@ -38,70 +45,116 @@ __all__ = [
 RELATION_TOL = 1e-12
 DIMENSION_CAP = 4096
 
+# A word W is a generalized permutation stored as arrays (perm, phase):
+# W e_j = phase[j] e_{perm[j]}.  Products and adjoints are index arithmetic.
+Word = tuple[np.ndarray, np.ndarray]
 
-def _clock_power(n: int, j: int) -> np.ndarray:
-    return np.diag(np.exp(2j * np.pi * (j % n) * np.arange(n) / n))
+
+def _compose(a: Word, b: Word) -> Word:
+    """The word A B."""
+    return a[0][b[0]], a[1][b[0]] * b[1]
 
 
-def _shift_power(n: int, k: int) -> np.ndarray:
-    v = np.zeros((n, n), dtype=complex)
-    v[(np.arange(n) + k) % n, np.arange(n)] = 1.0
-    return v
+def _dense(a: Word) -> np.ndarray:
+    out = np.zeros((a[0].size, a[0].size), dtype=complex)
+    out[a[0], np.arange(a[0].size)] = a[1]
+    return out
+
+
+def _same_word(a: Word, b: Word) -> bool:
+    """Permutations equal exactly, phases to RELATION_TOL."""
+    return np.array_equal(a[0], b[0]) and _mats.max_abs(a[1] - b[1]) <= RELATION_TOL
+
+
+@dataclass(frozen=True)
+class Generator:
+    """scale * (x)_s V_s^{shift[s]} U_s^{clock[s]} over the model's tensor
+    slots, with U_s the clock and V_s the cyclic shift on C^{slots[s]}."""
+
+    clock: tuple[int, ...]
+    shift: tuple[int, ...]
+    scale: complex = 1.0
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixModel:
-    """Dense model: generators with declared order and pairwise phase table."""
+    """Monomial model: generators of declared order on C^{prod(slots)} with a
+    pairwise phase table, every word kept as (perm, phase) arrays."""
 
-    dim: int
     order: int
-    power_fns: tuple[Callable[[int], np.ndarray], ...]
+    slots: tuple[int, ...]
+    gens: tuple[Generator, ...]
     phase_table: np.ndarray  # W_r W_s = exp(2 pi i phase[r,s]) W_s W_r
     symbol_twist: TwistMatrix
     provenance: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "_mono_cache", {})
-        gens = [p(1) for p in self.power_fns]
-        eye = np.eye(self.dim)
-        for i, (w, p) in enumerate(zip(gens, self.power_fns)):
-            if _mats.max_abs(w.conj().T @ w - eye) > RELATION_TOL:
+        object.__setattr__(self, "_words", {})
+        ident = (np.arange(self.dim), np.ones(self.dim, dtype=complex))
+        gens = [self.power(i, 1) for i in range(self.n_generators)]
+        for i, (perm, phase) in enumerate(gens):
+            inv = np.argsort(perm)
+            if not np.array_equal(perm[inv], ident[0]) or (
+                _mats.max_abs(np.abs(phase) - 1.0) > RELATION_TOL
+            ):
                 raise ValueError(f"generator {i} is not unitary to tolerance")
-            if _mats.max_abs(p(self.order) - eye) > RELATION_TOL:
+            if not _same_word(self.power(i, self.order), ident):
                 raise ValueError(f"generator {i} does not have order {self.order}")
-            if _mats.max_abs(p(-1) - w.conj().T) > RELATION_TOL:
+            if not _same_word(self.power(i, -1), (inv, phase[inv].conj())):
                 raise ValueError(f"generator {i} power function breaks adjoints")
-        for r in range(len(gens)):
-            for s in range(len(gens)):
-                if r == s:
-                    continue
-                phase = np.exp(2j * np.pi * self.phase_table[r, s])
-                defect = _mats.max_abs(gens[r] @ gens[s] - phase * gens[s] @ gens[r])
-                if defect > RELATION_TOL:
-                    raise ValueError(
-                        f"commutation phase fails for generators ({r},{s}): {defect}"
-                    )
+        for r, s in itertools.permutations(range(len(gens)), 2):
+            rs, sr = _compose(gens[r], gens[s]), _compose(gens[s], gens[r])
+            phase = np.exp(2j * np.pi * self.phase_table[r, s])
+            # entries of W_r W_s - phase W_s W_r; unit phases where perms differ
+            gap = np.where(rs[0] == sr[0], np.abs(rs[1] - phase * sr[1]), 1.0)
+            if gap.max() > RELATION_TOL:
+                raise ValueError(
+                    f"commutation phase fails for generators ({r},{s}): {gap.max()}"
+                )
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.slots)
 
     @property
     def n_generators(self) -> int:
-        return len(self.power_fns)
+        return len(self.gens)
 
-    def generators(self) -> list[np.ndarray]:
-        return [p(1) for p in self.power_fns]
+    def power(self, axis: int, j: int) -> Word:
+        """W_axis^j in closed form, per slot (V^b U^a)^j = om^{ab j(j-1)/2}
+        V^{bj} U^{aj} with om = exp(2 pi i / n): one rounding per phase
+        instead of one per repeated product."""
+        g = self.gens[axis]
+        perm = np.zeros(1, dtype=np.intp)
+        phase = np.full(1, g.scale**j, dtype=complex)
+        for n, a, b in zip(self.slots, g.clock, g.shift):
+            idx = np.arange(n)
+            ph = np.exp(2j * np.pi * ((a * j) % n) * idx / n)
+            if a * b:
+                ph = np.exp(2j * np.pi / n) ** (a * b * j * (j - 1) / 2) * ph
+            perm = (perm[:, None] * n + (idx + b * j) % n).ravel()
+            phase = np.multiply.outer(phase, ph).ravel()
+        return perm, phase
 
-    def monomial(self, coords: Sequence[int], axes: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Ordered word prod_i W_{axes[i]}^{coords[i]}, cached by folded exponents."""
+    def word(self, coords: Sequence[int], axes: Optional[Sequence[int]] = None) -> Word:
+        """Ordered word prod_i W_{axes[i]}^{coords[i]} as (perm, phase), cached
+        by folded exponents (O(N) memory per word)."""
         axes = tuple(range(self.n_generators)) if axes is None else tuple(axes)
         key = (axes, tuple(int(c) % self.order for c in coords))
-        cache = self._mono_cache
-        if key not in cache:
-            out = None
+        if key not in self._words:
+            out = (np.arange(self.dim), np.ones(self.dim, dtype=complex))
             for axis, c in zip(axes, key[1]):
-                w = self.power_fns[axis](c)
-                out = w if out is None else out @ w
-            cache[key] = np.eye(self.dim, dtype=complex) if out is None else out
-        return cache[key]
+                out = _compose(out, self.power(axis, c))
+            self._words[key] = out
+        return self._words[key]
+
+    def generators(self) -> list[np.ndarray]:
+        return [_dense(self.power(i, 1)) for i in range(self.n_generators)]
+
+    def monomial(self, coords: Sequence[int], axes: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Dense matrix of word(coords, axes); not cached."""
+        return _dense(self.word(coords, axes))
 
     def window(self) -> range:
         return window_range(self.order)
@@ -129,9 +182,9 @@ def clock_shift(n: int) -> MatrixModel:
         raise ValueError("need n >= 2")
     phase = np.array([[0.0, 1.0 / n], [-1.0 / n, 0.0]])
     return MatrixModel(
-        dim=n,
         order=n,
-        power_fns=(lambda j: _clock_power(n, j), lambda k: _shift_power(n, k)),
+        slots=(n,),
+        gens=(Generator((1,), (0,)), Generator((0,), (1,))),
         phase_table=phase,
         symbol_twist=TwistMatrix.zero(2),
         provenance="clock_shift",
@@ -165,17 +218,10 @@ def fuzzy_generators(p: int, m: int, n: int) -> MatrixModel:
     theta = (p % m) / m if m > 1 else 0.0
     eta = theta + 1.0 / n
     phase = np.array([[0.0, eta], [-eta, 0.0]])
-
-    def upow(j: int) -> np.ndarray:
-        return np.kron(_clock_power(m, j % m), _clock_power(n, j))
-
-    def vpow(k: int) -> np.ndarray:
-        return np.kron(_shift_power(m, (k * p) % m), _shift_power(n, k))
-
     return MatrixModel(
-        dim=m * n,
         order=n,
-        power_fns=(upow, vpow),
+        slots=(m, n),
+        gens=(Generator((1, 1), (0, 0)), Generator((0, 0), (p, 1))),
         phase_table=phase,
         symbol_twist=TwistMatrix.rational_2d(p, m) if m > 1 else TwistMatrix.zero(2),
         provenance="fuzzy",
@@ -193,32 +239,12 @@ def higher_dim_generators(n: int, d: int, cap: int = DIMENSION_CAP) -> MatrixMod
         raise ValueError("need n >= 2 and d >= 1")
     if n**d > cap:
         raise ValueError(f"dimension {n**d} exceeds cap {cap}")
-    eyes = [np.eye(n, dtype=complex)]
-    om = np.exp(2j * np.pi / n)
-
-    def gpow(j: int) -> np.ndarray:
-        # (V U^{-1})^j = om^{-j(j-1)/2} V^j U^{-j}
-        return om ** (-j * (j - 1) / 2) * (_shift_power(n, j) @ _clock_power(n, -j))
-
-    def make_power(pair: int, use_clock: bool) -> Callable[[int], np.ndarray]:
-        corr = np.exp(1j * np.pi * (n - 1) * (pair - 1) / n)
-
-        def power(j: int) -> np.ndarray:
-            core = _clock_power(n, j) if use_clock else _shift_power(n, j)
-            out = corr**j * np.eye(1, dtype=complex)
-            for _ in range(pair - 1):
-                out = np.kron(out, gpow(j))
-            out = np.kron(out, core)
-            for _ in range(d - pair):
-                out = np.kron(out, eyes[0])
-            return out
-
-        return power
-
-    fns = []
-    for pair in range(1, d + 1):
-        fns.append(make_power(pair, True))
-        fns.append(make_power(pair, False))
+    gens = []
+    for pair in range(d):
+        corr = np.exp(1j * np.pi * (n - 1) * pair / n)
+        pad = (0,) * (d - pair - 1)
+        gens.append(Generator((-1,) * pair + (1,) + pad, (1,) * pair + (0,) + pad, corr))
+        gens.append(Generator((-1,) * pair + (0,) + pad, (1,) * pair + (1,) + pad, corr))
     phase = np.zeros((2 * d, 2 * d))
     for r in range(2 * d):
         for s in range(2 * d):
@@ -227,9 +253,9 @@ def higher_dim_generators(n: int, d: int, cap: int = DIMENSION_CAP) -> MatrixMod
             elif r > s:
                 phase[r, s] = -1.0 / n
     return MatrixModel(
-        dim=n**d,
         order=n,
-        power_fns=tuple(fns),
+        slots=(n,) * d,
+        gens=tuple(gens),
         phase_table=phase,
         symbol_twist=TwistMatrix.zero(2 * d),
         provenance="higher_dim",
@@ -258,32 +284,59 @@ def _embed_axes(f: NCPoly, model: MatrixModel) -> tuple[int, ...]:
 def embed(f: NCPoly, model: MatrixModel) -> ModelElement:
     """Linear coefficient transport sum_k fhat(k) (x) W^k (indices fold mod n)."""
     axes = _embed_axes(f, model)
-    N = model.dim
-    out = np.zeros((f.m * N, f.m * N), dtype=complex)
-    for k, block in f.coeffs.items():
-        out += np.kron(block, model.monomial(k, axes))
+    out = _kron_sum(model, axes, f.coeffs, f.m)
     return ModelElement(model, out, m=f.m, band=f.band, axes=axes)
 
 
-def _window_coords(band: int, naxes: int) -> list[tuple[int, ...]]:
-    rng = range(-band, band + 1)
-    pts = [()]
-    for _ in range(naxes):
-        pts = [p + (v,) for p in pts for v in rng]
-    return pts
+def _word_entries(
+    model: MatrixModel, axes, keys: Sequence[tuple[int, ...]], m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzeros of I_m (x) W^k for each key, as flat indices into an mN x mN
+    matrix, shape (s, m, m, N), and the word phases, shape (s, N).  Entry
+    (a, b, j) sits at row a N + perm[j], column b N + j."""
+    N = model.dim
+    words = [model.word(k, axes) for k in keys]
+    perm = np.array([w[0] for w in words], dtype=np.intp).reshape(-1, 1, 1, N)
+    phase = np.array([w[1] for w in words], dtype=complex).reshape(-1, N)
+    offset = np.arange(m) * N
+    idx = (offset[:, None, None] + perm) * (m * N) + offset[:, None] + np.arange(N)
+    return idx, phase
+
+
+def _kron_values(blocks, phase: np.ndarray, m: int) -> np.ndarray:
+    """block[a, b] phase[j] for the (s, m, m, N) entries of _word_entries."""
+    stacked = np.array(list(blocks), dtype=complex).reshape(-1, m, m, 1)
+    return stacked * phase[:, None, None, :]
+
+
+def _kron_sum(model: MatrixModel, axes, blocks: dict, m: int) -> np.ndarray:
+    """New mN x mN matrix sum_k blocks[k] (x) W^k, O(s m^2 N) for s blocks of
+    size m.  np.add.at adds in index order, so each entry sums its terms in
+    key order."""
+    size = m * model.dim
+    flat = np.zeros(size * size, dtype=complex)
+    idx, phase = _word_entries(model, axes, list(blocks), m)
+    np.add.at(flat, idx, _kron_values(blocks.values(), phase, m))
+    return flat.reshape(size, size)
+
+
+def _kron_stack(blocks: dict, model: MatrixModel, support, axes, m: int) -> np.ndarray:
+    """Rows vec(blocks[a] (x) W^a) for a in support, scattered from the words."""
+    S = len(support)
+    idx, phase = _word_entries(model, axes, support, m)
+    vals = _kron_values([blocks[k] for k in support], phase, m)
+    stack = np.zeros((S, (m * model.dim) ** 2), dtype=complex)
+    np.put_along_axis(stack, idx.reshape(S, -1), vals.reshape(S, -1), axis=1)
+    return stack
 
 
 def _extract_blocks(
     x: ModelElement, coords: Sequence[tuple[int, ...]], axes: Sequence[int]
 ) -> dict[tuple[int, ...], np.ndarray]:
-    model = x.model
-    N = model.dim
-    X4 = x.matrix.reshape(x.m, N, x.m, N)
-    out = {}
-    for k in coords:
-        W = model.monomial(k, axes)
-        out[k] = np.einsum("aibj,ij->ab", X4, W.conj()) / N
-    return out
+    """Gather: xhat(k) = sum_j X[:, perm[j], :, j] conj(phase[j]) / N."""
+    idx, phase = _word_entries(x.model, axes, coords, x.m)
+    blocks = np.einsum("sabj,sj->sab", x.matrix.reshape(-1)[idx], phase.conj())
+    return dict(zip(coords, blocks / x.model.dim))
 
 
 def fourier_coefficients(
@@ -297,7 +350,7 @@ def fourier_coefficients(
     if 2 * band >= model.order:
         raise ValueError(f"band {band} must satisfy band < n/2 = {model.order / 2}")
     axes = tuple(range(model.n_generators)) if axes is None else tuple(axes)
-    coords = _window_coords(band, len(axes))
+    coords = list(itertools.product(range(-band, band + 1), repeat=len(axes)))
     blocks = _extract_blocks(x, coords, axes)
     twist = model.symbol_twist
     if len(axes) != twist.d:
@@ -308,14 +361,18 @@ def fourier_coefficients(
     return NCPoly(twist, x.m, blocks)
 
 
-def full_window_coefficients(x: ModelElement) -> dict[tuple[int, ...], np.ndarray]:
-    """Coefficients over the whole canonical window (exact on the monomial span)."""
+def model_coefficients(x: ModelElement) -> tuple[tuple[int, ...], dict]:
+    """(axes, coefficients) of x over its band window, or over the whole
+    canonical window (exact on the monomial span) when the band is unknown or
+    wraps around Z_n."""
     model = x.model
     axes = x.axes if x.axes is not None else tuple(range(model.n_generators))
-    pts = [()]
-    for _ in axes:
-        pts = [p + (v,) for p in pts for v in model.window()]
-    return _extract_blocks(x, pts, axes)
+    if x.band is not None and 2 * x.band < model.order:
+        values = range(-x.band, x.band + 1)
+    else:
+        values = model.window()
+    coords = list(itertools.product(values, repeat=len(axes)))
+    return axes, _extract_blocks(x, coords, axes)
 
 
 def op_norm(x: ModelElement) -> float:
@@ -336,25 +393,14 @@ def _rescale_coeffs(
     x: ModelElement, scale: Callable[[tuple[int, ...]], complex], verify: bool
 ) -> ModelElement:
     model = x.model
-    axes = x.axes if x.axes is not None else tuple(range(model.n_generators))
-    if x.band is not None and 2 * x.band < model.order:
-        coords = _window_coords(x.band, len(axes))
-        blocks = _extract_blocks(x, coords, axes)
-    else:
-        blocks = full_window_coefficients(x)
-    N = model.dim
+    axes, blocks = model_coefficients(x)
     if verify:
-        recon = np.zeros_like(x.matrix)
-        for k, b in blocks.items():
-            recon += np.kron(b, model.monomial(k, axes))
+        recon = _kron_sum(model, axes, blocks, x.m)
         top = max(1.0, _mats.max_abs(x.matrix))
         if _mats.max_abs(recon - x.matrix) > 1e-8 * top:
             raise ValueError("element overflows the model's monomial window")
-    out = np.zeros_like(x.matrix)
-    for k, b in blocks.items():
-        s = scale(k)
-        if s != 0.0:
-            out += np.kron(s * b, model.monomial(k, axes))
+    scaled = {k: s * b for k, b in blocks.items() if (s := scale(k)) != 0.0}
+    out = _kron_sum(model, axes, scaled, x.m)
     return ModelElement(model, out, m=x.m, band=x.band, axes=axes)
 
 

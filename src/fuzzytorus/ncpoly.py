@@ -370,22 +370,17 @@ def sup_norm_oracle(
     if mode == RATIONAL_FIBER:
         if f.d != 2 or f.twist.rational is None:
             raise ValueError("rational fiber oracle needs d=2 and theta = p/q")
-        p, q = f.twist.rational
-        u = _mats.clock(q)
-        v = _mats.shift(q)
-        fibers = np.stack(
-            [
-                np.kron(
-                    f.coeffs[k],
-                    _mats.unitary_power(u, k[0], q) @ _mats.unitary_power(v, k[1] * p, q),
-                )
-                for k in support
-            ]
-        )
         P = _grid_phases(support, G, 2)
-        S = np.tensordot(P, fibers, axes=(1, 0))
+        S = np.tensordot(P, _fiber_lift(f, support), axes=(1, 0))
         return float(_mats.batched_sigma_max(S).max())
     raise ValueError(f"unknown oracle mode {mode!r}")
+
+
+def _fiber_lift(f: NCPoly, support) -> np.ndarray:
+    """fhat(k) (x) u^{k0} v^{p k1} on C^m (x) C^q for theta = p/q, stacked."""
+    p, q = f.twist.rational
+    words = _mats.fiber_words(p, q, support)
+    return np.stack([np.kron(f.coeffs[k], w) for k, w in zip(support, words)])
 
 
 def oracle_error_bound(band: int, G: int, d: int) -> float:
@@ -416,20 +411,8 @@ def gradient_sqrt_sup(
         C = np.stack([f.coeffs[k] for k in support])  # (s, m, m)
         weighted = np.einsum("rs,sij->rsij", rows, C)
     elif f.twist.rational is not None and f.d == 2:
-        p, q = f.twist.rational
-        u = _mats.clock(q)
-        v = _mats.shift(q)
-        fib = np.stack(
-            [
-                np.kron(
-                    f.coeffs[k],
-                    _mats.unitary_power(u, k[0], q) @ _mats.unitary_power(v, k[1] * p, q),
-                )
-                for k in support
-            ]
-        )
         P = _grid_phases(support, G, 2)
-        weighted = np.einsum("rs,sij->rsij", rows, fib)
+        weighted = np.einsum("rs,sij->rsij", rows, _fiber_lift(f, support))
     else:
         raise ValueError("no norm oracle available for this twist")
     # stacked column: (grid, r*m, m); sigma_max^2 = top eig of Gamma

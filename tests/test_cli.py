@@ -127,3 +127,39 @@ def test_cli_format_override(tmp_path):
     ])
     assert code == 0
     assert os.path.exists(tmp_path / "rj" / "report.json")
+
+
+def _write_manifest(tmp_path, doc):
+    path = tmp_path / "man.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_rejects_mistyped_scalar_with_key_path(tmp_path, capsys):
+    man = _write_manifest(tmp_path, {
+        "seed": 5,
+        "out": str(tmp_path / "rep"),
+        "experiments": [{"id": "psd-audit", "n_schedule": [4, 5], "samples": "many"}],
+    })
+    assert main(["audit", "--manifest", man]) == 2
+    assert "experiments[0].samples: expected int" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "rep")
+
+
+def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
+    man = _write_manifest(tmp_path, {
+        "seed": 5,
+        "experiments": [{"id": "psd-audit", "n_schedule": [6, 5]}],
+    })
+    assert main(["audit", "--manifest", man]) == 2
+    err = capsys.readouterr().err
+    assert "experiments[0]: n schedule must be strictly increasing" in err
+
+
+def test_cli_rejects_non_integer_seed(tmp_path, capsys):
+    man = _write_manifest(tmp_path, {
+        "seed": "tomorrow",
+        "experiments": [{"id": "psd-audit", "n_schedule": [4, 5]}],
+    })
+    assert main(["audit", "--manifest", man]) == 2
+    assert "error: seed:" in capsys.readouterr().err

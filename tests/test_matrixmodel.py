@@ -1,12 +1,16 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fuzzytorus import _mats
 from fuzzytorus.lattice import LengthFunction, build_smoothing_multiplier, product_multiplier
 from fuzzytorus.matrixmodel import (
+    MatrixModel,
     ModelElement,
+    _kron_stack,
     admissible_sizes,
     clock_shift,
     dump_matrix,
@@ -38,9 +42,9 @@ def rand_poly(rng, twist, band, m=1):
 
 def test_clock_shift_examples():
     cs = clock_shift(4)
-    assert np.allclose(np.diag(cs.power_fns[0](1)), [1, 1j, -1, -1j])
+    assert np.allclose(np.diag(cs.generators()[0]), [1, 1j, -1, -1j])
     cs3 = clock_shift(3)
-    v = cs3.power_fns[1](1)
+    v = cs3.generators()[1]
     e1 = np.eye(3)[:, 1]
     assert np.allclose(v @ e1, np.eye(3)[:, 2])
     assert np.allclose(cs3.monomial((0, 0)), np.eye(3))
@@ -64,8 +68,8 @@ def test_fuzzy_examples():
 def test_fuzzy_theta_zero_degenerates_to_clock_shift():
     fz = fuzzy_generators(0, 1, 6)
     cs = clock_shift(6)
-    for i in (0, 1):
-        assert np.allclose(fz.power_fns[i](1), cs.power_fns[i](1))
+    for a, b in zip(fz.generators(), cs.generators()):
+        assert np.allclose(a, b)
 
 
 def test_higher_dim_examples():
@@ -76,13 +80,13 @@ def test_higher_dim_examples():
     for r in range(4):
         for s in range(r + 1, 4):
             assert np.abs(gens[r] @ gens[s] - om * gens[s] @ gens[r]).max() <= 1e-12
-    for p in hd.power_fns:
-        assert np.abs(p(3) - np.eye(9)).max() <= 1e-12
+    for g in gens:
+        assert np.abs(np.linalg.matrix_power(g, 3) - np.eye(9)).max() <= 1e-12
     # d=1 degenerates to clock/shift
     hd1 = higher_dim_generators(5, 1)
     cs = clock_shift(5)
-    for i in (0, 1):
-        assert np.allclose(hd1.power_fns[i](1), cs.power_fns[i](1))
+    for a, b in zip(hd1.generators(), cs.generators()):
+        assert np.allclose(a, b)
     with pytest.raises(ValueError):
         higher_dim_generators(64, 3)  # over the dimension cap
 
@@ -98,6 +102,90 @@ def test_higher_dim_raw_power_scalar():
     assert np.abs(raw - om ** (-n * (n - 1) / 2) * np.eye(n)).max() <= 1e-12
 
 
+# -- monomial array core -------------------------------------------------------
+
+
+def dense_generators(model):
+    """The generators as dense matrices, straight from each family's definition."""
+    kind, prm = model.provenance, model.params
+    if kind == "clock_shift":
+        n = prm["n"]
+        return [_mats.clock(n), _mats.shift(n)]
+    if kind == "fuzzy":
+        p, m, n = prm["p"], prm["m"], prm["n"]
+        return [
+            np.kron(_mats.clock(m), _mats.clock(n)),
+            np.kron(np.linalg.matrix_power(_mats.shift(m), p), _mats.shift(n)),
+        ]
+    n, d = prm["n"], prm["d"]
+    g = _mats.shift(n) @ _mats.clock(n).conj().T
+    gens = []
+    for pair in range(d):
+        for core in (_mats.clock(n), _mats.shift(n)):
+            out = np.exp(1j * np.pi * (n - 1) * pair / n) * np.eye(1)
+            for f in [g] * pair + [core] + [np.eye(n)] * (d - pair - 1):
+                out = np.kron(out, f)
+            gens.append(out)
+    return gens
+
+
+def dense_word(gens, k, order):
+    out = np.eye(gens[0].shape[0], dtype=complex)
+    for g, c in zip(gens, k):
+        out = out @ np.linalg.matrix_power(g, c % order)
+    return out
+
+
+ARRAY_MODELS = (
+    (clock_shift(16), 2),
+    (fuzzy_generators(1, 2, 16), 2),
+    (higher_dim_generators(5, 2), 1),
+)
+
+
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("model,band", ARRAY_MODELS, ids=lambda v: getattr(v, "provenance", ""))
+def test_embed_matches_dense_kron_reference(model, band, m):
+    gens = dense_generators(model)
+    for a, b in zip(model.generators(), gens):
+        assert np.abs(a - b).max() <= 1e-12
+    f = rand_poly(np.random.default_rng(37), model.symbol_twist, band, m=m)
+    ref = sum(np.kron(b, dense_word(gens, k, model.order)) for k, b in f.coeffs.items())
+    assert np.abs(embed(f, model).matrix - ref).max() <= 1e-12
+    for k in ((1,) * model.n_generators, (-band,) * model.n_generators):
+        assert np.abs(model.monomial(k) - dense_word(gens, k, model.order)).max() <= 1e-12
+    axes = tuple(range(model.n_generators))
+    stack = _kron_stack(f.coeffs, model, f.support(), axes, m)
+    for row, k in zip(stack, f.support()):
+        dense = np.kron(f.get(k), dense_word(gens, k, model.order))
+        assert np.abs(row - dense.ravel()).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("model,band", ARRAY_MODELS, ids=lambda v: getattr(v, "provenance", ""))
+def test_fourier_roundtrip_all_families(model, band, m):
+    f = rand_poly(np.random.default_rng(41), model.symbol_twist, band, m=m)
+    back = fourier_coefficients(embed(f, model), band)
+    for k in f.support():
+        assert np.abs(back.get(k) - f.get(k)).max() <= 1e-12
+
+
+def test_model_constructor_rejects_broken_relations():
+    cs = clock_shift(6)
+    fields = dict(order=6, slots=cs.slots, symbol_twist=cs.symbol_twist,
+                  provenance="clock_shift")
+    MatrixModel(gens=cs.gens, phase_table=cs.phase_table, **fields)
+    with pytest.raises(ValueError, match=r"commutation phase fails for generators \(0,1\)"):
+        MatrixModel(gens=cs.gens, phase_table=2 * cs.phase_table, **fields)
+    with pytest.raises(ValueError, match="commutation phase fails"):
+        MatrixModel(gens=cs.gens, phase_table=np.zeros((2, 2)), **fields)
+    with pytest.raises(ValueError, match="does not have order 3"):
+        MatrixModel(gens=cs.gens, phase_table=cs.phase_table, **{**fields, "order": 3})
+    scaled = (replace(cs.gens[0], scale=1.5), cs.gens[1])
+    with pytest.raises(ValueError, match="generator 0 is not unitary"):
+        MatrixModel(gens=scaled, phase_table=cs.phase_table, **fields)
+
+
 # -- embed / extract ----------------------------------------------------------
 
 
@@ -105,7 +193,7 @@ def test_embed_examples():
     z1 = TwistMatrix.zero(1)
     cs8 = clock_shift(8)
     lam1 = NCPoly.generator(z1, 0)
-    assert np.allclose(embed(lam1, cs8).matrix, cs8.power_fns[0](1))
+    assert np.allclose(embed(lam1, cs8).matrix, cs8.generators()[0])
     lam9 = NCPoly.monomial(z1, (9,))
     assert np.allclose(embed(lam9, cs8).matrix, embed(lam1, cs8).matrix)
 
@@ -226,8 +314,7 @@ def test_power_iteration_path_matches_dense():
 def test_commutator_defect_formula():
     for n in range(4, 257):
         cs = clock_shift(n)
-        u = cs.power_fns[0](1)
-        v = cs.power_fns[1](1)
+        u, v = cs.generators()
         defect = op_norm(ModelElement(cs, u @ v - v @ u))
         assert abs(defect - 2 * math.sin(math.pi / n)) <= 1e-12
 
@@ -324,6 +411,37 @@ def test_model_multiplier_zeroes_tail_and_identity():
     g = rand_poly(rng, TwistMatrix.zero(2), 3)
     e = embed(g, model)
     assert np.abs(model_multiplier(e, one).matrix - e.matrix).max() <= 1e-10
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("verify", [True, False])
+def test_model_multiplier_any_memory_layout(m, verify):
+    # the adjoint view conj().T is Fortran-ordered; rescaling must not depend
+    # on the input's memory layout
+    n = 16
+    model = clock_shift(n)
+    heat = LengthFunction.heat((n,))
+    part = build_smoothing_multiplier(heat, 1.0, 0.3)
+    phi = product_multiplier([part, part])
+    heat2 = LengthFunction.heat((n, n))
+    rng = np.random.default_rng(37)
+    f = rand_poly(rng, TwistMatrix.zero(2), 3, m=m)
+    x = embed(f, model)
+    adj = x.matrix.conj().T
+    xs = ModelElement(model, adj, m=m, band=x.band, axes=x.axes)
+    xc = ModelElement(model, np.ascontiguousarray(adj), m=m, band=x.band, axes=x.axes)
+    assert not xs.matrix.flags.c_contiguous
+    lhs = model_multiplier(xs, phi, verify=verify).matrix
+    rhs = model_multiplier(xc, phi, verify=verify).matrix
+    assert np.abs(rhs).max() > 0.1
+    assert np.array_equal(lhs, rhs)
+    lhs = model_semigroup(xs, heat2, 0.4, verify=verify).matrix
+    rhs = model_semigroup(xc, heat2, 0.4, verify=verify).matrix
+    assert np.abs(rhs).max() > 0.1
+    assert np.array_equal(lhs, rhs)
+    # phi is real and even, so it commutes with the adjoint
+    y = model_multiplier(x, phi, verify=verify).matrix.conj().T
+    assert np.abs(y - model_multiplier(xs, phi, verify=verify).matrix).max() <= 1e-10
 
 
 def test_model_multiplier_rejects_window_overflow():
