@@ -81,13 +81,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = []
+    failed = None
     for cfg in man.experiments:
         print(f"running {cfg.experiment} (seed {cfg.seed}) ...")
-        rows.extend(run_experiment(cfg))
+        try:
+            rows.extend(run_experiment(cfg))
+        except ValueError as exc:
+            failed = f"{cfg.experiment}: {exc}"
+            break
     try:
-        paths = emit_report(rows, man)
+        paths = emit_report(rows, man) if rows else []
     except OSError as exc:
         print(f"error: cannot write reports to {man.out!r}: {exc}", file=sys.stderr)
+        return 2
+    if failed is not None:
+        if paths:
+            print("wrote " + ", ".join(paths))
+        print(f"error: {failed}", file=sys.stderr)
         return 2
     by_exp: dict[str, bool] = {}
     for r in rows:

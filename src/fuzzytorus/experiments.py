@@ -489,11 +489,39 @@ def _net_axis(limit: float, pitch: float) -> np.ndarray:
     return pitch * np.arange(-m, m + 1)
 
 
+def _net_sup_distance(C: np.ndarray, net_vals: np.ndarray, E: np.ndarray,
+                      yc: np.ndarray, y_vals: np.ndarray) -> float:
+    """min_i max_j |net_vals[i, j] - y_vals[j]|, scanning only the rows that can
+    attain it.
+
+    Net row i has values net_vals[i] = C[i] @ E; the sample has coefficients
+    yc and values y_vals, equal to yc @ E up to a roundoff err.  With the
+    frequencies of E distinct mod n, discrete Plancherel gives
+    ||c||_2 <= ||c @ E||_inf for every coefficient gap c.  So a row no
+    farther than dj, the sup distance of the l2-nearest row, has an l2 gap
+    of at most dj + err; the relative and absolute margins cover the
+    rounding of the gaps and of C @ E.  The scanned rows' distances are the
+    floats a full scan computes, so the minimum is the same.
+    """
+    diff = C.view(np.float64) - yc.view(np.float64)
+    gap2 = np.einsum("ij,ij->i", diff, diff)
+    dj = np.abs(net_vals[int(gap2.argmin())] - y_vals).max()
+    err = np.abs(y_vals - yc @ E).max()
+    cut = (dj + err) * (1 + 1e-9) + 1e-12 * (1.0 + np.abs(yc).sum())
+    cand = gap2 <= cut * cut
+    return float(np.abs(net_vals[cand] - y_vals).max(axis=1).min())
+
+
 def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     """Coefficient-lattice eps-net of the band-limited D_R ball, checked to
     cover model-side samples within (4R+2) eps (d = 1)."""
     n = cfg.n_schedule[-1] if cfg.n_schedule else 64
     b = cfg.sample_band
+    if 2 * b >= n:
+        raise ValueError(
+            f"sample_band: frequencies -{b}..{b} alias mod n = {n}; "
+            f"covering-net needs 2 * sample_band < n"
+        )
     R = cfg.R
     eps = cfg.eps
     if R == 0:
@@ -570,10 +598,11 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     radius = 0.0
     covered = 0
     resid = 0.0
+    zero = np.zeros((1, 1))
     for f in samples:
         e = embed(f, model)
-        y_vals = np.diag(e.matrix)
-        dist = float(np.abs(net_vals - y_vals[None, :]).max(axis=1).min())
+        yc = np.array([f.coeffs.get(c, zero)[0, 0] for c in coords], dtype=complex)
+        dist = _net_sup_distance(C, net_vals, E_n, yc, np.diag(e.matrix))
         radius = max(radius, dist)
         if dist <= (4 * R + 2) * eps:
             covered += 1

@@ -139,9 +139,9 @@ class NCPoly:
                 raise ValueError(f"index {k} has wrong dimension for the twist")
             raw[tuple(int(c) for c in k)] = arr
         if prune and raw:
-            top = max(_mats.max_abs(b) for b in raw.values())
-            cut = PRUNE_REL * top
-            raw = {k: b for k, b in raw.items() if _mats.max_abs(b) > cut}
+            tops = np.abs(np.stack(list(raw.values()))).max(axis=(1, 2))
+            cut = PRUNE_REL * tops.max()
+            raw = {k: b for (k, b), t in zip(raw.items(), tops) if t > cut}
         self.coeffs = raw
 
     # -- constructors ------------------------------------------------------

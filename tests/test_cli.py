@@ -163,3 +163,21 @@ def test_cli_rejects_non_integer_seed(tmp_path, capsys):
     })
     assert main(["audit", "--manifest", man]) == 2
     assert "error: seed:" in capsys.readouterr().err
+
+
+def test_cli_failing_experiment_keeps_earlier_rows(tmp_path, capsys):
+    out = tmp_path / "rep"
+    man = _write_manifest(tmp_path, {
+        "seed": 5,
+        "out": str(out),
+        "experiments": [
+            {"id": "rate", "psi": "heat", "n_schedule": [16, 64], "grid": 4096},
+            {"id": "covering-net", "n_schedule": [32], "net_cap": 10},
+        ],
+    })
+    assert main(["all", "--manifest", man]) == 2
+    assert "error: covering-net: net budget exceeded" in capsys.readouterr().err
+    lines = (out / "report.csv").read_text().splitlines()
+    assert lines[0] == "experiment,n,metric,value,bound,pass"
+    assert len(lines) > 1
+    assert all(line.startswith("rate,") for line in lines[1:])

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fuzzytorus import experiments as ex
+from fuzzytorus.matrixmodel import clock_shift, embed
+from fuzzytorus.ncpoly import NCPoly, TwistMatrix
 
 SEED = 424242
 
@@ -158,6 +160,46 @@ def test_covering_small_run_covers():
 def test_covering_net_cap():
     with pytest.raises(ValueError):
         ex.run_experiment(small("covering-net", net_cap=10))
+
+
+def test_covering_net_rejects_aliased_band():
+    with pytest.raises(ValueError, match="sample_band"):
+        ex.run_experiment(small("covering-net", n_schedule=(4,), sample_band=2))
+
+
+def _full_scan(net_vals, y_vals):
+    return float(np.abs(net_vals - y_vals[None, :]).max(axis=1).min())
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("b", [1, 2])
+def test_net_sup_distance_equals_full_scan(n, b):
+    # rescaled lattice nets as covering-net builds them, samples embedded in
+    # the clock/shift model so their values carry the model's roundoff
+    rng = np.random.default_rng((n, b))
+    s = 2 * b + 1
+    model = clock_shift(n)
+    ks = np.arange(-b, b + 1)
+    E = np.exp(2j * np.pi * np.outer(ks, np.arange(n) / n))
+    axis = 0.2 * np.arange(-3, 4)
+    mesh = [m.reshape(-1) for m in np.meshgrid(*[axis] * s, indexing="ij")]
+    C = np.zeros((len(mesh[0]), s), dtype=complex)
+    C[:, b] = mesh[0]
+    for k in range(1, b + 1):
+        C[:, b + k] = mesh[2 * k - 1] + 1j * mesh[2 * k]
+        C[:, b - k] = C[:, b + k].conj()
+    C = C / rng.uniform(1.0, 1.5, size=(len(C), 1))
+    C = np.concatenate([C, C[::-7]])  # duplicated net points: tied distances
+    net_vals = C @ E
+    samples = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for _ in range(20)]
+    samples = [0.5 * (y + y[::-1].conj()) for y in samples]
+    samples += [3.0 * y for y in samples[:5]]  # outside the net's box
+    samples += [C[i] for i in rng.integers(len(C), size=5)]  # on a net point
+    for yc in samples:
+        f = NCPoly(TwistMatrix.zero(1), 1, {(int(k),): c for k, c in zip(ks, yc)})
+        y_vals = np.diag(embed(f, model).matrix)
+        yc = np.array([f.coeffs.get((int(k),), np.zeros((1, 1)))[0, 0] for k in ks])
+        assert ex._net_sup_distance(C, net_vals, E, yc, y_vals) == _full_scan(net_vals, y_vals)
 
 
 def test_bridge_reach_small():

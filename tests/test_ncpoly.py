@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fuzzytorus.lattice import LengthFunction, band_mask, build_smoothing_multiplier
 from fuzzytorus.ncpoly import (
+    PRUNE_REL,
     NCPoly,
     TwistMatrix,
     adjoint,
@@ -35,6 +36,24 @@ def rand_poly(rng, twist, band, m=1):
         m,
         {c: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for c in coords},
     )
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_prune_boundary_is_strict(m):
+    # a block is kept iff its largest entry exceeds PRUNE_REL times the top one
+    tw = TwistMatrix.zero(1)
+    top = np.full((m, m), 0.5)
+    top[0, -1] = 3.0
+    cut = PRUNE_REL * 3.0
+    at_cut = np.zeros((m, m))
+    at_cut[-1, 0] = -cut
+    above = np.full((m, m), cut / 2)
+    above[-1, -1] = np.nextafter(cut, 1.0)
+    p = NCPoly(tw, m, {(0,): top, (1,): at_cut, (2,): above})
+    assert sorted(p.coeffs) == [(0,), (2,)]
+    assert np.array_equal(p.coeffs[(2,)], above)
+    kept = NCPoly(tw, m, {(0,): top, (1,): at_cut}, prune=False)
+    assert sorted(kept.coeffs) == [(0,), (1,)]
 
 
 # -- twists and phases --------------------------------------------------------
