@@ -1,15 +1,9 @@
 """Finite matrix models of noncommutative tori with semigroup Lipschitz norms."""
 
 from .lattice import (
-    LatticeIndex,
     LengthFunction,
-    GromovMatrix,
-    CocycleFactor,
     MultiplierSpec,
-    length_eval,
-    gromov_matrix,
     check_conditionally_negative,
-    cocycle_factor,
     build_smoothing_multiplier,
     product_multiplier,
     band_mask,

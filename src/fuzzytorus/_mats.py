@@ -35,6 +35,19 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def batched_max_eig(h: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue along the last two axes of a Hermitian (..., m, m) stack."""
+    m = h.shape[-1]
+    if m == 1:
+        return h[..., 0, 0].real
+    if m == 2:
+        tr = (h[..., 0, 0] + h[..., 1, 1]).real
+        det = (h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]).real
+        disc = np.maximum(tr * tr - 4.0 * det, 0.0)
+        return 0.5 * (tr + np.sqrt(disc))
+    return np.linalg.eigvalsh(h)[..., -1]
+
+
 def batched_sigma_max(mats: np.ndarray) -> np.ndarray:
     """Largest singular value along the last two axes of a (..., m, m) stack."""
     m = mats.shape[-1]
@@ -42,10 +55,7 @@ def batched_sigma_max(mats: np.ndarray) -> np.ndarray:
         return np.abs(mats[..., 0, 0])
     if m == 2:
         h = np.einsum("...ki,...kj->...ij", mats.conj(), mats)
-        tr = (h[..., 0, 0] + h[..., 1, 1]).real
-        det = (h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]).real
-        disc = np.maximum(tr * tr - 4.0 * det, 0.0)
-        return np.sqrt(np.maximum(0.5 * (tr + np.sqrt(disc)), 0.0))
+        return np.sqrt(np.maximum(batched_max_eig(h), 0.0))
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 

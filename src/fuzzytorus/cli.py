@@ -86,7 +86,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"running {cfg.experiment} (seed {cfg.seed}) ...")
         try:
             rows.extend(run_experiment(cfg))
-        except ValueError as exc:
+        except (ValueError, RuntimeError) as exc:
             failed = f"{cfg.experiment}: {exc}"
             break
     try:

@@ -8,7 +8,6 @@ produce byte-identical reports.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -19,6 +18,7 @@ from . import _mats
 from .lattice import (
     LengthFunction,
     MultiplierSpec,
+    band_window,
     build_smoothing_multiplier,
     cocycle_rows_for_coords,
     gromov_entries_for_coords,
@@ -36,8 +36,8 @@ from .matrixmodel import (
 )
 from .ncpoly import (
     NCPoly,
+    SymbolGrid,
     TwistMatrix,
-    adjoint,
     apply_multiplier,
     gradient_form,
     l2_norm,
@@ -89,6 +89,10 @@ class ReportRow:
                    row_passes(metric, float(value), float(bound)))
 
 
+# Experiments that sweep their whole n_schedule; the others fall back to a default.
+NEEDS_SCHEDULE = ("intertwining", "rate", "isometry", "bridge-reach")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs shared by the experiment registry; unused fields are ignored."""
@@ -114,6 +118,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         ns = tuple(self.n_schedule)
+        if not ns and self.experiment in NEEDS_SCHEDULE:
+            raise ValueError(f"n_schedule: {self.experiment} needs at least one n")
         if any(b >= a for a, b in zip(ns[1:], ns[:-1])):
             raise ValueError("n schedule must be strictly increasing")
         if self.theta is not None:
@@ -147,85 +153,11 @@ def kendall_decreasing(vals: Sequence[float]) -> float:
     return s / (n * (n - 1) / 2)
 
 
-# ---------------------------------------------------------------------------
-# shared vectorized oracle helpers (fixed support, many coefficient stacks)
-# ---------------------------------------------------------------------------
-
-
-class SymbolGrid:
-    """Grid evaluation of symbols over a fixed support, phases cached."""
-
-    def __init__(self, support: Sequence[tuple[int, ...]], G: int, d: int,
-                 fiber: Optional[tuple[int, int]] = None):
-        self.support = list(support)
-        self.G = G
-        self.d = d
-        ks = np.array(self.support)
-        P = np.ones((1, len(self.support)), dtype=complex)
-        t = np.arange(G) / G
-        for axis in range(d):
-            E = np.exp(2j * np.pi * np.outer(t, ks[:, axis]))
-            P = (P[:, None, :] * E[None, :, :]).reshape(-1, len(self.support))
-        self.P = P
-        self.fiber_mats = None
-        if fiber is not None:
-            self.fiber_mats = _mats.fiber_words(*fiber, self.support)
-
-    def _lift(self, blocks: dict[tuple[int, ...], np.ndarray], m: int) -> np.ndarray:
-        zero_q = 1 if self.fiber_mats is None else self.fiber_mats[0].shape[0]
-        X = np.zeros((len(self.support), m * zero_q, m * zero_q), dtype=complex)
-        for i, k in enumerate(self.support):
-            b = blocks.get(k)
-            if b is None:
-                continue
-            b = np.atleast_2d(b)
-            X[i] = b if self.fiber_mats is None else np.kron(b, self.fiber_mats[i])
-        return X
-
-    def norm(self, blocks: dict[tuple[int, ...], np.ndarray], m: int = 1) -> float:
-        X = self._lift(blocks, m)
-        S = np.tensordot(self.P, X, axes=(1, 0))
-        return float(_mats.batched_sigma_max(S).max())
-
-    def lip_column(
-        self,
-        blocks: dict[tuple[int, ...], np.ndarray],
-        rows: np.ndarray,
-        m: int = 1,
-    ) -> float:
-        """||Gamma^(1/2)|| from precomputed cocycle rows over this support."""
-        X = self._lift(blocks, m)
-        W = np.einsum("rs,sij->rsij", rows, X)
-        D = np.tensordot(self.P, W, axes=(1, 1))  # (grid, r, mm, mm)
-        H = np.einsum("trki,trkj->tij", D.conj(), D)
-        return float(np.sqrt(max(_batched_max_eig(H).max(), 0.0)))
-
-
-def _batched_max_eig(H: np.ndarray) -> np.ndarray:
-    mm = H.shape[-1]
-    if mm == 1:
-        return H[..., 0, 0].real
-    if mm == 2:
-        tr = (H[..., 0, 0] + H[..., 1, 1]).real
-        det = (H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 1, 0]).real
-        disc = np.maximum(tr * tr - 4.0 * det, 0.0)
-        return 0.5 * (tr + np.sqrt(disc))
-    return np.linalg.eigvalsh(H)[..., -1]
-
-
-def _window(band: int, d: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(-band, band + 1), repeat=d))
-
-
 def _draw_blocks(rng, coords, m) -> dict[tuple[int, ...], np.ndarray]:
     return {
         c: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         for c in coords
     }
-
-
-def _symbol_adjoint_blocks(f: NCPoly) -> dict[tuple[int, ...], np.ndarray]:
-    return dict(adjoint(f).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +178,7 @@ def run_intertwining(cfg: ExperimentConfig) -> list[ReportRow]:
         worst = 0.0
         for i in range(cfg.samples):
             rng = np.random.default_rng((cfg.seed, n, i))
-            f = NCPoly(tw, 1, _draw_blocks(rng, _window(cfg.band, 1), 1))
+            f = NCPoly(tw, 1, _draw_blocks(rng, band_window(cfg.band, 1), 1))
             lhs = _model_gamma(f.coeffs, model, psi_n, (0,), f.m)
             rhs = embed(gradient_form(f, f, psi_inf), model).matrix
             worst = max(worst, _mats.max_abs(lhs - rhs))
@@ -343,7 +275,7 @@ def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
     matching Lipschitz-isometry defect on a smaller sample set."""
     tw = _twist_for(cfg)
     psi_inf = _length(cfg.psi, (None, None))
-    support = _window(cfg.band, 2)
+    support = band_window(cfg.band, 2)
     fiber = tw.rational if (tw.rational and not tw.is_zero) else None
     G = cfg.grid or 512
     oracle = SymbolGrid(support, G, 2, fiber=fiber)
@@ -362,9 +294,7 @@ def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
     for amp, i, f, _ in draws:
         if amp != cfg.amplifications[0] or i >= cfg.lip_samples:
             continue
-        col = lip_oracle.lip_column(f.coeffs, lip_rows_inf, amp)
-        row = lip_oracle.lip_column(_symbol_adjoint_blocks(f), lip_rows_inf, amp)
-        lip_draws.append((amp, f, max(col, row)))
+        lip_draws.append((amp, f, max(lip_oracle.lip_column_row(f, lip_rows_inf))))
 
     rows = []
     norm_defects = []
@@ -419,7 +349,7 @@ def run_smoothing_tail(cfg: ExperimentConfig) -> list[ReportRow]:
     for amp in cfg.amplifications:
         for i in range(cfg.samples):
             rng = np.random.default_rng((cfg.seed, amp, i))
-            f = mean_zero(NCPoly(tw, amp, _draw_blocks(rng, _window(cfg.band, 2), amp)))
+            f = mean_zero(NCPoly(tw, amp, _draw_blocks(rng, band_window(cfg.band, 2), amp)))
             e = embed(f, model)
             l2 = l2_norm(f)
             lip = lip_seminorm_on_model(f, model, psi_n).lip
@@ -535,7 +465,7 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     model = clock_shift(n)
     psi_sym = _length(cfg.psi, (None,))
     psi_n = _length(cfg.psi, (n,))
-    coords = [(k,) for k in range(-b, b + 1)]
+    coords = band_window(b, 1)
     s = len(coords)
 
     pitch = eps / (2 * s)
@@ -635,7 +565,7 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
     tw = _twist_for(cfg)
     psi_inf = _length(cfg.psi, (None, None))
     psi_coord_inf = _length(cfg.psi, (None,))
-    support = _window(cfg.band, 2)
+    support = band_window(cfg.band, 2)
     support_nz = [c for c in support if any(c)]
     fiber = tw.rational
     G = cfg.grid or 128
@@ -646,18 +576,13 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
     k_val = psi_coord_inf.coord_value(cfg.band)
     phi = product_multiplier([build_smoothing_multiplier(psi_coord_inf, k_val, eps_part)] * 2)
 
-    def sym_lip(f: NCPoly, amp: int) -> float:
-        col = oracle.lip_column(f.coeffs, rows_inf, amp)
-        row = oracle.lip_column(_symbol_adjoint_blocks(f), rows_inf, amp)
-        return max(col, row)
-
     # symbol-side unit-Lip samples, shared across n
     a_side = []
     for amp in cfg.amplifications:
         for i in range(cfg.samples):
             rng = np.random.default_rng((cfg.seed, 1, amp, i))
             f = NCPoly(tw, amp, _draw_blocks(rng, support_nz, amp))
-            lam = sym_lip(f, amp)
+            lam = max(oracle.lip_column_row(f, rows_inf))
             if lam <= 1e-9:
                 continue
             a = (1.0 / lam) * f
@@ -697,7 +622,7 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
                 b = (1.0 / ln) * f
                 b_phi = apply_multiplier(b, phi)
                 resid = op_norm(embed(b - b_phi, model))
-                lam = sym_lip(b_phi, amp)
+                lam = max(oracle.lip_column_row(b_phi, rows_inf))
                 scale = max(1.0, lam)
                 mismatch = abs(oracle.norm(b_phi.coeffs, amp) / scale
                                - op_norm(embed(b_phi, model)))
@@ -753,7 +678,7 @@ def run_hp_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
         lo, hi = math.inf, 0.0
         for i in range(cfg.samples):
             rng = np.random.default_rng((cfg.seed, p, i))
-            f = mean_zero(NCPoly(tw, 1, _draw_blocks(rng, _window(cfg.band, 2), 1)))
+            f = mean_zero(NCPoly(tw, 1, _draw_blocks(rng, band_window(cfg.band, 2), 1)))
             a = f.scale_coeffs(lambda k: heat.value(k) ** (beta / 2))
             b = f.scale_coeffs(lambda k: word.value(k) ** beta)
             ratio = schatten_norm(embed(a, model), p) / schatten_norm(embed(b, model), p)

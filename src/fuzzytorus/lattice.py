@@ -1,4 +1,4 @@
-"""Lattice index arithmetic, length functions, Gromov forms and smoothing multipliers.
+"""Lattice windows, length functions, Gromov forms and smoothing multipliers.
 
 Everything here lives on Z^d or (Z/nZ)^d.  Finite-modulus coordinates are kept
 in the canonical window (-n/2, n/2]; the tie at n/2 for even n resolves to +n/2.
@@ -16,15 +16,12 @@ import numpy as np
 __all__ = [
     "canonical_rep",
     "window_range",
-    "LatticeIndex",
+    "band_window",
     "LengthFunction",
-    "GromovMatrix",
-    "CocycleFactor",
     "MultiplierSpec",
-    "length_eval",
-    "gromov_matrix",
+    "gromov_entries_for_coords",
     "check_conditionally_negative",
-    "cocycle_factor",
+    "cocycle_rows_for_coords",
     "build_smoothing_multiplier",
     "product_multiplier",
     "band_mask",
@@ -45,36 +42,10 @@ def window_range(n: int) -> range:
     return range(lo, lo + n)
 
 
-@dataclass(frozen=True)
-class LatticeIndex:
-    """A point of Z^d or (Z/nZ)^d, stored in the canonical window per coordinate.
-
-    ``moduli`` holds one positive int per coordinate, or None for an infinite
-    (Z) coordinate.
-    """
-
-    coords: tuple[int, ...]
-    moduli: tuple[Optional[int], ...]
-
-    def __post_init__(self):
-        if len(self.coords) != len(self.moduli):
-            raise ValueError("coords and moduli must have equal length")
-        reduced = tuple(canonical_rep(c, n) for c, n in zip(self.coords, self.moduli))
-        object.__setattr__(self, "coords", reduced)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def __sub__(self, other: "LatticeIndex") -> "LatticeIndex":
-        if self.moduli != other.moduli:
-            raise ValueError("modulus mismatch in lattice subtraction")
-        return LatticeIndex(
-            tuple(a - b for a, b in zip(self.coords, other.coords)), self.moduli
-        )
-
-    def __neg__(self) -> "LatticeIndex":
-        return LatticeIndex(tuple(-c for c in self.coords), self.moduli)
+def band_window(band: int, d: int) -> list[tuple[int, ...]]:
+    """All k in Z^d with max |k_i| <= band, in itertools.product order (random
+    coefficient draws consume it in this order)."""
+    return list(itertools.product(range(-band, band + 1), repeat=d))
 
 
 WORD = "word"
@@ -190,49 +161,22 @@ class LengthFunction:
         return f"kind {self.kind}\nmoduli {mods}\n"
 
 
-def length_eval(psi: LengthFunction, k: LatticeIndex) -> float:
-    """psi(k) with k reduced into psi's moduli.  Errors on modulus mismatch."""
-    if k.moduli != psi.moduli:
-        raise ValueError(
-            f"modulus mismatch: index {k.moduli} vs length {psi.moduli}"
-        )
-    return psi.value(k.coords)
-
-
-@dataclass(frozen=True)
-class GromovMatrix:
-    """K(x,y) = [psi(x) + psi(y) - psi(x - y)] / 2 over an ordered index list."""
-
-    indices: tuple[LatticeIndex, ...]
-    entries: np.ndarray
-
-    def default_tolerance(self) -> float:
-        m = max(1.0, float(np.abs(self.entries).max(initial=0.0)))
-        return 1e-10 * len(self.indices) * m
-
-
-def _gromov_entries(psi: LengthFunction, coords: np.ndarray) -> np.ndarray:
+def gromov_entries_for_coords(
+    psi: LengthFunction, coords: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """K(x,y) = [psi(x) + psi(y) - psi(x - y)] / 2 over raw coordinate tuples
+    (group subtraction mod n happens inside psi)."""
+    coords = np.asarray(coords, dtype=np.int64)
+    if coords.ndim != 2 or coords.shape[0] == 0 or coords.shape[1] != psi.dim:
+        raise ValueError(f"need a non-empty list of {psi.dim}-d coordinates")
     vals = psi.values(coords)
     diffs = coords[:, None, :] - coords[None, :, :]
     return 0.5 * (vals[:, None] + vals[None, :] - psi.values(diffs))
 
 
-def gromov_matrix(psi: LengthFunction, indices: Sequence[LatticeIndex]) -> GromovMatrix:
-    """Gromov form of psi over the given indices (group subtraction mod n)."""
-    if not indices:
-        raise ValueError("empty index list")
-    for k in indices:
-        if k.moduli != psi.moduli:
-            raise ValueError("index moduli do not match the length function")
-    coords = np.array([k.coords for k in indices], dtype=np.int64)
-    return GromovMatrix(tuple(indices), _gromov_entries(psi, coords))
-
-
-def gromov_entries_for_coords(
-    psi: LengthFunction, coords: Sequence[Sequence[int]]
-) -> np.ndarray:
-    """Gromov form entries over raw coordinate tuples (no LatticeIndex wrapping)."""
-    return _gromov_entries(psi, np.asarray(coords, dtype=np.int64))
+def psd_tolerance(K: np.ndarray) -> float:
+    """Default eigenvalue tolerance for a Gromov matrix: 1e-10 s max(1, |K|)."""
+    return 1e-10 * len(K) * max(1.0, float(np.abs(K).max(initial=0.0)))
 
 
 def check_conditionally_negative(
@@ -258,51 +202,29 @@ def check_conditionally_negative(
     else:
         reps = window_range(modulus)
         psi1 = psi.with_moduli((modulus,))
-    idx = [LatticeIndex((r,), psi1.moduli) for r in reps]
-    K = gromov_matrix(psi1, idx)
+    K = gromov_entries_for_coords(psi1, [(r,) for r in reps])
     if tol is None:
-        tol = K.default_tolerance()
+        tol = psd_tolerance(K)
     try:
-        eigs = np.linalg.eigvalsh(K.entries)
+        eigs = np.linalg.eigvalsh(K)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigen solver failed during PSD audit: {exc}") from exc
     witness = float(eigs.min())
     return witness >= -tol, witness
 
 
-@dataclass(frozen=True)
-class CocycleFactor:
-    """Rectangular G with G^T G = K; rows span the cocycle Hilbert space."""
-
-    indices: tuple[LatticeIndex, ...]
-    factor: np.ndarray
-    rank: int
-
-
-def cocycle_factor(K: GromovMatrix, tol: Optional[float] = None) -> CocycleFactor:
-    """Eigen-based factor of a PSD Gromov matrix.
+def cocycle_rows_for_coords(
+    psi: LengthFunction, coords: Sequence[Sequence[int]], tol: Optional[float] = None
+) -> np.ndarray:
+    """Eigen-based factor rows G (r x s) with G^T G = K, the Gromov form over
+    raw coordinates.
 
     Eigenvalues in [-tol, tol] are treated as zero; anything below -tol means
     K is not admissible and raises.
     """
-    if tol is None:
-        tol = K.default_tolerance()
-    eigs, vecs = np.linalg.eigh(K.entries)
-    if eigs.min() < -tol:
-        raise ValueError(f"Gromov matrix is not PSD within tol: min eig {eigs.min()}")
-    keep = eigs > tol
-    G = (np.sqrt(eigs[keep])[:, None]) * vecs[:, keep].T
-    return CocycleFactor(K.indices, G, rank=int(keep.sum()))
-
-
-def cocycle_rows_for_coords(
-    psi: LengthFunction, coords: Sequence[Sequence[int]], tol: Optional[float] = None
-) -> np.ndarray:
-    """Factor rows G (r x s) with G^T G = Gromov form over raw coordinates."""
     K = gromov_entries_for_coords(psi, coords)
-    m = max(1.0, float(np.abs(K).max(initial=0.0)))
     if tol is None:
-        tol = 1e-10 * len(coords) * m
+        tol = psd_tolerance(K)
     eigs, vecs = np.linalg.eigh(K)
     if eigs.min() < -tol:
         raise ValueError(f"Gromov matrix is not PSD within tol: min eig {eigs.min()}")

@@ -10,8 +10,6 @@ eigenvalue beyond roundoff.
 from __future__ import annotations
 
 import functools
-import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -19,21 +17,23 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import _mats
-from .lattice import LengthFunction, cocycle_rows_for_coords
+from .lattice import LengthFunction, band_window, cocycle_rows_for_coords
 from .matrixmodel import (
     ModelElement,
     clock_shift,
     embed,
     model_coefficients,
     op_norm,
+    _embed_axes,
     _kron_stack,
 )
 from .ncpoly import (
     NCPoly,
+    SymbolGrid,
     adjoint,
     gradient_form,
-    gradient_sqrt_sup,
     l2_norm,
+    oracle_params,
     sup_norm_oracle,
 )
 
@@ -41,7 +41,6 @@ __all__ = [
     "LipReport",
     "lip_seminorm",
     "lip_seminorm_on_model",
-    "model_gradient_matrix",
     "riesz_check",
     "sobolev_constant",
     "lip_ball_sample",
@@ -57,21 +56,9 @@ class LipReport:
     psi: str
     m: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "column": self.column,
-                "row": self.row,
-                "lip": self.lip,
-                "mode": self.mode,
-                "psi": self.psi,
-                "m": self.m,
-            }
-        )
 
-
-def _model_psi(psi: LengthFunction, x: ModelElement, naxes: int) -> LengthFunction:
-    mods = tuple([x.model.order] * naxes)
+def _model_psi(psi: LengthFunction, model, naxes: int) -> LengthFunction:
+    mods = tuple([model.order] * naxes)
     if psi.moduli == mods:
         return psi
     if all(n is None for n in psi.moduli) and psi.dim == naxes:
@@ -117,14 +104,13 @@ def _sqrt_top(gamma: np.ndarray) -> float:
     return math.sqrt(max(_mats.hermitian_max_eig(gamma), 0.0))
 
 
-def model_gradient_matrix(x: ModelElement, psi: LengthFunction) -> np.ndarray:
-    """Gamma(x, x) inside the model, PSD by construction (see _model_gamma)."""
-    axes, blocks = model_coefficients(x)
-    return _model_gamma(blocks, x.model, _model_psi(psi, x, len(axes)), axes, x.m)
-
-
-def _adjoint_element(x: ModelElement) -> ModelElement:
-    return ModelElement(x.model, x.matrix.conj().T, m=x.m, band=x.band, axes=x.axes)
+def _model_lip(blocks, adj_blocks, model, psi: LengthFunction, axes, m: int) -> LipReport:
+    """Column and row norms inside the model from the coefficients of x and x*."""
+    psi_n = _model_psi(psi, model, len(axes))
+    col = _sqrt_top(_model_gamma(blocks, model, psi_n, axes, m))
+    row = _sqrt_top(_model_gamma(adj_blocks, model, psi_n, axes, m))
+    return LipReport(column=col, row=row, lip=max(col, row), mode="model",
+                     psi=psi_n.describe(), m=m)
 
 
 def lip_seminorm(
@@ -134,32 +120,23 @@ def lip_seminorm(
 ) -> LipReport:
     """max of the column and row gradient norms of x.
 
-    NCPoly inputs go through the sup-norm oracle of their twist; ModelElement
+    NCPoly inputs go through the grid oracle of their twist; ModelElement
     inputs are measured by exact dense spectral norms with psi transported to
     the model lattice.
     """
     if isinstance(x, NCPoly):
-        col = gradient_sqrt_sup(x, psi, grid=grid)
-        row = gradient_sqrt_sup(adjoint(x), psi, grid=grid)
-        return LipReport(
-            column=col,
-            row=row,
-            lip=max(col, row),
-            mode="oracle",
-            psi=psi.describe(),
-            m=x.m,
-        )
-    col = _sqrt_top(model_gradient_matrix(x, psi))
-    row = _sqrt_top(model_gradient_matrix(_adjoint_element(x), psi))
-    naxes = len(x.axes) if x.axes is not None else x.model.n_generators
-    return LipReport(
-        column=col,
-        row=row,
-        lip=max(col, row),
-        mode="model",
-        psi=_model_psi(psi, x, naxes).describe(),
-        m=x.m,
-    )
+        fiber, G = oracle_params(x, grid=grid)
+        support = sorted(set(x.coeffs) | {tuple(-c for c in k) for k in x.coeffs})
+        col = row = 0.0
+        if support:
+            oracle = SymbolGrid(support, G, x.d, fiber)
+            rows = cocycle_rows_for_coords(psi, support)
+            col, row = oracle.lip_column_row(x, rows)
+        return LipReport(column=col, row=row, lip=max(col, row), mode="oracle",
+                         psi=psi.describe(), m=x.m)
+    axes, blocks = model_coefficients(x)
+    adj = ModelElement(x.model, x.matrix.conj().T, m=x.m, band=x.band, axes=x.axes)
+    return _model_lip(blocks, model_coefficients(adj)[1], x.model, psi, axes, x.m)
 
 
 def _model_adjoint_blocks(
@@ -188,22 +165,9 @@ def lip_seminorm_on_model(f: NCPoly, model, psi: LengthFunction) -> LipReport:
     extraction; the row norm uses the model-phase adjoint so that it matches
     the matrix conjugate-transpose exactly.
     """
-    from .matrixmodel import _embed_axes
-
     axes = _embed_axes(f, model)
-    mods = tuple([model.order] * len(axes))
-    psi_n = psi if psi.moduli == mods else psi.with_moduli(mods)
-    col = _sqrt_top(_model_gamma(f.coeffs, model, psi_n, axes, f.m))
     adj = _model_adjoint_blocks(f.coeffs, model, axes)
-    row = _sqrt_top(_model_gamma(adj, model, psi_n, axes, f.m))
-    return LipReport(
-        column=col,
-        row=row,
-        lip=max(col, row),
-        mode="model",
-        psi=psi_n.describe(),
-        m=f.m,
-    )
+    return _model_lip(f.coeffs, adj, model, psi, axes, f.m)
 
 
 @dataclass(frozen=True)
@@ -278,8 +242,8 @@ def sobolev_constant(
         for i in range(samples):
             rng = np.random.default_rng((seed, n, i))
             coeffs = {
-                (k,): rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
-                for k in range(-band, band + 1)
+                k: rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
+                for k in band_window(band, 1)
             }
             f = mean_zero(NCPoly(TwistMatrix.zero(1), 1, coeffs))
             e = embed(f, model)
@@ -320,7 +284,7 @@ def lip_ball_sample(
         raise ValueError("R must be positive; D_0 has empty interior here")
     if twist is None:
         twist = TwistMatrix.zero(psi.dim)
-    coords = list(itertools.product(range(-band, band + 1), repeat=twist.d))
+    coords = band_window(band, twist.d)
     out = []
     for i in range(count):
         for attempt in range(max_retries):

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _mats
-from .lattice import LengthFunction, MultiplierSpec, window_range
+from .lattice import LengthFunction, MultiplierSpec, band_window, window_range
 from .ncpoly import NCPoly, TwistMatrix
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "schatten_norm",
     "model_multiplier",
     "model_semigroup",
-    "dump_matrix",
 ]
 
 RELATION_TOL = 1e-12
@@ -264,18 +262,13 @@ def higher_dim_generators(n: int, d: int, cap: int = DIMENSION_CAP) -> MatrixMod
 
 
 def _embed_axes(f: NCPoly, model: MatrixModel) -> tuple[int, ...]:
-    """Generator subset matching the polynomial's dimension and twist."""
-    if model.provenance == "clock_shift":
-        if f.d == 1 and f.twist.is_zero:
-            return (0,)
-        if f.d == 2 and f.twist.is_zero:
-            return (0, 1)
-    elif model.provenance == "fuzzy":
-        if f.d == 2 and f.twist.same(model.symbol_twist):
-            return (0, 1)
-    elif model.provenance == "higher_dim":
-        if f.d == model.n_generators and f.twist.is_zero:
-            return tuple(range(model.n_generators))
+    """Generator subset matching the polynomial's dimension and twist: a
+    commutative d = 1 polynomial rides on generator 0, a polynomial with the
+    model's symbol twist on all generators."""
+    if f.d == 1 and f.twist.is_zero:
+        return (0,)
+    if f.d == model.n_generators and f.twist.same(model.symbol_twist):
+        return tuple(range(model.n_generators))
     raise ValueError(
         f"polynomial (d={f.d}) incompatible with {model.provenance} model"
     )
@@ -350,8 +343,7 @@ def fourier_coefficients(
     if 2 * band >= model.order:
         raise ValueError(f"band {band} must satisfy band < n/2 = {model.order / 2}")
     axes = tuple(range(model.n_generators)) if axes is None else tuple(axes)
-    coords = list(itertools.product(range(-band, band + 1), repeat=len(axes)))
-    blocks = _extract_blocks(x, coords, axes)
+    blocks = _extract_blocks(x, band_window(band, len(axes)), axes)
     twist = model.symbol_twist
     if len(axes) != twist.d:
         if len(axes) == 1:
@@ -368,10 +360,9 @@ def model_coefficients(x: ModelElement) -> tuple[tuple[int, ...], dict]:
     model = x.model
     axes = x.axes if x.axes is not None else tuple(range(model.n_generators))
     if x.band is not None and 2 * x.band < model.order:
-        values = range(-x.band, x.band + 1)
+        coords = band_window(x.band, len(axes))
     else:
-        values = model.window()
-    coords = list(itertools.product(values, repeat=len(axes)))
+        coords = list(itertools.product(model.window(), repeat=len(axes)))
     return axes, _extract_blocks(x, coords, axes)
 
 
@@ -416,17 +407,3 @@ def model_semigroup(
 ) -> ModelElement:
     """Heat-type semigroup exp(-t psi) on the model's coefficient basis."""
     return _rescale_coeffs(x, lambda k: np.exp(-t * psi.value(k)), verify)
-
-
-def dump_matrix(x: ModelElement, path: str) -> None:
-    """Debug dump: header b"NCMM" + uint32 rows + uint32 cols (little endian),
-    then row-major interleaved (re, im) float64 pairs."""
-    mat = np.ascontiguousarray(x.matrix, dtype=complex)
-    rows, cols = mat.shape
-    with open(path, "wb") as fh:
-        fh.write(b"NCMM")
-        fh.write(struct.pack("<II", rows, cols))
-        inter = np.empty((rows, cols, 2))
-        inter[..., 0] = mat.real
-        inter[..., 1] = mat.imag
-        fh.write(inter.astype("<f8").tobytes())

@@ -20,7 +20,7 @@ from .lattice import (
     LengthFunction,
     MultiplierSpec,
     band_mask,
-    cocycle_rows_for_coords,
+    gromov_entries_for_coords,
 )
 
 PRUNE_REL = 1e-14
@@ -37,6 +37,7 @@ __all__ = [
     "apply_multiplier",
     "apply_semigroup",
     "gradient_form",
+    "SymbolGrid",
     "sup_norm_oracle",
     "oracle_error_bound",
     "poly_to_text",
@@ -291,8 +292,6 @@ def gradient_form(f: NCPoly, g: NCPoly, psi: LengthFunction) -> NCPoly:
     ys = g.support()
     if not xs or not ys:
         return NCPoly.zero(f.twist, f.m)
-    from .lattice import gromov_entries_for_coords
-
     both = xs + [y for y in ys if y not in set(xs)]
     K = gromov_entries_for_coords(psi, both)
     pos = {k: i for i, k in enumerate(both)}
@@ -317,24 +316,104 @@ COMMUTATIVE = "commutative"
 RATIONAL_FIBER = "rational_fiber"
 
 
-def _grid_phases(support: list[tuple[int, ...]], G: int, d: int) -> np.ndarray:
-    """(G^d, s) matrix of exp(2 pi i <k, t>) over the uniform grid."""
-    ks = np.array(support)
-    P = np.ones((1, len(support)), dtype=complex)
-    t = np.arange(G) / G
-    for axis in range(d):
-        E = np.exp(2j * np.pi * np.outer(t, ks[:, axis]))
-        P = (P[:, None, :] * E[None, :, :]).reshape(-1, len(support))
-    return P
+class SymbolGrid:
+    """Grid evaluation of symbols over a fixed support, phases cached.
+
+    Without a fiber the m x m symbol is evaluated on a uniform G^d grid; with
+    fiber = (p, q) (d = 2, theta = p/q) each coefficient is lifted to
+    fhat(k) (x) u^{k0} v^{p k1} on C^m (x) C^q first.
+    """
+
+    def __init__(self, support: Sequence[tuple[int, ...]], G: int, d: int,
+                 fiber: Optional[tuple[int, int]] = None):
+        self.support = list(support)
+        self.G = G
+        self.d = d
+        ks = np.array(self.support)
+        P = np.ones((1, len(self.support)), dtype=complex)
+        t = np.arange(G) / G
+        for axis in range(d):
+            E = np.exp(2j * np.pi * np.outer(t, ks[:, axis]))
+            P = (P[:, None, :] * E[None, :, :]).reshape(-1, len(self.support))
+        self.P = P
+        self.fiber_mats = None
+        if fiber is not None:
+            self.fiber_mats = _mats.fiber_words(*fiber, self.support)
+
+    def _lift(self, blocks: dict[tuple[int, ...], np.ndarray], m: int) -> np.ndarray:
+        zero_q = 1 if self.fiber_mats is None else self.fiber_mats[0].shape[0]
+        X = np.zeros((len(self.support), m * zero_q, m * zero_q), dtype=complex)
+        for i, k in enumerate(self.support):
+            b = blocks.get(k)
+            if b is None:
+                continue
+            b = np.atleast_2d(b)
+            X[i] = b if self.fiber_mats is None else np.kron(b, self.fiber_mats[i])
+        return X
+
+    def norm(self, blocks: dict[tuple[int, ...], np.ndarray], m: int = 1) -> float:
+        X = self._lift(blocks, m)
+        S = np.tensordot(self.P, X, axes=(1, 0))
+        return float(_mats.batched_sigma_max(S).max())
+
+    def lip_column(
+        self,
+        blocks: dict[tuple[int, ...], np.ndarray],
+        rows: np.ndarray,
+        m: int = 1,
+    ) -> float:
+        """||Gamma^(1/2)|| from precomputed cocycle rows over this support.
+
+        Rows of the cocycle factor give D_i = sum_a rows[i, a] fhat(a) u^a and
+        Gamma = sum_i D_i* D_i, so its top eigenvalue is taken pointwise.
+        """
+        X = self._lift(blocks, m)
+        W = np.einsum("rs,sij->rsij", rows, X)
+        D = np.tensordot(self.P, W, axes=(1, 1))  # (grid, r, mm, mm)
+        H = np.einsum("trki,trkj->tij", D.conj(), D)
+        return float(np.sqrt(max(_mats.batched_max_eig(H).max(), 0.0)))
+
+    def lip_column_row(self, f: NCPoly, rows: np.ndarray) -> tuple[float, float]:
+        """Column and row gradient norms of f, whose support and adjoint's
+        support lie in this grid's support."""
+        return (self.lip_column(f.coeffs, rows, f.m),
+                self.lip_column(adjoint(f).coeffs, rows, f.m))
 
 
 def _default_grid(band: int) -> int:
     return max(64, 16 * max(band, 1))
 
 
-def _check_grid(G: int, band: int):
+def oracle_params(
+    f: NCPoly, mode: Optional[str] = None, grid: Optional[int] = None
+) -> tuple[Optional[tuple[int, int]], int]:
+    """(fiber, G) of the grid oracle for f's twist, checked against f.
+
+    The mode is picked from the twist when None: commutative for a zero
+    twist, rational fiber for d = 2 and theta = p/q.
+    """
+    if mode is None:
+        if f.twist.is_zero:
+            mode = COMMUTATIVE
+        elif f.twist.rational is not None and f.d == 2:
+            mode = RATIONAL_FIBER
+        else:
+            raise ValueError("no norm oracle available for this twist")
+    if mode == COMMUTATIVE:
+        if not f.twist.is_zero:
+            raise ValueError("commutative oracle needs a zero twist")
+        fiber = None
+    elif mode == RATIONAL_FIBER:
+        if f.d != 2 or f.twist.rational is None:
+            raise ValueError("rational fiber oracle needs d=2 and theta = p/q")
+        fiber = f.twist.rational
+    else:
+        raise ValueError(f"unknown oracle mode {mode!r}")
+    band = f.band
+    G = _default_grid(band) if grid is None else int(grid)
     if G < 8 * band:
         raise ValueError(f"grid {G} too coarse for band {band}; need G >= 8*band")
+    return fiber, G
 
 
 def sup_norm_oracle(
@@ -347,80 +426,15 @@ def sup_norm_oracle(
     symbol on a G^2 grid.  The relative truncation error is bounded by
     ``oracle_error_bound(band, G, d)``.
     """
-    if mode is None:
-        if f.twist.is_zero:
-            mode = COMMUTATIVE
-        elif f.twist.rational is not None and f.d == 2:
-            mode = RATIONAL_FIBER
-        else:
-            raise ValueError("no norm oracle available for this twist")
-    band = f.band
-    G = _default_grid(band) if grid is None else int(grid)
-    _check_grid(G, band)
+    fiber, G = oracle_params(f, mode, grid)
     if not f.coeffs:
         return 0.0
-    support = f.support()
-    if mode == COMMUTATIVE:
-        if not f.twist.is_zero:
-            raise ValueError("commutative oracle needs a zero twist")
-        P = _grid_phases(support, G, f.d)
-        C = np.stack([f.coeffs[k] for k in support])
-        S = np.tensordot(P, C, axes=(1, 0))
-        return float(_mats.batched_sigma_max(S).max())
-    if mode == RATIONAL_FIBER:
-        if f.d != 2 or f.twist.rational is None:
-            raise ValueError("rational fiber oracle needs d=2 and theta = p/q")
-        P = _grid_phases(support, G, 2)
-        S = np.tensordot(P, _fiber_lift(f, support), axes=(1, 0))
-        return float(_mats.batched_sigma_max(S).max())
-    raise ValueError(f"unknown oracle mode {mode!r}")
-
-
-def _fiber_lift(f: NCPoly, support) -> np.ndarray:
-    """fhat(k) (x) u^{k0} v^{p k1} on C^m (x) C^q for theta = p/q, stacked."""
-    p, q = f.twist.rational
-    words = _mats.fiber_words(p, q, support)
-    return np.stack([np.kron(f.coeffs[k], w) for k, w in zip(support, words)])
+    return SymbolGrid(f.support(), G, f.d, fiber).norm(f.coeffs, f.m)
 
 
 def oracle_error_bound(band: int, G: int, d: int) -> float:
     """Relative defect bound of the grid oracle, O((band/G)^2) per dimension."""
     return d * 0.5 * (math.pi * band / G) ** 2
-
-
-def gradient_sqrt_sup(
-    f: NCPoly, psi: LengthFunction, grid: Optional[int] = None
-) -> float:
-    """|| Gamma(f,f)^(1/2) || through the PSD cocycle assembly on the grid.
-
-    Rows of the cocycle factor give D_i = sum_a G[i,a] fhat(a) u^a; the
-    gradient form is sum_i D_i* D_i, so its top eigenvalue is the squared
-    largest singular value of the stacked column (D_i)_i evaluated pointwise.
-    """
-    if not f.coeffs:
-        return 0.0
-    support = f.support()
-    band = f.band
-    G = _default_grid(band) if grid is None else int(grid)
-    _check_grid(G, band)
-    rows = cocycle_rows_for_coords(psi, support)  # (r, s)
-    if rows.size == 0:
-        return 0.0
-    if f.twist.is_zero:
-        P = _grid_phases(support, G, f.d)
-        C = np.stack([f.coeffs[k] for k in support])  # (s, m, m)
-        weighted = np.einsum("rs,sij->rsij", rows, C)
-    elif f.twist.rational is not None and f.d == 2:
-        P = _grid_phases(support, G, 2)
-        weighted = np.einsum("rs,sij->rsij", rows, _fiber_lift(f, support))
-    else:
-        raise ValueError("no norm oracle available for this twist")
-    # stacked column: (grid, r*m, m); sigma_max^2 = top eig of Gamma
-    D = np.tensordot(P, weighted, axes=(1, 1))  # (grid, r, m, m)
-    g, r, mm, _ = D.shape
-    D = D.reshape(g, r * mm, mm)
-    sv = np.linalg.svd(D, compute_uv=False)[..., 0]
-    return float(sv.max())
 
 
 # -- plain-text serialization ----------------------------------------------

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from fuzzytorus.cli import main
-from fuzzytorus.experiments import ExperimentConfig, ReportRow
+from fuzzytorus.experiments import EXPERIMENTS, ExperimentConfig, ReportRow
 from fuzzytorus.manifest import (
     ManifestError,
     RunManifest,
@@ -179,5 +179,41 @@ def test_cli_failing_experiment_keeps_earlier_rows(tmp_path, capsys):
     assert "error: covering-net: net budget exceeded" in capsys.readouterr().err
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[0] == "experiment,n,metric,value,bound,pass"
+    assert len(lines) > 1
+    assert all(line.startswith("rate,") for line in lines[1:])
+
+
+@pytest.mark.parametrize("exp_id", ["isometry", "bridge-reach", "rate", "intertwining"])
+def test_cli_rejects_empty_schedule_with_key_path(tmp_path, capsys, exp_id):
+    out = tmp_path / "rep"
+    man = _write_manifest(tmp_path, {
+        "seed": 5,
+        "out": str(out),
+        "experiments": [{"id": exp_id, "n_schedule": []}],
+    })
+    assert main(["all", "--manifest", man]) == 2
+    err = capsys.readouterr().err
+    assert f"error: experiments[0]: n_schedule: {exp_id} needs at least one n" in err
+    assert not out.exists()
+
+
+def test_cli_runtime_error_keeps_earlier_rows(tmp_path, capsys, monkeypatch):
+    def no_convergence(cfg):
+        raise RuntimeError("power iteration did not converge for the operator norm")
+
+    monkeypatch.setitem(EXPERIMENTS, "covering-net", no_convergence)
+    out = tmp_path / "rep"
+    man = _write_manifest(tmp_path, {
+        "seed": 5,
+        "out": str(out),
+        "experiments": [
+            {"id": "rate", "psi": "heat", "n_schedule": [16, 64], "grid": 4096},
+            {"id": "covering-net"},
+        ],
+    })
+    assert main(["all", "--manifest", man]) == 2
+    err = capsys.readouterr().err
+    assert "error: covering-net: power iteration did not converge" in err
+    lines = (out / "report.csv").read_text().splitlines()
     assert len(lines) > 1
     assert all(line.startswith("rate,") for line in lines[1:])

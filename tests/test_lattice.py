@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzytorus.lattice import (
-    LatticeIndex,
     LengthFunction,
     band_mask,
+    band_window,
     build_smoothing_multiplier,
     canonical_rep,
     check_conditionally_negative,
-    cocycle_factor,
-    gromov_matrix,
-    length_eval,
+    cocycle_rows_for_coords,
+    gromov_entries_for_coords,
     product_multiplier,
+    psd_tolerance,
     window_range,
 )
 
@@ -37,35 +37,19 @@ def test_even_tie_resolves_to_plus_half():
     assert list(window_range(5)) == [-2, -1, 0, 1, 2]
 
 
-@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(2, 32))
-def test_subtraction_reduces_into_window(a, b, n):
-    x = LatticeIndex((a,), (n,))
-    y = LatticeIndex((b,), (n,))
-    d = x - y
-    assert d.coords[0] == canonical_rep(a - b, n)
-
-
-def test_index_modulus_mismatch():
-    with pytest.raises(ValueError):
-        LatticeIndex((1,), (8,)) - LatticeIndex((1,), (9,))
+def test_band_window_order():
+    assert band_window(1, 1) == [(-1,), (0,), (1,)]
+    assert band_window(1, 2)[:4] == [(-1, -1), (-1, 0), (-1, 1), (0, -1)]
+    assert len(band_window(2, 3)) == 125 and band_window(0, 2) == [(0, 0)]
 
 
 # -- length functions --------------------------------------------------------
 
 
 def test_length_examples():
-    assert length_eval(
-        LengthFunction.heat((4,)), LatticeIndex((1,), (4,))
-    ) == pytest.approx(8 / math.pi**2)
-    assert length_eval(LengthFunction.word((8,)), LatticeIndex((5,), (8,))) == 3
-    assert length_eval(
-        LengthFunction.heat((None,)), LatticeIndex((3,), (None,))
-    ) == 9.0
-
-
-def test_length_eval_modulus_mismatch():
-    with pytest.raises(ValueError):
-        length_eval(LengthFunction.word((8,)), LatticeIndex((1,), (4,)))
+    assert LengthFunction.heat((4,)).value((1,)) == pytest.approx(8 / math.pi**2)
+    assert LengthFunction.word((8,)).value((5,)) == 3
+    assert LengthFunction.heat((None,)).value((3,)) == 9.0
 
 
 @given(
@@ -101,23 +85,16 @@ def test_heat_comparable_to_square():
 # -- Gromov form -------------------------------------------------------------
 
 
-def _idx(coords, moduli):
-    return LatticeIndex(coords, moduli)
-
-
 def test_gromov_word_on_z():
     psi = LengthFunction.word((None,))
-    idx = [_idx((2,), (None,)), _idx((3,), (None,)), _idx((-3,), (None,))]
-    K = gromov_matrix(psi, idx).entries
+    K = gromov_entries_for_coords(psi, [(2,), (3,), (-3,)])
     assert K[0, 1] == 2.0  # min(|2|, |3|) when signs agree
     assert K[0, 2] == 0.0  # opposite signs
 
 
 def test_gromov_heat_on_z2():
     psi = LengthFunction.heat((None, None))
-    mods = (None, None)
-    idx = [_idx((1, 0), mods), _idx((0, 1), mods), _idx((2, 0), mods), _idx((3, 0), mods)]
-    K = gromov_matrix(psi, idx).entries
+    K = gromov_entries_for_coords(psi, [(1, 0), (0, 1), (2, 0), (3, 0)])
     assert K[0, 1] == 0.0
     assert K[2, 3] == 6.0  # jj' + kk'
 
@@ -125,20 +102,20 @@ def test_gromov_heat_on_z2():
 def test_gromov_empty_and_mismatch():
     psi = LengthFunction.word((None,))
     with pytest.raises(ValueError):
-        gromov_matrix(psi, [])
+        gromov_entries_for_coords(psi, [])
     with pytest.raises(ValueError):
-        gromov_matrix(psi, [_idx((1,), (8,))])
+        gromov_entries_for_coords(psi, [(1, 2)])
 
 
 @given(st.sampled_from(["word", "heat"]), st.integers(3, 24))
 @settings(max_examples=25, deadline=None)
 def test_gromov_symmetric_diag_is_length(kind, n):
     psi = LengthFunction(kind, (n,))
-    idx = [_idx((k,), (n,)) for k in window_range(n)]
-    K = gromov_matrix(psi, idx)
-    assert np.allclose(K.entries, K.entries.T)
-    for i, k in enumerate(idx):
-        assert K.entries[i, i] == pytest.approx(length_eval(psi, k))
+    coords = [(k,) for k in window_range(n)]
+    K = gromov_entries_for_coords(psi, coords)
+    assert np.allclose(K, K.T)
+    for i, k in enumerate(coords):
+        assert K[i, i] == pytest.approx(psi.value(k))
 
 
 # -- conditional negativity audit -------------------------------------------
@@ -167,35 +144,28 @@ def test_psd_audit_infinite_needs_window():
 
 def test_cocycle_rank_one_example():
     psi = LengthFunction.heat((None,))
-    idx = [_idx((1,), (None,)), _idx((2,), (None,))]
-    K = gromov_matrix(psi, idx)
-    assert np.allclose(K.entries, [[1.0, 2.0], [2.0, 4.0]])
-    cf = cocycle_factor(K)
-    assert cf.rank == 1
-    row = cf.factor[0]
+    assert np.allclose(gromov_entries_for_coords(psi, [(1,), (2,)]), [[1.0, 2.0], [2.0, 4.0]])
+    rows = cocycle_rows_for_coords(psi, [(1,), (2,)])
+    assert rows.shape[0] == 1
+    row = rows[0]
     assert np.allclose(row / row[0], [1.0, 2.0])
 
 
 def test_cocycle_zero_and_identity():
     zero = LengthFunction.custom((None,), (lambda k: 0.0,))
-    idx = [_idx((1,), (None,)), _idx((2,), (None,))]
-    cf = cocycle_factor(gromov_matrix(zero, idx))
-    assert cf.rank == 0 and cf.factor.shape[0] == 0
+    assert cocycle_rows_for_coords(zero, [(1,), (2,)]).shape == (0, 2)
 
     psi = LengthFunction.word((None,))
-    idx = [_idx((1,), (None,)), _idx((-1,), (None,))]
-    K = gromov_matrix(psi, idx)
-    assert np.allclose(K.entries, np.eye(2))
-    cf = cocycle_factor(K)
-    assert cf.rank == 2
-    assert np.allclose(cf.factor.T @ cf.factor, np.eye(2), atol=1e-12)
+    assert np.allclose(gromov_entries_for_coords(psi, [(1,), (-1,)]), np.eye(2))
+    rows = cocycle_rows_for_coords(psi, [(1,), (-1,)])
+    assert rows.shape[0] == 2
+    assert np.allclose(rows.T @ rows, np.eye(2), atol=1e-12)
 
 
 def test_cocycle_rejects_indefinite():
     psi = LengthFunction.naive_square((5,))
-    idx = [_idx((k,), (5,)) for k in window_range(5)]
     with pytest.raises(ValueError):
-        cocycle_factor(gromov_matrix(psi, idx))
+        cocycle_rows_for_coords(psi, [(k,) for k in window_range(5)])
 
 
 def test_cocycle_roundtrip_random_psd():
@@ -206,11 +176,10 @@ def test_cocycle_roundtrip_random_psd():
         kind = ("word", "heat")[trial % 2]
         psi = LengthFunction(kind, (n,))
         pts = rng.choice(list(window_range(n)), size=min(n, 6), replace=False)
-        idx = [_idx((int(k),), (n,)) for k in pts]
-        K = gromov_matrix(psi, idx)
-        cf = cocycle_factor(K)
-        tol = K.default_tolerance()
-        assert np.abs(cf.factor.T @ cf.factor - K.entries).max() <= tol
+        coords = [(int(k),) for k in pts]
+        K = gromov_entries_for_coords(psi, coords)
+        rows = cocycle_rows_for_coords(psi, coords)
+        assert np.abs(rows.T @ rows - K).max() <= psd_tolerance(K)
 
 
 # -- smoothing multipliers ----------------------------------------------------

@@ -1,5 +1,4 @@
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +12,6 @@ from fuzzytorus.matrixmodel import (
     _kron_stack,
     admissible_sizes,
     clock_shift,
-    dump_matrix,
     embed,
     fourier_coefficients,
     fuzzy_generators,
@@ -211,6 +209,26 @@ def test_embed_twist_compatibility():
         embed(NCPoly.generator(TwistMatrix.zero(2), 0), fz)
     ok = NCPoly.generator(TwistMatrix.rational_2d(1, 2), 0)
     assert embed(ok, fz).matrix.shape == (16, 16)
+    hd = higher_dim_generators(3, 2)
+    for wrong_d in (2, 3):
+        with pytest.raises(ValueError, match="incompatible with higher_dim"):
+            embed(NCPoly.generator(TwistMatrix.zero(wrong_d), 0), hd)
+
+
+@pytest.mark.parametrize("model", (fuzzy_generators(1, 2, 16), higher_dim_generators(5, 2)),
+                         ids=lambda v: v.provenance)
+def test_one_dim_poly_rides_on_generator_zero(model):
+    f = rand_poly(np.random.default_rng(43), TwistMatrix.zero(1), 2, m=2)
+    x = embed(f, model)
+    assert x.axes == (0,)
+    gen0 = model.generators()[0]
+    ref = sum(np.kron(b, np.linalg.matrix_power(gen0, k[0] % model.order))
+              for k, b in f.coeffs.items())
+    assert np.abs(x.matrix - ref).max() <= 1e-12
+    back = fourier_coefficients(x, 2, axes=(0,))
+    assert back.d == 1 and back.support() == f.support()
+    for k in f.support():
+        assert np.abs(back.get(k) - f.get(k)).max() <= 1e-12
 
 
 def test_monomial_trace_orthonormality_all_models():
@@ -452,18 +470,3 @@ def test_model_multiplier_rejects_window_overflow():
     heat = LengthFunction.heat((4, 4))
     with pytest.raises(ValueError, match="overflows"):
         model_semigroup(bad, heat, 0.1)
-
-
-def test_binary_dump(tmp_path):
-    cs = clock_shift(4)
-    x = ModelElement(cs, cs.monomial((1, 1)))
-    path = os.path.join(tmp_path, "mat.bin")
-    dump_matrix(x, path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        import struct
-
-        rows, cols = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(rows, cols, 2)
-    assert magic == b"NCMM" and rows == cols == 4
-    assert np.allclose(data[..., 0] + 1j * data[..., 1], x.matrix)

@@ -5,16 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzytorus.lattice import LengthFunction, band_mask, build_smoothing_multiplier
+from fuzzytorus.lattice import (
+    LengthFunction,
+    band_mask,
+    build_smoothing_multiplier,
+    cocycle_rows_for_coords,
+)
 from fuzzytorus.ncpoly import (
     PRUNE_REL,
     NCPoly,
+    SymbolGrid,
     TwistMatrix,
     adjoint,
     apply_multiplier,
     apply_semigroup,
     gradient_form,
-    gradient_sqrt_sup,
     l2_norm,
     mean_zero,
     multiply,
@@ -363,7 +368,8 @@ def test_gradient_psd_assembly_matches_gagro():
     heat = LengthFunction.heat((None,))
     rng = np.random.default_rng(31)
     f = rand_poly(rng, TwistMatrix.zero(1), 4, m=2)
-    via_stack = gradient_sqrt_sup(f, heat, grid=256)
+    rows = cocycle_rows_for_coords(heat, f.support())
+    via_stack = SymbolGrid(f.support(), 256, 1).lip_column(f.coeffs, rows, f.m)
     gam = gradient_form(f, f, heat)
     direct = math.sqrt(sup_norm_oracle(gam, grid=256))
     assert via_stack == pytest.approx(direct, rel=1e-10)
