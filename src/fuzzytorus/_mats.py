@@ -60,11 +60,15 @@ def batched_sigma_max(mats: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(x: np.ndarray, dense_cutoff: int = 512) -> float:
-    """Largest singular value; exact SVD up to dense_cutoff, then deterministic
-    shifted power iteration on x*x (start vector fixed, rtol 1e-10)."""
+    """Largest singular value; exact SVD up to dense_cutoff, then max |x_ii|
+    for a diagonal x and deterministic shifted power iteration on x*x (start
+    vector fixed, rtol 1e-10) otherwise."""
     n = x.shape[0]
     if n <= dense_cutoff:
         return float(np.linalg.svd(x, compute_uv=False)[0])
+    diag = np.diagonal(x)
+    if np.count_nonzero(x) == np.count_nonzero(diag):
+        return max_abs(diag)
     v = np.ones(n, dtype=complex) + 1e-3 * np.arange(n) / n
     v /= np.linalg.norm(v)
     xh = x.conj().T

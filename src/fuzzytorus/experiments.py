@@ -295,6 +295,7 @@ def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
         if amp != cfg.amplifications[0] or i >= cfg.lip_samples:
             continue
         lip_draws.append((amp, f, max(lip_oracle.lip_column_row(f, lip_rows_inf))))
+    del oracle, lip_oracle  # their grids are only needed for the reference values
 
     rows = []
     norm_defects = []

@@ -25,7 +25,7 @@ from .matrixmodel import (
     model_coefficients,
     op_norm,
     _embed_axes,
-    _kron_stack,
+    _kron_combination,
 )
 from .ncpoly import (
     NCPoly,
@@ -83,12 +83,21 @@ def _cocycle_rows(kind: str, moduli: tuple, support: tuple) -> np.ndarray:
     return cocycle_rows_for_coords(LengthFunction(kind, moduli), support)
 
 
+# Gamma is formed in column slabs starting at multiples of GAMMA_SLAB (the
+# last slab takes the remainder).  Aligned slab edges make each slab's GEMM
+# tile its rows as the single product does; an unaligned edge changes the
+# rounding of some entries.
+GAMMA_SLAB = 256
+
+
 def _model_gamma(blocks, model, psi_n: LengthFunction, axes, m: int) -> np.ndarray:
     """Gamma(x, x) inside the model from x's coefficients, PSD by construction.
 
     With G the cocycle factor of the Gromov form over x's support and
     X_a = xhat(a) (x) W^a, the rows D_i = sum_a G[i,a] X_a satisfy
-    Gamma = sum_i D_i* D_i.
+    Gamma = sum_i D_i* D_i.  Only the lower block triangle is multiplied out,
+    one column slab at a time; each slab's diagonal block comes from its
+    product and the blocks below it are mirrored into the upper triangle.
     """
     blocks = {k: b for k, b in blocks.items() if _mats.max_abs(b) > 1e-15}
     support = sorted(blocks)
@@ -96,8 +105,14 @@ def _model_gamma(blocks, model, psi_n: LengthFunction, axes, m: int) -> np.ndarr
     N = model.dim * m
     if rows.size == 0:
         return np.zeros((N, N), dtype=complex)
-    D = (rows @ _kron_stack(blocks, model, support, axes, m)).reshape(-1, N)
-    return D.conj().T @ D
+    D = _kron_combination(rows, blocks, model, support, axes, m)
+    Dc = D.conj()
+    gamma = np.empty((N, N), dtype=complex)
+    edges = [GAMMA_SLAB * i for i in range(max(1, N // GAMMA_SLAB))] + [N]
+    for j0, j1 in zip(edges, edges[1:]):
+        np.matmul(Dc[:, j0:].T, D[:, j0:j1], out=gamma[j0:, j0:j1])
+        gamma[j0:j1, j1:] = gamma[j1:, j0:j1].T.conj()
+    return gamma
 
 
 def _sqrt_top(gamma: np.ndarray) -> float:

@@ -321,12 +321,14 @@ class SymbolGrid:
 
     Without a fiber the m x m symbol is evaluated on a uniform G^d grid; with
     fiber = (p, q) (d = 2, theta = p/q) each coefficient is lifted to
-    fhat(k) (x) u^{k0} v^{p k1} on C^m (x) C^q first.
+    fhat(k) (x) u^{k0} v^{p k1} on C^m (x) C^q first.  A coefficient key
+    outside the support raises ValueError.
     """
 
     def __init__(self, support: Sequence[tuple[int, ...]], G: int, d: int,
                  fiber: Optional[tuple[int, int]] = None):
         self.support = list(support)
+        self._slot = {k: i for i, k in enumerate(self.support)}
         self.G = G
         self.d = d
         ks = np.array(self.support)
@@ -343,10 +345,10 @@ class SymbolGrid:
     def _lift(self, blocks: dict[tuple[int, ...], np.ndarray], m: int) -> np.ndarray:
         zero_q = 1 if self.fiber_mats is None else self.fiber_mats[0].shape[0]
         X = np.zeros((len(self.support), m * zero_q, m * zero_q), dtype=complex)
-        for i, k in enumerate(self.support):
-            b = blocks.get(k)
-            if b is None:
-                continue
+        for k, b in blocks.items():
+            i = self._slot.get(k)
+            if i is None:
+                raise ValueError(f"coefficient key {k} is outside the grid's support")
             b = np.atleast_2d(b)
             X[i] = b if self.fiber_mats is None else np.kron(b, self.fiber_mats[i])
         return X

@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from fuzzytorus.lattice import LengthFunction, build_smoothing_multiplier, product_multiplier
+from fuzzytorus import lipnorm, matrixmodel
+from fuzzytorus.lattice import (
+    LengthFunction,
+    band_window,
+    build_smoothing_multiplier,
+    product_multiplier,
+)
 from fuzzytorus.lipnorm import (
     _model_gamma,
+    cocycle_rows_cached,
     lip_ball_sample,
     lip_seminorm,
     lip_seminorm_on_model,
@@ -13,9 +20,12 @@ from fuzzytorus.lipnorm import (
     sobolev_constant,
 )
 from fuzzytorus.matrixmodel import (
+    _kron_values,
+    _word_entries,
     clock_shift,
     embed,
     fuzzy_generators,
+    higher_dim_generators,
     model_coefficients,
     op_norm,
 )
@@ -129,6 +139,53 @@ def test_model_gradient_matrix_is_psd():
     gam = _model_gamma(blocks, model, LengthFunction.heat((16, 16)), axes, f.m)
     eigs = np.linalg.eigvalsh(gam)
     assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
+
+
+def dense_stack_gamma(blocks, model, psi_n, axes, m):
+    """Reference Gamma: the S x (mN)^2 stack of rows vec(blocks[a] (x) W^a),
+    D = rows @ stack, Gamma = D* D in one product."""
+    support = sorted(blocks)
+    S, size = len(support), m * model.dim
+    idx, phase = _word_entries(model, axes, support, m)
+    vals = _kron_values([blocks[k] for k in support], phase, m)
+    stack = np.zeros((S, size * size), dtype=complex)
+    np.put_along_axis(stack, idx.reshape(S, -1), vals.reshape(S, -1), axis=1)
+    for row, k in zip(stack, support):
+        dense = np.kron(blocks[k], model.monomial(k, axes))
+        assert np.abs(row - dense.ravel()).max() <= 1e-12
+    D = (cocycle_rows_cached(psi_n, support) @ stack).reshape(-1, size)
+    return D.conj().T @ D
+
+
+@pytest.mark.parametrize(
+    "model,band,m,chunk_entries,slab",
+    [
+        # several column chunks and two slabs at the default sizes
+        (clock_shift(512), 2, 1, None, None),
+        # uneven chunks and slabs (edges at multiples of 16), both block columns of m = 2
+        (fuzzy_generators(1, 2, 32), 2, 2, 20000, 48),
+        (higher_dim_generators(6, 2), 1, 1, 15000, 16),
+        # the transport size: 289 coefficients, one chunk, one slab
+        (clock_shift(64), 8, 1, None, None),
+    ],
+    ids=("clock_shift-512", "fuzzy-m2", "higher_dim", "transport"),
+)
+def test_model_gamma_matches_dense_stack_reference(model, band, m, chunk_entries, slab,
+                                                   monkeypatch):
+    if chunk_entries is not None:
+        monkeypatch.setattr(matrixmodel, "KRON_CHUNK_ENTRIES", chunk_entries)
+        monkeypatch.setattr(lipnorm, "GAMMA_SLAB", slab)
+    d = model.n_generators
+    rng = np.random.default_rng(43)
+    blocks = {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+              for k in band_window(band, d)}
+    axes = tuple(range(d))
+    psi = LengthFunction.heat((model.order,) * d)
+    gam = _model_gamma(blocks, model, psi, axes, m)
+    ref = dense_stack_gamma(blocks, model, psi, axes, m)
+    lower = np.tril_indices(m * model.dim)
+    assert np.array_equal(gam[lower], ref[lower])
+    assert np.array_equal(gam, gam.conj().T)
 
 
 def test_multiplier_contraction_on_lip():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fuzzytorus.lattice import (
     LengthFunction,
     band_mask,
+    band_window,
     build_smoothing_multiplier,
     cocycle_rows_for_coords,
 )
@@ -228,6 +229,17 @@ def test_oracle_rejects_coarse_grid_and_bad_twist():
     irr = TwistMatrix.two_dim(1 / math.sqrt(2))
     with pytest.raises(ValueError):
         sup_norm_oracle(NCPoly.generator(irr, 0))
+
+
+def test_symbol_grid_rejects_keys_outside_support():
+    grid = SymbolGrid(band_window(1, 2), 64, 2)
+    rows = np.ones((1, 9))
+    for blocks in ({(2, 0): np.eye(1)}, {(0, 0): np.eye(1), (0, -2): np.eye(1)}):
+        with pytest.raises(ValueError, match="outside the grid's support"):
+            grid.norm(blocks)
+        with pytest.raises(ValueError, match="outside the grid's support"):
+            grid.lip_column(blocks, rows)
+    assert grid.norm({(1, -1): 3.0 * np.eye(1)}) == pytest.approx(3.0)
 
 
 def test_oracle_error_bound_decreases():
