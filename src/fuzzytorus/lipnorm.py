@@ -25,7 +25,6 @@ from .matrixmodel import (
     model_coefficients,
     op_norm,
     _embed_axes,
-    _kron_combination,
 )
 from .ncpoly import (
     NCPoly,
@@ -83,47 +82,51 @@ def _cocycle_rows(kind: str, moduli: tuple, support: tuple) -> np.ndarray:
     return cocycle_rows_for_coords(LengthFunction(kind, moduli), support)
 
 
-# Gamma is formed in column slabs starting at multiples of GAMMA_SLAB (the
-# last slab takes the remainder).  Aligned slab edges make each slab's GEMM
-# tile its rows as the single product does; an unaligned edge changes the
-# rounding of some entries.
-GAMMA_SLAB = 256
-
-
 def _model_gamma(blocks, model, psi_n: LengthFunction, axes, m: int) -> np.ndarray:
-    """Gamma(x, x) inside the model from x's coefficients, PSD by construction.
+    """Gamma(x, x) inside the model from x's coefficients, PSD by construction
+    and exactly Hermitian.
 
     With G the cocycle factor of the Gromov form over x's support and
     X_a = xhat(a) (x) W^a, the rows D_i = sum_a G[i,a] X_a satisfy
-    Gamma = sum_i D_i* D_i.  Only the lower block triangle is multiplied out,
-    one column slab at a time; each slab's diagonal block comes from its
-    product and the blocks below it are mirrored into the upper triangle.
+    Gamma = sum_i D_i* D_i.  The words of permutation P_g (group g) put in
+    row r of D_i the block Lam[i,g,r] = sum_{a in g} G[i,a] xhat(a)
+    phase_a[P_g^-1 r], at column P_g^-1 r; pair (g, h) adds sum_i
+    Lam[i,g,r]* Lam[i,h,r] at block (P_g^-1 r, P_h^-1 r), O(R L^2 m^3 N) for
+    L groups.  Pairs g < h and half of each g = h make A; Gamma = A + A*.
     """
     blocks = {k: b for k, b in blocks.items() if _mats.max_abs(b) > 1e-15}
     support = sorted(blocks)
     rows = cocycle_rows_cached(psi_n, support) if support else np.zeros((0, 0))
-    N = model.dim * m
-    if rows.size == 0:
-        return np.zeros((N, N), dtype=complex)
-    D = _kron_combination(rows, blocks, model, support, axes, m)
-    Dc = D.conj()
-    gamma = np.empty((N, N), dtype=complex)
-    edges = [GAMMA_SLAB * i for i in range(max(1, N // GAMMA_SLAB))] + [N]
-    for j0, j1 in zip(edges, edges[1:]):
-        np.matmul(Dc[:, j0:].T, D[:, j0:j1], out=gamma[j0:, j0:j1])
-        gamma[j0:j1, j1:] = gamma[j1:, j0:j1].T.conj()
-    return gamma
+    N = model.dim
+    gamma = np.zeros((m, N, m, N), dtype=complex)
+    if rows.size:
+        words = [model.word(k, axes) for k in support]
+        groups: dict[bytes, list[int]] = {}
+        for a, (perm, _) in enumerate(words):
+            groups.setdefault(perm.tobytes(), []).append(a)
+        coef = np.array([blocks[k] for k in support], dtype=complex)
+        phase = np.array([w[1] for w in words])
+        inv = [np.argsort(words[g[0]][0]) for g in groups.values()]
+        lam = [np.einsum("ia,acd,ar->ircd", rows[:, g], coef[g], phase[g][:, p])
+               for g, p in zip(groups.values(), inv)]
+        for g in range(len(lam)):
+            for h in range(g, len(lam)):
+                pair = np.einsum("irca,ircb->rab", lam[g].conj(), lam[h])
+                gamma[:, inv[g], :, inv[h]] += 0.5 * pair if g == h else pair
+    gamma = gamma.reshape(m * N, m * N)
+    return gamma + gamma.conj().T
 
 
-def _sqrt_top(gamma: np.ndarray) -> float:
-    return math.sqrt(max(_mats.hermitian_max_eig(gamma), 0.0))
+def _sqrt_top(gamma: np.ndarray, order: np.ndarray) -> float:
+    return math.sqrt(max(_mats.hermitian_max_eig(gamma[np.ix_(order, order)]), 0.0))
 
 
 def _model_lip(blocks, adj_blocks, model, psi: LengthFunction, axes, m: int) -> LipReport:
     """Column and row norms inside the model from the coefficients of x and x*."""
     psi_n = _model_psi(psi, model, len(axes))
-    col = _sqrt_top(_model_gamma(blocks, model, psi_n, axes, m))
-    row = _sqrt_top(_model_gamma(adj_blocks, model, psi_n, axes, m))
+    order = model.band_order(m)
+    col = _sqrt_top(_model_gamma(blocks, model, psi_n, axes, m), order)
+    row = _sqrt_top(_model_gamma(adj_blocks, model, psi_n, axes, m), order)
     return LipReport(column=col, row=row, lip=max(col, row), mode="model",
                      psi=psi_n.describe(), m=m)
 

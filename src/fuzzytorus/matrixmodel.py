@@ -42,8 +42,6 @@ __all__ = [
 
 RELATION_TOL = 1e-12
 DIMENSION_CAP = 4096
-# Entries of one column chunk of the coefficient stack in _kron_combination.
-KRON_CHUNK_ENTRIES = 1 << 21
 
 # A word W is a generalized permutation stored as arrays (perm, phase):
 # W e_j = phase[j] e_{perm[j]}.  Products and adjoints are index arithmetic.
@@ -158,6 +156,21 @@ class MatrixModel:
 
     def window(self) -> range:
         return window_range(self.order)
+
+    def band_order(self, m: int = 1) -> np.ndarray:
+        """Basis order of C^m (x) C^N along the cycles of the last generator,
+        each cycle c folded as c[0], c[-1], c[1], c[-2], ... (the m copies of
+        a point kept together).  A sum of words that move each point at most
+        b steps along those cycles is a band matrix of half-bandwidth at most
+        m(2b + 1) - 1 in this order."""
+        perm, order, seen = self.power(self.n_generators - 1, 1)[0].tolist(), [], set()
+        for s in range(self.dim):
+            cyc = [] if s in seen else [s]
+            while cyc and perm[cyc[-1]] != s:
+                cyc.append(perm[cyc[-1]])
+            seen.update(cyc)
+            order += [cyc[-(i + 1) // 2 if i % 2 else i // 2] for i in range(len(cyc))]
+        return (np.array(order, dtype=np.intp)[:, None] + self.dim * np.arange(m)).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,18 +296,6 @@ def embed(f: NCPoly, model: MatrixModel) -> ModelElement:
     return ModelElement(model, out, m=f.m, band=f.band, axes=axes)
 
 
-def _word_rows(
-    model: MatrixModel, axes, keys: Sequence[tuple[int, ...]], m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows a N + perm[j] of the nonzeros of I_m (x) W^k for each key, shape
-    (s, m, 1, N), and the word phases, shape (s, N)."""
-    N = model.dim
-    words = [model.word(k, axes) for k in keys]
-    perm = np.array([w[0] for w in words], dtype=np.intp).reshape(-1, 1, 1, N)
-    phase = np.array([w[1] for w in words], dtype=complex).reshape(-1, N)
-    return np.arange(m)[:, None, None] * N + perm, phase
-
-
 def _word_entries(
     model: MatrixModel, axes, keys: Sequence[tuple[int, ...]], m: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +303,10 @@ def _word_entries(
     matrix, shape (s, m, m, N), and the word phases, shape (s, N).  Entry
     (a, b, j) sits at row a N + perm[j], column b N + j."""
     N = model.dim
-    row, phase = _word_rows(model, axes, keys, m)
+    words = [model.word(k, axes) for k in keys]
+    perm = np.array([w[0] for w in words], dtype=np.intp).reshape(-1, 1, 1, N)
+    phase = np.array([w[1] for w in words], dtype=complex).reshape(-1, N)
+    row = np.arange(m)[:, None, None] * N + perm
     return row * (m * N) + np.arange(m)[:, None] * N + np.arange(N), phase
 
 
@@ -321,32 +325,6 @@ def _kron_sum(model: MatrixModel, axes, blocks: dict, m: int) -> np.ndarray:
     idx, phase = _word_entries(model, axes, list(blocks), m)
     np.add.at(flat, idx, _kron_values(blocks.values(), phase, m))
     return flat.reshape(size, size)
-
-
-def _kron_combination(rows: np.ndarray, blocks: dict, model: MatrixModel, support,
-                      axes, m: int) -> np.ndarray:
-    """rows @ stack as an (R mN) x mN matrix, where stack has the rows
-    vec(blocks[a] (x) W^a) for a in support, without the S x (mN)^2 stack.
-
-    Built in chunks of matrix columns j (in every block column): each chunk
-    scatters its word entries into a buffer of about KRON_CHUNK_ENTRIES
-    entries, so every entry of the result is the same length-S dot product
-    as in the full product."""
-    S, N = len(support), model.dim
-    size = m * N
-    row, phase = _word_rows(model, axes, support, m)
-    vals = _kron_values([blocks[k] for k in support], phase, m)
-    width = min(N, max(1, KRON_CHUNK_ENTRIES // (S * size * m)))
-    out = np.empty((len(rows), size, m, N), dtype=complex)
-    for j0 in range(0, N, width):
-        w = min(width, N - j0)
-        # chunk entry (a, b, j) sits at row (a N + perm[j]), column b w + j - j0
-        flat = row[..., j0:j0 + w] * (m * w) + (np.arange(m)[:, None] * w + np.arange(w))
-        buf = np.zeros((S, size * m * w), dtype=complex)
-        np.put_along_axis(buf, flat.reshape(S, -1), vals[..., j0:j0 + w].reshape(S, -1),
-                          axis=1)
-        out[..., j0:j0 + w] = (rows @ buf).reshape(-1, size, m, w)
-    return out.reshape(-1, size)
 
 
 def _extract_blocks(

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fuzzytorus import lipnorm, matrixmodel
+import fuzzytorus
+from fuzzytorus import _mats
 from fuzzytorus.lattice import (
     LengthFunction,
     band_window,
@@ -158,23 +163,20 @@ def dense_stack_gamma(blocks, model, psi_n, axes, m):
 
 
 @pytest.mark.parametrize(
-    "model,band,m,chunk_entries,slab",
+    "model,band,m",
     [
-        # several column chunks and two slabs at the default sizes
-        (clock_shift(512), 2, 1, None, None),
-        # uneven chunks and slabs (edges at multiples of 16), both block columns of m = 2
-        (fuzzy_generators(1, 2, 32), 2, 2, 20000, 48),
-        (higher_dim_generators(6, 2), 1, 1, 15000, 16),
-        # the transport size: 289 coefficients, one chunk, one slab
-        (clock_shift(64), 8, 1, None, None),
+        (clock_shift(512), 2, 1),
+        # both block columns of m = 2
+        (fuzzy_generators(1, 2, 32), 2, 2),
+        (higher_dim_generators(6, 2), 1, 1),
+        # the transport size: 289 coefficients in 17 permutation groups
+        (clock_shift(64), 8, 1),
+        # band 8 on n = 16: exponents 8 and -8 give the same word
+        (clock_shift(16), 8, 1),
     ],
-    ids=("clock_shift-512", "fuzzy-m2", "higher_dim", "transport"),
+    ids=("clock_shift-512", "fuzzy-m2", "higher_dim", "transport", "aliased-words"),
 )
-def test_model_gamma_matches_dense_stack_reference(model, band, m, chunk_entries, slab,
-                                                   monkeypatch):
-    if chunk_entries is not None:
-        monkeypatch.setattr(matrixmodel, "KRON_CHUNK_ENTRIES", chunk_entries)
-        monkeypatch.setattr(lipnorm, "GAMMA_SLAB", slab)
+def test_model_gamma_matches_dense_stack_reference(model, band, m):
     d = model.n_generators
     rng = np.random.default_rng(43)
     blocks = {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -183,9 +185,119 @@ def test_model_gamma_matches_dense_stack_reference(model, band, m, chunk_entries
     psi = LengthFunction.heat((model.order,) * d)
     gam = _model_gamma(blocks, model, psi, axes, m)
     ref = dense_stack_gamma(blocks, model, psi, axes, m)
-    lower = np.tril_indices(m * model.dim)
-    assert np.array_equal(gam[lower], ref[lower])
+    # the grouped-word sum adds in another order than the stack product
+    assert np.abs(gam - ref).max() <= 1e-14 * np.abs(gam).max()
     assert np.array_equal(gam, gam.conj().T)
+
+
+def band_ordered_gamma(model, band, m, axes=None, seed=17):
+    """Gamma of a random element on the band window, in the model's band order."""
+    axes = tuple(range(model.n_generators)) if axes is None else axes
+    rng = np.random.default_rng(seed)
+    blocks = {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+              for k in band_window(band, len(axes))}
+    psi = LengthFunction.heat((model.order,) * len(axes))
+    order = model.band_order(m)
+    return _model_gamma(blocks, model, psi, axes, m)[np.ix_(order, order)]
+
+
+@pytest.fixture
+def band_calls(monkeypatch):
+    """Half-bandwidths of the band matrices hermitian_max_eig solves."""
+    calls = []
+    solve = _mats._band_max_eig
+
+    def spy(x, w):
+        calls.append(w)
+        return solve(x, w)
+
+    monkeypatch.setattr(_mats, "_band_max_eig", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "model,m,axes,width",
+    [
+        (clock_shift(1024), 1, None, 8),
+        # theta = 1/2: the top four eigenvalues lie within 4e-11 (m = 1) and
+        # 7e-10 (m = 2) relative of each other
+        (fuzzy_generators(1, 2, 128), 1, None, 8),
+        (fuzzy_generators(1, 2, 128), 2, None, 17),
+        # a polynomial on generator 0 only: Gamma is diagonal
+        (clock_shift(1024), 1, (0,), 0),
+    ],
+    ids=("clock_shift-1024", "fuzzy-m1", "fuzzy-m2", "diagonal"),
+)
+def test_band_max_eig_matches_dense(model, m, axes, width, band_calls):
+    gam = band_ordered_gamma(model, 2, m, axes)
+    top = _mats.hermitian_max_eig(gam)
+    assert band_calls == [width]
+    ref = np.linalg.eigvalsh(gam)[-1]
+    assert abs(top - ref) <= 1e-14 * ref
+
+
+def test_band_max_eig_is_polished():
+    # LAPACK's band estimate alone is 7e-15 relative off on this Gamma; the
+    # polished value must match a long-double Rayleigh quotient of its top
+    # eigenvector (spectral gap 2%, so that quotient is exact to ~1e-19)
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("needs an extended-precision long double")
+    gam = band_ordered_gamma(clock_shift(1024), 2, 1)
+    vec = np.linalg.eigh(gam)[1][:, -1].astype(np.clongdouble)
+    true = float((np.vdot(vec, gam.astype(np.clongdouble) @ vec) / np.vdot(vec, vec)).real)
+    assert abs(_mats.hermitian_max_eig(gam) - true) <= 1e-15 * true
+
+
+def test_torus_pattern_takes_dense_path(band_calls):
+    # higher_dim's words move along a 2-torus: no narrow band in the cycle order
+    gam = band_ordered_gamma(higher_dim_generators(16, 2), 1, 1)
+    assert _mats.hermitian_max_eig(gam) == np.linalg.eigvalsh(gam)[-1]
+    assert band_calls == []
+
+
+def test_band_path_falls_back_when_polish_fails(band_calls):
+    # top eigenvalue 0: sigma = 0 leaves sigma I - x singular, so the
+    # Cholesky factor fails and the dense path answers
+    x = -np.diag(np.arange(256.0)).astype(complex)
+    assert _mats.hermitian_max_eig(x) == 0.0
+    assert band_calls == [0]
+
+
+def run_python(code: str, threads: int = 1) -> str:
+    src = str(Path(fuzzytorus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **{v: str(threads) for v in
+                  ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout
+
+
+SAMPLE_LIP = """
+import sys
+import numpy as np
+from fuzzytorus.lattice import LengthFunction, band_window
+from fuzzytorus.lipnorm import lip_seminorm_on_model
+from fuzzytorus.matrixmodel import clock_shift
+from fuzzytorus.ncpoly import NCPoly, TwistMatrix
+rng = np.random.default_rng(5)
+f = NCPoly(TwistMatrix.zero(2), 1, {{k: rng.standard_normal((1, 1))
+           + 1j * rng.standard_normal((1, 1)) for k in band_window({band}, 2)}})
+print(repr(lip_seminorm_on_model(f, clock_shift({n}), LengthFunction.heat((None, None)))))
+print("scipy" in sys.modules)
+"""
+
+
+def test_transport_size_never_imports_scipy():
+    out = run_python(SAMPLE_LIP.format(band=8, n=64)).splitlines()
+    assert out[-1] == "False"
+
+
+def test_model_lip_is_thread_count_invariant():
+    code = SAMPLE_LIP.format(band=2, n=1024)
+    one = run_python(code, threads=1)
+    assert one.splitlines()[-1] == "True"  # the band path ran
+    assert run_python(code, threads=2) == one
 
 
 def test_multiplier_contraction_on_lip():
