@@ -6,32 +6,7 @@ import math
 
 import numpy as np
 
-TOL_UNITARY = 1e-12
 BAND_MIN_DIM = 256  # smallest N for hermitian_max_eig's band path
-
-
-def clock(n: int) -> np.ndarray:
-    """diag(1, w, w^2, ...) with w = exp(2 pi i / n)."""
-    return np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-
-
-def shift(n: int) -> np.ndarray:
-    """Cyclic permutation sending e_l to e_{l+1 mod n}."""
-    v = np.zeros((n, n), dtype=complex)
-    v[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    return v
-
-
-def unitary_power(u: np.ndarray, k: int, order: int) -> np.ndarray:
-    """u^k for unitary u of finite order (negative k via the adjoint)."""
-    k %= order
-    return np.linalg.matrix_power(u, k)
-
-
-def fiber_words(p: int, q: int, support) -> list[np.ndarray]:
-    """u^{k0} v^{p k1} on C^q for each k of a 2-d support: the rational fibers."""
-    u, v = clock(q), shift(q)
-    return [unitary_power(u, k[0], q) @ unitary_power(v, k[1] * p, q) for k in support]
 
 
 def max_abs(a: np.ndarray) -> float:

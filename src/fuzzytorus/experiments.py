@@ -295,7 +295,6 @@ def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
         if amp != cfg.amplifications[0] or i >= cfg.lip_samples:
             continue
         lip_draws.append((amp, f, max(lip_oracle.lip_column_row(f, lip_rows_inf))))
-    del oracle, lip_oracle  # their grids are only needed for the reference values
 
     rows = []
     norm_defects = []
@@ -420,24 +419,24 @@ def _net_axis(limit: float, pitch: float) -> np.ndarray:
     return pitch * np.arange(-m, m + 1)
 
 
-def _net_sup_distance(C: np.ndarray, net_vals: np.ndarray, E: np.ndarray,
+def _net_sup_distance(C: np.ndarray, net_vals: np.ndarray, grid: SymbolGrid,
                       yc: np.ndarray, y_vals: np.ndarray) -> float:
     """min_i max_j |net_vals[i, j] - y_vals[j]|, scanning only the rows that can
     attain it.
 
-    Net row i has values net_vals[i] = C[i] @ E; the sample has coefficients
-    yc and values y_vals, equal to yc @ E up to a roundoff err.  With the
-    frequencies of E distinct mod n, discrete Plancherel gives
-    ||c||_2 <= ||c @ E||_inf for every coefficient gap c.  So a row no
-    farther than dj, the sup distance of the l2-nearest row, has an l2 gap
-    of at most dj + err; the relative and absolute margins cover the
-    rounding of the gaps and of C @ E.  The scanned rows' distances are the
-    floats a full scan computes, so the minimum is the same.
+    Net row i has values net_vals[i] = grid.values(C[i]); the sample has
+    coefficients yc and values y_vals, equal to grid.values(yc) up to a
+    roundoff err.  With the grid's keys distinct mod its size, discrete
+    Plancherel gives ||c||_2 <= ||grid.values(c)||_inf for every coefficient
+    gap c.  So a row no farther than dj, the sup distance of the l2-nearest
+    row, has an l2 gap of at most dj + err; the relative and absolute margins
+    cover the rounding of the gaps and of the grid values.  The scanned rows'
+    distances are the floats a full scan computes, so the minimum is the same.
     """
     diff = C.view(np.float64) - yc.view(np.float64)
     gap2 = np.einsum("ij,ij->i", diff, diff)
     dj = np.abs(net_vals[int(gap2.argmin())] - y_vals).max()
-    err = np.abs(y_vals - yc @ E).max()
+    err = np.abs(y_vals - grid.values(yc)).max()
     cut = (dj + err) * (1 + 1e-9) + 1e-12 * (1.0 + np.abs(yc).sum())
     cand = gap2 <= cut * cut
     return float(np.abs(net_vals[cand] - y_vals).max(axis=1).min())
@@ -493,28 +492,28 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
         C[:, b + k] = ck
         C[:, b - k] = ck.conj()
 
-    ks = np.array([c[0] for c in coords])
-    t_n = np.arange(n) / n
-    E_n = np.exp(2j * np.pi * np.outer(ks, t_n))  # (s, n)
     Gf = max(64, 16 * b, n)
-    E_f = np.exp(2j * np.pi * np.outer(ks, np.arange(Gf) / Gf))
+    grid_n = SymbolGrid(coords, n, 1)
 
-    def batch_lip(Cm: np.ndarray, psi: LengthFunction, E: np.ndarray) -> np.ndarray:
-        # Gamma(t) = sum_{s,t'} K[s,t'] conj(c_s) c_t' conj(E_s) E_t' pointwise
+    def batch_lip(Cm: np.ndarray, psi: LengthFunction, G: int) -> np.ndarray:
+        # Gamma(f, f) of every row has coefficients sum_x K[x, x+c] conj(f_x) f_{x+c}
+        # at the difference keys c = -2b..2b, as gradient_form forms them
         K = gromov_entries_for_coords(psi, coords)
-        F = (E.conj()[:, None, :] * E[None, :, :]).reshape(s * s, -1)
-        M = (K.reshape(1, s, s) * (Cm.conj()[:, :, None] * Cm[:, None, :])).reshape(-1, s * s)
-        g_vals = (M @ F).real
-        return np.sqrt(np.maximum(g_vals.max(axis=1), 0.0))
+        gam = np.zeros((4 * b + 1, len(Cm)), dtype=complex)
+        for x in range(s):
+            for y in range(s):
+                gam[y - x + 2 * b] += K[x, y] * (Cm[:, x].conj() * Cm[:, y])
+        g_vals = SymbolGrid(band_window(2 * b, 1), G, 1).values(gam).real
+        return np.sqrt(np.maximum(g_vals.max(axis=0), 0.0))
 
-    norms = np.abs(C @ E_f).max(axis=1)
-    lips = batch_lip(C, psi_sym, E_f)
+    norms = np.abs(SymbolGrid(coords, Gf, 1).values(C.T)).max(axis=0)
+    lips = batch_lip(C, psi_sym, Gf)
     sigma = np.maximum(1.0, np.maximum(lips, norms / R))
     C = C / sigma[:, None]
-    net_vals = C @ E_n  # (count, n) model diagonal values
+    net_vals = grid_n.values(C.T).T  # (count, n) model diagonal values
 
     # direction 2: embedded net points against membership in D_R(M_n)
-    lips_n = batch_lip(C, psi_n, E_n)
+    lips_n = batch_lip(C, psi_n, n)
     norms_n = np.abs(net_vals).max(axis=1)
     sig2 = np.maximum(1.0, np.maximum(lips_n, norms_n / R))
     d2 = float(((1.0 - 1.0 / sig2) * norms_n).max())
@@ -533,7 +532,7 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     for f in samples:
         e = embed(f, model)
         yc = np.array([f.coeffs.get(c, zero)[0, 0] for c in coords], dtype=complex)
-        dist = _net_sup_distance(C, net_vals, E_n, yc, np.diag(e.matrix))
+        dist = _net_sup_distance(C, net_vals, grid_n, yc, np.diag(e.matrix))
         radius = max(radius, dist)
         if dist <= (4 * R + 2) * eps:
             covered += 1

@@ -312,12 +312,9 @@ def gradient_form(f: NCPoly, g: NCPoly, psi: LengthFunction) -> NCPoly:
 
 # -- sup-norm oracles -------------------------------------------------------
 
-COMMUTATIVE = "commutative"
-RATIONAL_FIBER = "rational_fiber"
-
 
 class SymbolGrid:
-    """Grid evaluation of symbols over a fixed support, phases cached.
+    """Grid evaluation of symbols over a fixed support by inverse FFT.
 
     Without a fiber the m x m symbol is evaluated on a uniform G^d grid; with
     fiber = (p, q) (d = 2, theta = p/q) each coefficient is lifted to
@@ -331,16 +328,26 @@ class SymbolGrid:
         self._slot = {k: i for i, k in enumerate(self.support)}
         self.G = G
         self.d = d
-        ks = np.array(self.support)
-        P = np.ones((1, len(self.support)), dtype=complex)
-        t = np.arange(G) / G
-        for axis in range(d):
-            E = np.exp(2j * np.pi * np.outer(t, ks[:, axis]))
-            P = (P[:, None, :] * E[None, :, :]).reshape(-1, len(self.support))
-        self.P = P
+        keys = np.array(self.support, dtype=np.intp).reshape(-1, d) % G
+        self._cells = np.ravel_multi_index(tuple(keys.T), (G,) * d)
         self.fiber_mats = None
         if fiber is not None:
-            self.fiber_mats = _mats.fiber_words(*fiber, self.support)
+            from .matrixmodel import clock_shift  # matrixmodel imports this module
+
+            p, q = fiber
+            model = clock_shift(q)
+            self.fiber_mats = [model.monomial((k[0], p * k[1])) for k in self.support]
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """sum_a X[a] exp(2 pi i k_a . t) at the G^d grid points t, shape
+        (G^d, ...) for X of shape (S, ...) in support order.  Keys equal
+        mod G add, as in the direct sum."""
+        X = np.asarray(X)
+        A = np.zeros((self.G**self.d,) + X.shape[1:], dtype=complex)
+        np.add.at(A, self._cells, X)  # one flat index: far faster than a tuple
+        grid = A.reshape((self.G,) * self.d + X.shape[1:])
+        np.fft.ifftn(grid, axes=tuple(range(self.d)), norm="forward", out=grid)
+        return A
 
     def _lift(self, blocks: dict[tuple[int, ...], np.ndarray], m: int) -> np.ndarray:
         zero_q = 1 if self.fiber_mats is None else self.fiber_mats[0].shape[0]
@@ -354,8 +361,7 @@ class SymbolGrid:
         return X
 
     def norm(self, blocks: dict[tuple[int, ...], np.ndarray], m: int = 1) -> float:
-        X = self._lift(blocks, m)
-        S = np.tensordot(self.P, X, axes=(1, 0))
+        S = self.values(self._lift(blocks, m))
         return float(_mats.batched_sigma_max(S).max())
 
     def lip_column(
@@ -370,8 +376,7 @@ class SymbolGrid:
         Gamma = sum_i D_i* D_i, so its top eigenvalue is taken pointwise.
         """
         X = self._lift(blocks, m)
-        W = np.einsum("rs,sij->rsij", rows, X)
-        D = np.tensordot(self.P, W, axes=(1, 1))  # (grid, r, mm, mm)
+        D = self.values(np.einsum("rs,sij->srij", rows, X))  # (grid, r, mm, mm)
         H = np.einsum("trki,trkj->tij", D.conj(), D)
         return float(np.sqrt(max(_mats.batched_max_eig(H).max(), 0.0)))
 
@@ -387,30 +392,16 @@ def _default_grid(band: int) -> int:
 
 
 def oracle_params(
-    f: NCPoly, mode: Optional[str] = None, grid: Optional[int] = None
+    f: NCPoly, grid: Optional[int] = None
 ) -> tuple[Optional[tuple[int, int]], int]:
-    """(fiber, G) of the grid oracle for f's twist, checked against f.
-
-    The mode is picked from the twist when None: commutative for a zero
-    twist, rational fiber for d = 2 and theta = p/q.
-    """
-    if mode is None:
-        if f.twist.is_zero:
-            mode = COMMUTATIVE
-        elif f.twist.rational is not None and f.d == 2:
-            mode = RATIONAL_FIBER
-        else:
-            raise ValueError("no norm oracle available for this twist")
-    if mode == COMMUTATIVE:
-        if not f.twist.is_zero:
-            raise ValueError("commutative oracle needs a zero twist")
+    """(fiber, G) of the grid oracle for f's twist, checked against f: no
+    fiber for a zero twist, fiber (p, q) for d = 2 and theta = p/q."""
+    if f.twist.is_zero:
         fiber = None
-    elif mode == RATIONAL_FIBER:
-        if f.d != 2 or f.twist.rational is None:
-            raise ValueError("rational fiber oracle needs d=2 and theta = p/q")
+    elif f.twist.rational is not None and f.d == 2:
         fiber = f.twist.rational
     else:
-        raise ValueError(f"unknown oracle mode {mode!r}")
+        raise ValueError("no norm oracle available for this twist")
     band = f.band
     G = _default_grid(band) if grid is None else int(grid)
     if G < 8 * band:
@@ -418,17 +409,15 @@ def oracle_params(
     return fiber, G
 
 
-def sup_norm_oracle(
-    f: NCPoly, mode: Optional[str] = None, grid: Optional[int] = None
-) -> float:
-    """Certified lower bound of the operator norm via dense grid evaluation.
+def sup_norm_oracle(f: NCPoly, grid: Optional[int] = None) -> float:
+    """Certified lower bound of the operator norm via grid evaluation.
 
-    Commutative mode evaluates the m x m symbol on a uniform G^d grid;
-    rational-fiber mode (d=2, theta = p/q) evaluates the M_m (x) M_q fiber
-    symbol on a G^2 grid.  The relative truncation error is bounded by
+    A zero twist evaluates the m x m symbol on a uniform G^d grid; a rational
+    twist (d=2, theta = p/q) evaluates the M_m (x) M_q fiber symbol on a G^2
+    grid.  The relative truncation error is bounded by
     ``oracle_error_bound(band, G, d)``.
     """
-    fiber, G = oracle_params(f, mode, grid)
+    fiber, G = oracle_params(f, grid)
     if not f.coeffs:
         return 0.0
     return SymbolGrid(f.support(), G, f.d, fiber).norm(f.coeffs, f.m)

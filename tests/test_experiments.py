@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fuzzytorus import experiments as ex
+from fuzzytorus.lattice import band_window
 from fuzzytorus.matrixmodel import clock_shift, embed
-from fuzzytorus.ncpoly import NCPoly, TwistMatrix
+from fuzzytorus.ncpoly import NCPoly, SymbolGrid, TwistMatrix
 
 SEED = 424242
 
@@ -180,7 +181,7 @@ def test_net_sup_distance_equals_full_scan(n, b):
     s = 2 * b + 1
     model = clock_shift(n)
     ks = np.arange(-b, b + 1)
-    E = np.exp(2j * np.pi * np.outer(ks, np.arange(n) / n))
+    grid = SymbolGrid(band_window(b, 1), n, 1)
     axis = 0.2 * np.arange(-3, 4)
     mesh = [m.reshape(-1) for m in np.meshgrid(*[axis] * s, indexing="ij")]
     C = np.zeros((len(mesh[0]), s), dtype=complex)
@@ -190,7 +191,7 @@ def test_net_sup_distance_equals_full_scan(n, b):
         C[:, b - k] = C[:, b + k].conj()
     C = C / rng.uniform(1.0, 1.5, size=(len(C), 1))
     C = np.concatenate([C, C[::-7]])  # duplicated net points: tied distances
-    net_vals = C @ E
+    net_vals = grid.values(C.T).T
     samples = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for _ in range(20)]
     samples = [0.5 * (y + y[::-1].conj()) for y in samples]
     samples += [3.0 * y for y in samples[:5]]  # outside the net's box
@@ -199,7 +200,7 @@ def test_net_sup_distance_equals_full_scan(n, b):
         f = NCPoly(TwistMatrix.zero(1), 1, {(int(k),): c for k, c in zip(ks, yc)})
         y_vals = np.diag(embed(f, model).matrix)
         yc = np.array([f.coeffs.get((int(k),), np.zeros((1, 1)))[0, 0] for k in ks])
-        assert ex._net_sup_distance(C, net_vals, E, yc, y_vals) == _full_scan(net_vals, y_vals)
+        assert ex._net_sup_distance(C, net_vals, grid, yc, y_vals) == _full_scan(net_vals, y_vals)
 
 
 def test_bridge_reach_small():

@@ -102,23 +102,35 @@ def test_higher_dim_raw_power_scalar():
 # -- monomial array core -------------------------------------------------------
 
 
+def clock(n):
+    """diag(1, w, w^2, ...) with w = exp(2 pi i / n)."""
+    return np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+
+
+def shift(n):
+    """Cyclic permutation sending e_l to e_{l+1 mod n}."""
+    v = np.zeros((n, n), dtype=complex)
+    v[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+    return v
+
+
 def dense_generators(model):
     """The generators as dense matrices, straight from each family's definition."""
     kind, prm = model.provenance, model.params
     if kind == "clock_shift":
         n = prm["n"]
-        return [_mats.clock(n), _mats.shift(n)]
+        return [clock(n), shift(n)]
     if kind == "fuzzy":
         p, m, n = prm["p"], prm["m"], prm["n"]
         return [
-            np.kron(_mats.clock(m), _mats.clock(n)),
-            np.kron(np.linalg.matrix_power(_mats.shift(m), p), _mats.shift(n)),
+            np.kron(clock(m), clock(n)),
+            np.kron(np.linalg.matrix_power(shift(m), p), shift(n)),
         ]
     n, d = prm["n"], prm["d"]
-    g = _mats.shift(n) @ _mats.clock(n).conj().T
+    g = shift(n) @ clock(n).conj().T
     gens = []
     for pair in range(d):
-        for core in (_mats.clock(n), _mats.shift(n)):
+        for core in (clock(n), shift(n)):
             out = np.exp(1j * np.pi * (n - 1) * pair / n) * np.eye(1)
             for f in [g] * pair + [core] + [np.eye(n)] * (d - pair - 1):
                 out = np.kron(out, f)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzytorus import _mats
 from fuzzytorus.lattice import (
     LengthFunction,
     band_mask,
@@ -240,6 +241,61 @@ def test_symbol_grid_rejects_keys_outside_support():
         with pytest.raises(ValueError, match="outside the grid's support"):
             grid.lip_column(blocks, rows)
     assert grid.norm({(1, -1): 3.0 * np.eye(1)}) == pytest.approx(3.0)
+
+
+def _direct_sum_grid(support, G, d, fiber, blocks, m):
+    """The phase matrix P[t, a] = exp(2 pi i k_a . t) over the G^d grid and
+    the lifted coefficient stack X, with fibers built from dense clock/shift
+    powers: the direct sum P @ X that SymbolGrid.values replaces."""
+    ks = np.array(support)
+    P = np.ones((1, len(support)), dtype=complex)
+    t = np.arange(G) / G
+    for axis in range(d):
+        E = np.exp(2j * np.pi * np.outer(t, ks[:, axis]))
+        P = (P[:, None, :] * E[None, :, :]).reshape(-1, len(support))
+    q = 1 if fiber is None else fiber[1]
+    X = np.zeros((len(support), m * q, m * q), dtype=complex)
+    for i, k in enumerate(support):
+        if fiber is None:
+            X[i] = blocks[k]
+        else:
+            clock = np.diag(np.exp(2j * np.pi * k[0] * np.arange(q) / q))
+            shift = np.roll(np.eye(q), fiber[0] * k[1], axis=0)  # e_l -> e_{l + p k1}
+            X[i] = np.kron(blocks[k], clock @ shift)
+    return P, X
+
+
+@pytest.mark.parametrize(
+    "d, m, fiber, band, G",
+    [
+        (1, 1, None, 3, 16),
+        (1, 2, None, 3, 5),  # G < 2 band + 1: keys 3 and -2 share a grid cell
+        (2, 1, None, 2, 9),
+        (2, 2, None, 2, 4),
+        (2, 1, (1, 2), 2, 8),
+        (2, 2, (2, 5), 2, 7),
+        (2, 1, (2, 5), 2, 3),
+        (2, 2, (1, 2), 0, 6),  # constant element, no cocycle rows
+    ],
+)
+def test_symbol_grid_matches_direct_sum(d, m, fiber, band, G):
+    rng = np.random.default_rng((d, m, band, G))
+    support = band_window(band, d)
+    blocks = {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+              for k in support}
+    rows = rng.standard_normal((3, len(support))) if band else np.zeros((0, 1))
+    grid = SymbolGrid(support, G, d, fiber)
+    P, X = _direct_sum_grid(support, G, d, fiber, blocks, m)
+
+    S = np.tensordot(P, X, axes=(1, 0))
+    assert np.abs(grid.values(X) - S).max() <= 1e-13 * np.abs(S).max()
+    norm = float(_mats.batched_sigma_max(S).max())
+    assert grid.norm(blocks, m) == pytest.approx(norm, rel=1e-13, abs=0)
+
+    D = np.tensordot(P, np.einsum("rs,sij->rsij", rows, X), axes=(1, 1))
+    H = np.einsum("trki,trkj->tij", D.conj(), D)
+    lip = float(np.sqrt(max(_mats.batched_max_eig(H).max(initial=0.0), 0.0)))
+    assert grid.lip_column(blocks, rows, m) == pytest.approx(lip, rel=1e-13, abs=0)
 
 
 def test_oracle_error_bound_decreases():
