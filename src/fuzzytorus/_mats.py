@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 BAND_MIN_DIM = 256  # smallest N for hermitian_max_eig's band path
+DENSE_MAX_DIM = 512  # largest N for operator_norm's exact SVD
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -37,12 +38,12 @@ def batched_sigma_max(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
-def operator_norm(x: np.ndarray, dense_cutoff: int = 512) -> float:
-    """Largest singular value; exact SVD up to dense_cutoff, then max |x_ii|
+def operator_norm(x: np.ndarray) -> float:
+    """Largest singular value; exact SVD up to DENSE_MAX_DIM, then max |x_ii|
     for a diagonal x and deterministic shifted power iteration on x*x (start
     vector fixed, rtol 1e-10) otherwise."""
     n = x.shape[0]
-    if n <= dense_cutoff:
+    if n <= DENSE_MAX_DIM:
         return float(np.linalg.svd(x, compute_uv=False)[0])
     diag = np.diagonal(x)
     if np.count_nonzero(x) == np.count_nonzero(diag):

@@ -24,8 +24,9 @@ from .lattice import (
     gromov_entries_for_coords,
     product_multiplier,
 )
-from .lipnorm import _model_gamma, lip_ball_sample, lip_seminorm, lip_seminorm_on_model
+from .lipnorm import _draw_blocks, _model_gamma, lip_ball_sample, lip_seminorm_on_model
 from .matrixmodel import (
+    DIMENSION_CAP,
     MatrixModel,
     ModelElement,
     clock_shift,
@@ -120,9 +121,17 @@ class ExperimentConfig:
         ns = tuple(self.n_schedule)
         if not ns and self.experiment in NEEDS_SCHEDULE:
             raise ValueError(f"n_schedule: {self.experiment} needs at least one n")
+        if any(not 2 <= n <= DIMENSION_CAP for n in ns):
+            raise ValueError(f"n_schedule: every n must lie in 2..{DIMENSION_CAP}")
         if any(b >= a for a, b in zip(ns[1:], ns[:-1])):
             raise ValueError("n schedule must be strictly increasing")
+        if self.samples < 1:
+            raise ValueError("samples: need at least one sample")
+        if not self.amplifications or min(self.amplifications) < 1:
+            raise ValueError("amplifications: need at least one, each >= 1")
         if self.theta is not None:
+            if len(self.theta) != 2 or self.theta[1] < 1:
+                raise ValueError("theta: expected [p, m] with m >= 1")
             p, m = self.theta
             if m > 1:
                 allowed = set()
@@ -137,10 +146,6 @@ class ExperimentConfig:
                     )
 
 
-def _length(kind: str, moduli) -> LengthFunction:
-    return LengthFunction(kind, tuple(moduli))
-
-
 def kendall_decreasing(vals: Sequence[float]) -> float:
     """Kendall tau of the sequence against a strictly decreasing template."""
     n = len(vals)
@@ -153,13 +158,6 @@ def kendall_decreasing(vals: Sequence[float]) -> float:
     return s / (n * (n - 1) / 2)
 
 
-def _draw_blocks(rng, coords, m) -> dict[tuple[int, ...], np.ndarray]:
-    return {
-        c: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        for c in coords
-    }
-
-
 # ---------------------------------------------------------------------------
 # intertwining
 # ---------------------------------------------------------------------------
@@ -167,7 +165,7 @@ def _draw_blocks(rng, coords, m) -> dict[tuple[int, ...], np.ndarray]:
 
 def run_intertwining(cfg: ExperimentConfig) -> list[ReportRow]:
     """Entrywise defect of Gamma^n(pi_n f, pi_n f) - pi_n Gamma(f, f), d = 1."""
-    psi_inf = _length(cfg.psi, (None,))
+    psi_inf = LengthFunction(cfg.psi, (None,))
     tw = TwistMatrix.zero(1)
     rows = []
     for n in cfg.n_schedule:
@@ -208,7 +206,7 @@ def run_rate(cfg: ExperimentConfig) -> list[ReportRow]:
             raise ValueError("oracle grid must contain every n-grid as a subgrid")
     c = 1.0 / math.sqrt(2.0)
     fc = {(1,): np.exp(-2j * np.pi * c), (-1,): np.exp(2j * np.pi * c)}
-    psi_inf = _length(cfg.psi, (None,))
+    psi_inf = LengthFunction(cfg.psi, (None,))
     tw = TwistMatrix.zero(1)
     f = NCPoly(tw, 1, {k: np.array([[v]]) for k, v in fc.items()})
     fvals = np.abs(_scalar_grid_values(fc, G))
@@ -274,12 +272,10 @@ def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
     """eps(n) = worst |norm ratio - 1| of coefficient transport, plus the
     matching Lipschitz-isometry defect on a smaller sample set."""
     tw = _twist_for(cfg)
-    psi_inf = _length(cfg.psi, (None, None))
+    psi_inf = LengthFunction(cfg.psi, (None, None))
     support = band_window(cfg.band, 2)
-    fiber = tw.rational if (tw.rational and not tw.is_zero) else None
-    G = cfg.grid or 512
-    oracle = SymbolGrid(support, G, 2, fiber=fiber)
-    lip_oracle = SymbolGrid(support, cfg.lip_grid, 2, fiber=fiber)
+    oracle = SymbolGrid(support, cfg.grid or 512, tw)
+    lip_oracle = SymbolGrid(support, cfg.lip_grid, tw)
     lip_rows_inf = cocycle_rows_for_coords(psi_inf, support)
 
     draws = []
@@ -341,8 +337,8 @@ def run_smoothing_tail(cfg: ExperimentConfig) -> list[ReportRow]:
         raise ValueError("sample band exceeds the model window; need band < n/2")
     model = clock_shift(n)
     tw = TwistMatrix.zero(2)
-    psi_n = _length(cfg.psi, (n, n))
-    psi_coord = _length(cfg.psi, (n,))
+    psi_n = LengthFunction(cfg.psi, (n, n))
+    psi_coord = LengthFunction(cfg.psi, (n,))
     eps_part = cfg.eps_multiplier if cfg.eps_multiplier is not None else cfg.eps / 2
 
     sample_list = []
@@ -394,7 +390,7 @@ def run_psd_audit(cfg: ExperimentConfig) -> list[ReportRow]:
     for kind in ("heat", "word"):
         for n in ns:
             ok, witness = check_conditionally_negative(
-                _length(kind, (n,)), tol=cfg.tol
+                LengthFunction(kind, (n,)), tol=cfg.tol
             )
             rows.append(ReportRow.make(cfg.experiment, n, f"psd_min_eig/{kind}",
                                        witness, -cfg.tol))
@@ -463,8 +459,9 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
             ReportRow.make(cfg.experiment, n, "net_size", 1, cfg.net_cap),
         ]
     model = clock_shift(n)
-    psi_sym = _length(cfg.psi, (None,))
-    psi_n = _length(cfg.psi, (n,))
+    tw = TwistMatrix.zero(1)
+    psi_sym = LengthFunction(cfg.psi, (None,))
+    psi_n = LengthFunction(cfg.psi, (n,))
     coords = band_window(b, 1)
     s = len(coords)
 
@@ -493,7 +490,7 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
         C[:, b - k] = ck.conj()
 
     Gf = max(64, 16 * b, n)
-    grid_n = SymbolGrid(coords, n, 1)
+    grid_n = SymbolGrid(coords, n, tw)
 
     def batch_lip(Cm: np.ndarray, psi: LengthFunction, G: int) -> np.ndarray:
         # Gamma(f, f) of every row has coefficients sum_x K[x, x+c] conj(f_x) f_{x+c}
@@ -503,10 +500,10 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
         for x in range(s):
             for y in range(s):
                 gam[y - x + 2 * b] += K[x, y] * (Cm[:, x].conj() * Cm[:, y])
-        g_vals = SymbolGrid(band_window(2 * b, 1), G, 1).values(gam).real
+        g_vals = SymbolGrid(band_window(2 * b, 1), G, tw).values(gam).real
         return np.sqrt(np.maximum(g_vals.max(axis=0), 0.0))
 
-    norms = np.abs(SymbolGrid(coords, Gf, 1).values(C.T)).max(axis=0)
+    norms = np.abs(SymbolGrid(coords, Gf, tw).values(C.T)).max(axis=0)
     lips = batch_lip(C, psi_sym, Gf)
     sigma = np.maximum(1.0, np.maximum(lips, norms / R))
     C = C / sigma[:, None]
@@ -518,7 +515,6 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     sig2 = np.maximum(1.0, np.maximum(lips_n, norms_n / R))
     d2 = float(((1.0 - 1.0 / sig2) * norms_n).max())
 
-    tw = TwistMatrix.zero(1)
     k_val = psi_n.coord_value(1)
     phi = build_smoothing_multiplier(psi_n, k_val, eps)
     samples = lip_ball_sample(
@@ -563,13 +559,11 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
     if cfg.theta is None:
         raise ValueError("bridge reach needs a rational twist")
     tw = _twist_for(cfg)
-    psi_inf = _length(cfg.psi, (None, None))
-    psi_coord_inf = _length(cfg.psi, (None,))
+    psi_inf = LengthFunction(cfg.psi, (None, None))
+    psi_coord_inf = LengthFunction(cfg.psi, (None,))
     support = band_window(cfg.band, 2)
     support_nz = [c for c in support if any(c)]
-    fiber = tw.rational
-    G = cfg.grid or 128
-    oracle = SymbolGrid(support, G, 2, fiber=fiber)
+    oracle = SymbolGrid(support, cfg.grid or 128, tw)
     rows_inf = cocycle_rows_for_coords(psi_inf, support)
 
     eps_part = cfg.eps_multiplier if cfg.eps_multiplier is not None else 0.01
@@ -669,18 +663,21 @@ def run_hp_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
 
     n = cfg.n_schedule[-1] if cfg.n_schedule else 64
     model = clock_shift(n)
-    heat = _length("heat", (n, n))
-    word = _length("word", (n, n))
+    heat = LengthFunction("heat", (n, n))
+    word = LengthFunction("word", (n, n))
     beta = 0.5
     tw = TwistMatrix.zero(2)
+    window = band_window(cfg.band, 2)
+    heat_w = {k: float(v) ** (beta / 2) for k, v in zip(window, heat.values(window))}
+    word_w = {k: float(v) ** beta for k, v in zip(window, word.values(window))}
     rows = []
     for p in (2, 4):
         lo, hi = math.inf, 0.0
         for i in range(cfg.samples):
             rng = np.random.default_rng((cfg.seed, p, i))
-            f = mean_zero(NCPoly(tw, 1, _draw_blocks(rng, band_window(cfg.band, 2), 1)))
-            a = f.scale_coeffs(lambda k: heat.value(k) ** (beta / 2))
-            b = f.scale_coeffs(lambda k: word.value(k) ** beta)
+            f = mean_zero(NCPoly(tw, 1, _draw_blocks(rng, window, 1)))
+            a = f.scale_coeffs(heat_w.__getitem__)
+            b = f.scale_coeffs(word_w.__getitem__)
             ratio = schatten_norm(embed(a, model), p) / schatten_norm(embed(b, model), p)
             lo, hi = min(lo, ratio), max(hi, ratio)
         rows.append(ReportRow.make(cfg.experiment, p, "hp_ratio_min", lo, math.inf))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -104,20 +104,7 @@ class LengthFunction:
         return LengthFunction(self.kind, tuple(moduli), self.custom_fns)
 
     def coord_value(self, k: int, axis: int = 0) -> float:
-        n = self.moduli[axis]
-        k = canonical_rep(k, n)
-        if self.kind == WORD:
-            if n is None:
-                return float(abs(k))
-            r = k % n
-            return float(min(r, n - r))
-        if self.kind == HEAT:
-            if n is None:
-                return float(k) ** 2
-            return (n * n / (2 * math.pi**2)) * (1.0 - math.cos(2 * math.pi * k / n))
-        if self.kind == NAIVE_SQUARE:
-            return float(k) ** 2
-        return float(self.custom_fns[axis](k))
+        return float(self.coord_values(k, axis))
 
     def coord_values(self, ks: np.ndarray, axis: int = 0) -> np.ndarray:
         """Vectorized per-coordinate values on an integer array."""
@@ -142,7 +129,7 @@ class LengthFunction:
     def value(self, coords: Sequence[int]) -> float:
         if len(coords) != self.dim:
             raise ValueError("dimension mismatch between index and length function")
-        return sum(self.coord_value(k, i) for i, k in enumerate(coords))
+        return float(self.values(coords))
 
     def values(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized values over an (..., d) integer array."""
@@ -179,9 +166,20 @@ def psd_tolerance(K: np.ndarray) -> float:
     return 1e-10 * len(K) * max(1.0, float(np.abs(K).max(initial=0.0)))
 
 
+def _window_points(psi: LengthFunction, window: Optional[int]) -> list[tuple[int, ...]]:
+    per_axis = []
+    for n in psi.moduli:
+        if n is not None:
+            per_axis.append(list(window_range(n)))
+        else:
+            if window is None:
+                raise ValueError("infinite modulus needs a window radius")
+            per_axis.append(list(range(-window, window + 1)))
+    return list(itertools.product(*per_axis))
+
+
 def check_conditionally_negative(
     psi: LengthFunction,
-    n: Optional[int] = None,
     tol: Optional[float] = None,
     window: Optional[int] = None,
 ) -> tuple[bool, float]:
@@ -193,16 +191,7 @@ def check_conditionally_negative(
     """
     if psi.dim != 1:
         raise ValueError("audit is per-coordinate; pass a one-dimensional length")
-    modulus = psi.moduli[0] if n is None else n
-    if modulus is None:
-        if window is None:
-            raise ValueError("infinite modulus needs a window radius")
-        reps: Iterable[int] = range(-window, window + 1)
-        psi1 = psi
-    else:
-        reps = window_range(modulus)
-        psi1 = psi.with_moduli((modulus,))
-    K = gromov_entries_for_coords(psi1, [(r,) for r in reps])
+    K = gromov_entries_for_coords(psi, _window_points(psi, window))
     if tol is None:
         tol = psd_tolerance(K)
     try:
@@ -302,18 +291,6 @@ def _min_alpha(k: float, eps: float) -> float:
     return hi
 
 
-def _window_points(psi: LengthFunction, window: Optional[int]) -> list[tuple[int, ...]]:
-    per_axis = []
-    for n in psi.moduli:
-        if n is not None:
-            per_axis.append(list(window_range(n)))
-        else:
-            if window is None:
-                raise ValueError("infinite modulus needs a window radius")
-            per_axis.append(list(range(-window, window + 1)))
-    return list(itertools.product(*per_axis))
-
-
 def build_smoothing_multiplier(
     psi: LengthFunction, k: float, eps: float, window: Optional[int] = None
 ) -> MultiplierSpec:
@@ -332,7 +309,7 @@ def build_smoothing_multiplier(
     if window is None and any(n is None for n in psi.moduli):
         window = max(64, 16 * int(math.ceil(k)) + 16)
     pts = _window_points(psi, window)
-    vals = np.array([psi.value(p) for p in pts])
+    vals = psi.values(pts)
     weights = np.exp(-vals / alpha)
     candidates = sorted({v for v in vals if v > k})
     band = None

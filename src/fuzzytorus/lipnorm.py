@@ -29,10 +29,13 @@ from .matrixmodel import (
 from .ncpoly import (
     NCPoly,
     SymbolGrid,
+    TwistMatrix,
+    _adjoint_phase,
     adjoint,
     gradient_form,
     l2_norm,
-    oracle_params,
+    mean_zero,
+    oracle_grid,
     sup_norm_oracle,
 )
 
@@ -51,9 +54,6 @@ class LipReport:
     column: float
     row: float
     lip: float
-    mode: str
-    psi: str
-    m: int
 
 
 def _model_psi(psi: LengthFunction, model, naxes: int) -> LengthFunction:
@@ -121,14 +121,28 @@ def _sqrt_top(gamma: np.ndarray, order: np.ndarray) -> float:
     return math.sqrt(max(_mats.hermitian_max_eig(gamma[np.ix_(order, order)]), 0.0))
 
 
-def _model_lip(blocks, adj_blocks, model, psi: LengthFunction, axes, m: int) -> LipReport:
-    """Column and row norms inside the model from the coefficients of x and x*."""
+def _model_adjoint_blocks(
+    blocks: dict[tuple[int, ...], np.ndarray], model, axes: Sequence[int]
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Coefficients of the matrix adjoint: embed(out) == embed(blocks)^H.
+
+    Uses the model's own phase table, which differs from the symbol twist at
+    finite n (e.g. theta + 1/n on the fuzzy model).
+    """
+    twist = TwistMatrix(model.phase_table[np.ix_(axes, axes)])
+    return {tuple(-c for c in a): _adjoint_phase(a, twist) * b.conj().T
+            for a, b in blocks.items()}
+
+
+def _model_lip(blocks, model, psi: LengthFunction, axes, m: int) -> LipReport:
+    """Column and row norms inside the model from the coefficients of x; x*'s
+    coefficients follow from the model's phase table."""
     psi_n = _model_psi(psi, model, len(axes))
     order = model.band_order(m)
+    adj_blocks = _model_adjoint_blocks(blocks, model, axes)
     col = _sqrt_top(_model_gamma(blocks, model, psi_n, axes, m), order)
     row = _sqrt_top(_model_gamma(adj_blocks, model, psi_n, axes, m), order)
-    return LipReport(column=col, row=row, lip=max(col, row), mode="model",
-                     psi=psi_n.describe(), m=m)
+    return LipReport(column=col, row=row, lip=max(col, row))
 
 
 def lip_seminorm(
@@ -143,37 +157,15 @@ def lip_seminorm(
     the model lattice.
     """
     if isinstance(x, NCPoly):
-        fiber, G = oracle_params(x, grid=grid)
         support = sorted(set(x.coeffs) | {tuple(-c for c in k) for k in x.coeffs})
+        oracle = SymbolGrid(support, oracle_grid(x, grid), x.twist)
         col = row = 0.0
         if support:
-            oracle = SymbolGrid(support, G, x.d, fiber)
             rows = cocycle_rows_for_coords(psi, support)
             col, row = oracle.lip_column_row(x, rows)
-        return LipReport(column=col, row=row, lip=max(col, row), mode="oracle",
-                         psi=psi.describe(), m=x.m)
+        return LipReport(column=col, row=row, lip=max(col, row))
     axes, blocks = model_coefficients(x)
-    adj = ModelElement(x.model, x.matrix.conj().T, m=x.m, band=x.band, axes=x.axes)
-    return _model_lip(blocks, model_coefficients(adj)[1], x.model, psi, axes, x.m)
-
-
-def _model_adjoint_blocks(
-    blocks: dict[tuple[int, ...], np.ndarray], model, axes: Sequence[int]
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Coefficients of the matrix adjoint: embed(out) == embed(blocks)^H.
-
-    Uses the model's own phase table, which differs from the symbol twist at
-    finite n (e.g. theta + 1/n on the fuzzy model).
-    """
-    out = {}
-    for a, b in blocks.items():
-        arg = 0.0
-        for i in range(len(a)):
-            for j in range(i + 1, len(a)):
-                arg += a[i] * a[j] * model.phase_table[axes[i], axes[j]]
-        mu = np.exp(-2j * np.pi * (arg % 1.0))
-        out[tuple(-c for c in a)] = mu * b.conj().T
-    return out
+    return _model_lip(blocks, x.model, psi, axes, x.m)
 
 
 def lip_seminorm_on_model(f: NCPoly, model, psi: LengthFunction) -> LipReport:
@@ -183,9 +175,7 @@ def lip_seminorm_on_model(f: NCPoly, model, psi: LengthFunction) -> LipReport:
     extraction; the row norm uses the model-phase adjoint so that it matches
     the matrix conjugate-transpose exactly.
     """
-    axes = _embed_axes(f, model)
-    adj = _model_adjoint_blocks(f.coeffs, model, axes)
-    return _model_lip(f.coeffs, adj, model, psi, axes, f.m)
+    return _model_lip(f.coeffs, model, psi, _embed_axes(f, model), f.m)
 
 
 @dataclass(frozen=True)
@@ -241,6 +231,14 @@ def _psd_sqrt_schatten(g: ModelElement, p: float) -> float:
     return float((np.mean(sv**p)) ** (1.0 / p))
 
 
+def _draw_blocks(rng, coords, m: int) -> dict[tuple[int, ...], np.ndarray]:
+    """i.i.d. complex Gaussian m x m blocks, drawn in coords order."""
+    return {
+        c: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        for c in coords
+    }
+
+
 def sobolev_constant(
     psi: LengthFunction,
     ns: Sequence[int],
@@ -250,8 +248,6 @@ def sobolev_constant(
     tol: float = 1e-9,
 ) -> dict[int, float]:
     """Empirical per-n constant sup ||x - tau(x) 1|| / L_n(x) on the n-point model."""
-    from .ncpoly import TwistMatrix, mean_zero
-
     out = {}
     for n in ns:
         model = clock_shift(n)
@@ -259,10 +255,7 @@ def sobolev_constant(
         seen = False
         for i in range(samples):
             rng = np.random.default_rng((seed, n, i))
-            coeffs = {
-                k: rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
-                for k in band_window(band, 1)
-            }
+            coeffs = _draw_blocks(rng, band_window(band, 1), 1)
             f = mean_zero(NCPoly(TwistMatrix.zero(1), 1, coeffs))
             e = embed(f, model)
             lip = lip_seminorm(e, psi).lip
@@ -296,8 +289,6 @@ def lip_ball_sample(
     Per-sample generators are seeded with (seed, index) so draws are
     order-independent.
     """
-    from .ncpoly import TwistMatrix
-
     if R <= 0:
         raise ValueError("R must be positive; D_0 has empty interior here")
     if twist is None:
@@ -307,11 +298,7 @@ def lip_ball_sample(
     for i in range(count):
         for attempt in range(max_retries):
             rng = np.random.default_rng((seed, i, attempt))
-            coeffs = {
-                c: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-                for c in coords
-            }
-            f = NCPoly(twist, m, coeffs)
+            f = NCPoly(twist, m, _draw_blocks(rng, coords, m))
             if selfadjoint:
                 f = 0.5 * (f + adjoint(f))
             if model is not None:

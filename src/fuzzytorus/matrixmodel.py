@@ -385,29 +385,24 @@ def schatten_norm(x: ModelElement, p: float) -> float:
 
 
 def _rescale_coeffs(
-    x: ModelElement, scale: Callable[[tuple[int, ...]], complex], verify: bool
+    x: ModelElement, scale: Callable[[tuple[int, ...]], complex]
 ) -> ModelElement:
     model = x.model
     axes, blocks = model_coefficients(x)
-    if verify:
-        recon = _kron_sum(model, axes, blocks, x.m)
-        top = max(1.0, _mats.max_abs(x.matrix))
-        if _mats.max_abs(recon - x.matrix) > 1e-8 * top:
-            raise ValueError("element overflows the model's monomial window")
+    recon = _kron_sum(model, axes, blocks, x.m)
+    top = max(1.0, _mats.max_abs(x.matrix))
+    if _mats.max_abs(recon - x.matrix) > 1e-8 * top:
+        raise ValueError("element overflows the model's monomial window")
     scaled = {k: s * b for k, b in blocks.items() if (s := scale(k)) != 0.0}
     out = _kron_sum(model, axes, scaled, x.m)
     return ModelElement(model, out, m=x.m, band=x.band, axes=axes)
 
 
-def model_multiplier(
-    x: ModelElement, phi: MultiplierSpec, verify: bool = True
-) -> ModelElement:
+def model_multiplier(x: ModelElement, phi: MultiplierSpec) -> ModelElement:
     """Extract, scale coefficient-wise by phi, re-embed."""
-    return _rescale_coeffs(x, lambda k: phi.value_at(k), verify)
+    return _rescale_coeffs(x, lambda k: phi.value_at(k))
 
 
-def model_semigroup(
-    x: ModelElement, psi: LengthFunction, t: float, verify: bool = True
-) -> ModelElement:
+def model_semigroup(x: ModelElement, psi: LengthFunction, t: float) -> ModelElement:
     """Heat-type semigroup exp(-t psi) on the model's coefficient basis."""
-    return _rescale_coeffs(x, lambda k: np.exp(-t * psi.value(k)), verify)
+    return _rescale_coeffs(x, lambda k: np.exp(-t * psi.value(k)))

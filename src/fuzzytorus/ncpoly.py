@@ -314,27 +314,28 @@ def gradient_form(f: NCPoly, g: NCPoly, psi: LengthFunction) -> NCPoly:
 
 
 class SymbolGrid:
-    """Grid evaluation of symbols over a fixed support by inverse FFT.
+    """Grid evaluation of symbols of a twist over a fixed support by inverse FFT.
 
-    Without a fiber the m x m symbol is evaluated on a uniform G^d grid; with
-    fiber = (p, q) (d = 2, theta = p/q) each coefficient is lifted to
-    fhat(k) (x) u^{k0} v^{p k1} on C^m (x) C^q first.  A coefficient key
-    outside the support raises ValueError.
+    A zero twist evaluates the m x m symbol on a uniform G^d grid; a rational
+    twist theta = p/q (d = 2) lifts each coefficient to fhat(k) (x)
+    u^{k0} v^{p k1} on C^m (x) C^q first.  Any other twist has no oracle and
+    raises ValueError, as does a coefficient key outside the support.
     """
 
-    def __init__(self, support: Sequence[tuple[int, ...]], G: int, d: int,
-                 fiber: Optional[tuple[int, int]] = None):
+    def __init__(self, support: Sequence[tuple[int, ...]], G: int, twist: TwistMatrix):
+        if not twist.is_zero and (twist.rational is None or twist.d != 2):
+            raise ValueError("no norm oracle available for this twist")
         self.support = list(support)
         self._slot = {k: i for i, k in enumerate(self.support)}
         self.G = G
-        self.d = d
+        self.d = d = twist.d
         keys = np.array(self.support, dtype=np.intp).reshape(-1, d) % G
         self._cells = np.ravel_multi_index(tuple(keys.T), (G,) * d)
         self.fiber_mats = None
-        if fiber is not None:
+        if not twist.is_zero:
             from .matrixmodel import clock_shift  # matrixmodel imports this module
 
-            p, q = fiber
+            p, q = twist.rational
             model = clock_shift(q)
             self.fiber_mats = [model.monomial((k[0], p * k[1])) for k in self.support]
 
@@ -391,22 +392,14 @@ def _default_grid(band: int) -> int:
     return max(64, 16 * max(band, 1))
 
 
-def oracle_params(
-    f: NCPoly, grid: Optional[int] = None
-) -> tuple[Optional[tuple[int, int]], int]:
-    """(fiber, G) of the grid oracle for f's twist, checked against f: no
-    fiber for a zero twist, fiber (p, q) for d = 2 and theta = p/q."""
-    if f.twist.is_zero:
-        fiber = None
-    elif f.twist.rational is not None and f.d == 2:
-        fiber = f.twist.rational
-    else:
-        raise ValueError("no norm oracle available for this twist")
+def oracle_grid(f: NCPoly, grid: Optional[int] = None) -> int:
+    """Grid size G of the oracle for f: the default for f's band, or grid
+    checked against it."""
     band = f.band
     G = _default_grid(band) if grid is None else int(grid)
     if G < 8 * band:
         raise ValueError(f"grid {G} too coarse for band {band}; need G >= 8*band")
-    return fiber, G
+    return G
 
 
 def sup_norm_oracle(f: NCPoly, grid: Optional[int] = None) -> float:
@@ -417,10 +410,8 @@ def sup_norm_oracle(f: NCPoly, grid: Optional[int] = None) -> float:
     grid.  The relative truncation error is bounded by
     ``oracle_error_bound(band, G, d)``.
     """
-    fiber, G = oracle_params(f, grid)
-    if not f.coeffs:
-        return 0.0
-    return SymbolGrid(f.support(), G, f.d, fiber).norm(f.coeffs, f.m)
+    oracle = SymbolGrid(f.support(), oracle_grid(f, grid), f.twist)
+    return oracle.norm(f.coeffs, f.m) if f.coeffs else 0.0
 
 
 def oracle_error_bound(band: int, G: int, d: int) -> float:

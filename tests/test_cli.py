@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +155,34 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
     assert main(["audit", "--manifest", man]) == 2
     err = capsys.readouterr().err
     assert "experiments[0]: n schedule must be strictly increasing" in err
+
+
+@pytest.mark.parametrize("entry, key", [
+    ({"id": "rate", "n_schedule": [0]}, "n_schedule"),
+    ({"id": "isometry", "n_schedule": [5000], "samples": 2}, "n_schedule"),
+    ({"id": "covering-net", "samples": 0}, "samples"),
+    ({"id": "isometry", "n_schedule": [8], "samples": -1}, "samples"),
+    ({"id": "isometry", "n_schedule": [8], "amplifications": []}, "amplifications"),
+    ({"id": "isometry", "n_schedule": [8], "amplifications": [0]}, "amplifications"),
+    ({"id": "bridge-reach", "theta": [1, 2, 3]}, "theta"),
+    ({"id": "bridge-reach", "theta": [1, 0], "n_schedule": [8]}, "theta"),
+], ids=["n-zero", "n-over-cap", "samples-zero", "samples-negative",
+        "amplifications-empty", "amplifications-zero", "theta-triple", "theta-m-zero"])
+def test_cli_rejects_out_of_range_config_with_key_path(tmp_path, capsys, entry, key):
+    out = tmp_path / "rep"
+    man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [entry]})
+    assert main(["all", "--manifest", man]) == 2
+    assert f"error: experiments[0]: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_example_manifest_parses():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "manifest.example.json"
+    man = parse_config(str(path))
+    assert [c.experiment for c in man.experiments] == [
+        "psd-audit", "intertwining", "rate", "isometry", "smoothing-tail",
+        "covering-net", "bridge-reach",
+    ]
 
 
 def test_cli_rejects_non_integer_seed(tmp_path, capsys):

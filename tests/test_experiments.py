@@ -181,7 +181,7 @@ def test_net_sup_distance_equals_full_scan(n, b):
     s = 2 * b + 1
     model = clock_shift(n)
     ks = np.arange(-b, b + 1)
-    grid = SymbolGrid(band_window(b, 1), n, 1)
+    grid = SymbolGrid(band_window(b, 1), n, TwistMatrix.zero(1))
     axis = 0.2 * np.arange(-3, 4)
     mesh = [m.reshape(-1) for m in np.meshgrid(*[axis] * s, indexing="ij")]
     C = np.zeros((len(mesh[0]), s), dtype=complex)

@@ -230,10 +230,12 @@ def test_oracle_rejects_coarse_grid_and_bad_twist():
     irr = TwistMatrix.two_dim(1 / math.sqrt(2))
     with pytest.raises(ValueError):
         sup_norm_oracle(NCPoly.generator(irr, 0))
+    with pytest.raises(ValueError, match="no norm oracle"):
+        SymbolGrid(band_window(1, 2), 64, irr)
 
 
 def test_symbol_grid_rejects_keys_outside_support():
-    grid = SymbolGrid(band_window(1, 2), 64, 2)
+    grid = SymbolGrid(band_window(1, 2), 64, TwistMatrix.zero(2))
     rows = np.ones((1, 9))
     for blocks in ({(2, 0): np.eye(1)}, {(0, 0): np.eye(1), (0, -2): np.eye(1)}):
         with pytest.raises(ValueError, match="outside the grid's support"):
@@ -284,7 +286,8 @@ def test_symbol_grid_matches_direct_sum(d, m, fiber, band, G):
     blocks = {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
               for k in support}
     rows = rng.standard_normal((3, len(support))) if band else np.zeros((0, 1))
-    grid = SymbolGrid(support, G, d, fiber)
+    twist = TwistMatrix.zero(d) if fiber is None else TwistMatrix.rational_2d(*fiber)
+    grid = SymbolGrid(support, G, twist)
     P, X = _direct_sum_grid(support, G, d, fiber, blocks, m)
 
     S = np.tensordot(P, X, axes=(1, 0))
@@ -437,7 +440,7 @@ def test_gradient_psd_assembly_matches_gagro():
     rng = np.random.default_rng(31)
     f = rand_poly(rng, TwistMatrix.zero(1), 4, m=2)
     rows = cocycle_rows_for_coords(heat, f.support())
-    via_stack = SymbolGrid(f.support(), 256, 1).lip_column(f.coeffs, rows, f.m)
+    via_stack = SymbolGrid(f.support(), 256, f.twist).lip_column(f.coeffs, rows, f.m)
     gam = gradient_form(f, f, heat)
     direct = math.sqrt(sup_norm_oracle(gam, grid=256))
     assert via_stack == pytest.approx(direct, rel=1e-10)
