@@ -33,8 +33,6 @@ from .matrixmodel import (
     fourier_coefficients,
     op_norm,
     schatten_norm,
-    model_multiplier,
-    model_semigroup,
 )
 from .lipnorm import (
     LipReport,

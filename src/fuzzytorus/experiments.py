@@ -8,6 +8,7 @@ produce byte-identical reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -20,8 +21,6 @@ from .lattice import (
     MultiplierSpec,
     band_window,
     build_smoothing_multiplier,
-    cocycle_rows_for_coords,
-    gromov_entries_for_coords,
     product_multiplier,
 )
 from .lipnorm import _draw_blocks, _model_gamma, lip_ball_sample, lip_seminorm_on_model
@@ -29,6 +28,7 @@ from .matrixmodel import (
     DIMENSION_CAP,
     MatrixModel,
     ModelElement,
+    admissible_sizes,
     clock_shift,
     embed,
     fourier_coefficients,
@@ -40,6 +40,7 @@ from .ncpoly import (
     SymbolGrid,
     TwistMatrix,
     apply_multiplier,
+    gradient_coeffs,
     gradient_form,
     l2_norm,
     mean_zero,
@@ -129,16 +130,21 @@ class ExperimentConfig:
             raise ValueError("samples: need at least one sample")
         if not self.amplifications or min(self.amplifications) < 1:
             raise ValueError("amplifications: need at least one, each >= 1")
+        if not self.cutoffs:
+            raise ValueError("cutoffs: need at least one cutoff")
+        if self.grid is not None and self.grid < 1:
+            raise ValueError("grid: need a positive grid size")
+        if self.lip_grid < 1:
+            raise ValueError("lip_grid: need a positive grid size")
         if self.theta is not None:
             if len(self.theta) != 2 or self.theta[1] < 1:
                 raise ValueError("theta: expected [p, m] with m >= 1")
             p, m = self.theta
+            if math.gcd(p, m) != 1:
+                raise ValueError("theta: need gcd(p, m) = 1")
             if m > 1:
-                allowed = set()
-                k = m * m
-                while k <= max(ns, default=0):
-                    allowed.add(k)
-                    k *= m
+                top = max(ns, default=0)
+                allowed = set(itertools.takewhile(lambda k: k <= top, admissible_sizes(m)))
                 bad = [n for n in ns if n not in allowed]
                 if bad:
                     raise ValueError(
@@ -275,8 +281,7 @@ def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
     psi_inf = LengthFunction(cfg.psi, (None, None))
     support = band_window(cfg.band, 2)
     oracle = SymbolGrid(support, cfg.grid or 512, tw)
-    lip_oracle = SymbolGrid(support, cfg.lip_grid, tw)
-    lip_rows_inf = cocycle_rows_for_coords(psi_inf, support)
+    lip_oracle = SymbolGrid(band_window(2 * cfg.band, 2), cfg.lip_grid, tw)
 
     draws = []
     for amp in cfg.amplifications:
@@ -290,7 +295,7 @@ def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
     for amp, i, f, _ in draws:
         if amp != cfg.amplifications[0] or i >= cfg.lip_samples:
             continue
-        lip_draws.append((amp, f, max(lip_oracle.lip_column_row(f, lip_rows_inf))))
+        lip_draws.append((amp, f, max(lip_oracle.lip_column_row(f, psi_inf))))
 
     rows = []
     norm_defects = []
@@ -493,14 +498,10 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     grid_n = SymbolGrid(coords, n, tw)
 
     def batch_lip(Cm: np.ndarray, psi: LengthFunction, G: int) -> np.ndarray:
-        # Gamma(f, f) of every row has coefficients sum_x K[x, x+c] conj(f_x) f_{x+c}
-        # at the difference keys c = -2b..2b, as gradient_form forms them
-        K = gromov_entries_for_coords(psi, coords)
-        gam = np.zeros((4 * b + 1, len(Cm)), dtype=complex)
-        for x in range(s):
-            for y in range(s):
-                gam[y - x + 2 * b] += K[x, y] * (Cm[:, x].conj() * Cm[:, y])
-        g_vals = SymbolGrid(band_window(2 * b, 1), G, tw).values(gam).real
+        # ||Gamma(f, f)||^(1/2) of every row f of Cm, by gradient_form's rule
+        stack = Cm.T[:, :, None, None]
+        keys, gam = gradient_coeffs(coords, stack, coords, stack, psi, tw)
+        g_vals = SymbolGrid(keys, G, tw).values(gam[..., 0, 0]).real
         return np.sqrt(np.maximum(g_vals.max(axis=0), 0.0))
 
     norms = np.abs(SymbolGrid(coords, Gf, tw).values(C.T)).max(axis=0)
@@ -561,10 +562,9 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
     tw = _twist_for(cfg)
     psi_inf = LengthFunction(cfg.psi, (None, None))
     psi_coord_inf = LengthFunction(cfg.psi, (None,))
-    support = band_window(cfg.band, 2)
-    support_nz = [c for c in support if any(c)]
-    oracle = SymbolGrid(support, cfg.grid or 128, tw)
-    rows_inf = cocycle_rows_for_coords(psi_inf, support)
+    support_nz = [c for c in band_window(cfg.band, 2) if any(c)]
+    # one grid for the norms of f and for Gamma(f, f), whose keys reach 2 band
+    oracle = SymbolGrid(band_window(2 * cfg.band, 2), cfg.grid or 128, tw)
 
     eps_part = cfg.eps_multiplier if cfg.eps_multiplier is not None else 0.01
     k_val = psi_coord_inf.coord_value(cfg.band)
@@ -576,7 +576,7 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
         for i in range(cfg.samples):
             rng = np.random.default_rng((cfg.seed, 1, amp, i))
             f = NCPoly(tw, amp, _draw_blocks(rng, support_nz, amp))
-            lam = max(oracle.lip_column_row(f, rows_inf))
+            lam = max(oracle.lip_column_row(f, psi_inf))
             if lam <= 1e-9:
                 continue
             a = (1.0 / lam) * f
@@ -616,7 +616,7 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
                 b = (1.0 / ln) * f
                 b_phi = apply_multiplier(b, phi)
                 resid = op_norm(embed(b - b_phi, model))
-                lam = max(oracle.lip_column_row(b_phi, rows_inf))
+                lam = max(oracle.lip_column_row(b_phi, psi_inf))
                 scale = max(1.0, lam)
                 mismatch = abs(oracle.norm(b_phi.coeffs, amp) / scale
                                - op_norm(embed(b_phi, model)))

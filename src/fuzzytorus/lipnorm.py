@@ -1,10 +1,9 @@
 """Lipschitz seminorms from gradient forms, plus Riesz/Sobolev empirical checks.
 
 The seminorm of x is max(||Gamma(x,x)^(1/2)||, ||Gamma(x*,x*)^(1/2)||),
-evaluated either on the symbol side (grid or rational-fiber oracle) or inside
-a concrete matrix model.  Gradient matrices are assembled through the PSD
-cocycle route sum_i D_i* D_i, so the square root never sees a negative
-eigenvalue beyond roundoff.
+evaluated either on the symbol side (Gamma's coefficients from gradient_form,
+then the grid or rational-fiber oracle) or inside a concrete matrix model,
+where Gamma is assembled through the PSD cocycle route sum_i D_i* D_i.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .ncpoly import (
     NCPoly,
     SymbolGrid,
     TwistMatrix,
-    _adjoint_phase,
+    _adjoint_coeffs,
     adjoint,
     gradient_form,
     l2_norm,
@@ -121,25 +120,13 @@ def _sqrt_top(gamma: np.ndarray, order: np.ndarray) -> float:
     return math.sqrt(max(_mats.hermitian_max_eig(gamma[np.ix_(order, order)]), 0.0))
 
 
-def _model_adjoint_blocks(
-    blocks: dict[tuple[int, ...], np.ndarray], model, axes: Sequence[int]
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Coefficients of the matrix adjoint: embed(out) == embed(blocks)^H.
-
-    Uses the model's own phase table, which differs from the symbol twist at
-    finite n (e.g. theta + 1/n on the fuzzy model).
-    """
-    twist = TwistMatrix(model.phase_table[np.ix_(axes, axes)])
-    return {tuple(-c for c in a): _adjoint_phase(a, twist) * b.conj().T
-            for a, b in blocks.items()}
-
-
 def _model_lip(blocks, model, psi: LengthFunction, axes, m: int) -> LipReport:
     """Column and row norms inside the model from the coefficients of x; x*'s
-    coefficients follow from the model's phase table."""
+    coefficients follow from the model's phase table, which differs from the
+    symbol twist at finite n (theta + 1/n on the fuzzy model)."""
     psi_n = _model_psi(psi, model, len(axes))
     order = model.band_order(m)
-    adj_blocks = _model_adjoint_blocks(blocks, model, axes)
+    adj_blocks = _adjoint_coeffs(blocks, TwistMatrix(model.phase_table[np.ix_(axes, axes)]))
     col = _sqrt_top(_model_gamma(blocks, model, psi_n, axes, m), order)
     row = _sqrt_top(_model_gamma(adj_blocks, model, psi_n, axes, m), order)
     return LipReport(column=col, row=row, lip=max(col, row))
@@ -157,12 +144,8 @@ def lip_seminorm(
     the model lattice.
     """
     if isinstance(x, NCPoly):
-        support = sorted(set(x.coeffs) | {tuple(-c for c in k) for k in x.coeffs})
-        oracle = SymbolGrid(support, oracle_grid(x, grid), x.twist)
-        col = row = 0.0
-        if support:
-            rows = cocycle_rows_for_coords(psi, support)
-            col, row = oracle.lip_column_row(x, rows)
+        oracle = SymbolGrid(band_window(2 * x.band, x.d), oracle_grid(x, grid), x.twist)
+        col, row = oracle.lip_column_row(x, psi)
         return LipReport(column=col, row=row, lip=max(col, row))
     axes, blocks = model_coefficients(x)
     return _model_lip(blocks, x.model, psi, axes, x.m)

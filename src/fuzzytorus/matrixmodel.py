@@ -16,12 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _mats
-from .lattice import LengthFunction, MultiplierSpec, band_window, window_range
+from .lattice import band_window, window_range
 from .ncpoly import NCPoly, TwistMatrix
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "fourier_coefficients",
     "op_norm",
     "schatten_norm",
-    "model_multiplier",
-    "model_semigroup",
 ]
 
 RELATION_TOL = 1e-12
@@ -382,27 +380,3 @@ def schatten_norm(x: ModelElement, p: float) -> float:
         raise ValueError("need p >= 1")
     sv = np.linalg.svd(x.matrix, compute_uv=False)
     return float((np.mean(sv**p)) ** (1.0 / p))
-
-
-def _rescale_coeffs(
-    x: ModelElement, scale: Callable[[tuple[int, ...]], complex]
-) -> ModelElement:
-    model = x.model
-    axes, blocks = model_coefficients(x)
-    recon = _kron_sum(model, axes, blocks, x.m)
-    top = max(1.0, _mats.max_abs(x.matrix))
-    if _mats.max_abs(recon - x.matrix) > 1e-8 * top:
-        raise ValueError("element overflows the model's monomial window")
-    scaled = {k: s * b for k, b in blocks.items() if (s := scale(k)) != 0.0}
-    out = _kron_sum(model, axes, scaled, x.m)
-    return ModelElement(model, out, m=x.m, band=x.band, axes=axes)
-
-
-def model_multiplier(x: ModelElement, phi: MultiplierSpec) -> ModelElement:
-    """Extract, scale coefficient-wise by phi, re-embed."""
-    return _rescale_coeffs(x, lambda k: phi.value_at(k))
-
-
-def model_semigroup(x: ModelElement, psi: LengthFunction, t: float) -> ModelElement:
-    """Heat-type semigroup exp(-t psi) on the model's coefficient basis."""
-    return _rescale_coeffs(x, lambda k: np.exp(-t * psi.value(k)))

@@ -37,6 +37,7 @@ __all__ = [
     "apply_multiplier",
     "apply_semigroup",
     "gradient_form",
+    "gradient_coeffs",
     "SymbolGrid",
     "sup_norm_oracle",
     "oracle_error_bound",
@@ -101,24 +102,40 @@ class TwistMatrix:
         )
 
 
-def normal_order_phase(a: Sequence[int], b: Sequence[int], twist: TwistMatrix) -> complex:
-    """Scalar with u^a u^b = phase * u^{a+b}: exp(2 pi i sum_{i>j} a_i b_j theta_ij)."""
-    if len(a) != twist.d or len(b) != twist.d:
+def normal_order_phase(a, b, twist: TwistMatrix):
+    """Scalar with u^a u^b = phase * u^{a+b}: exp(2 pi i sum_{i>j} a_i b_j theta_ij).
+
+    a and b may also be (..., d) integer arrays, which broadcast to an array
+    of phases with the bits of the scalar calls."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape[-1:] != (twist.d,) or b.shape[-1:] != (twist.d,):
         raise ValueError("dimension mismatch with the twist")
-    arg = 0.0
+    arg = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
     for i in range(twist.d):
         for j in range(i):
-            arg += a[i] * b[j] * twist.theta[i, j]
-    return complex(np.exp(2j * np.pi * (arg % 1.0)))
+            arg = arg + a[..., i] * b[..., j] * twist.theta[i, j]
+    phase = np.exp(2j * np.pi * (arg % 1.0))
+    return complex(phase) if phase.ndim == 0 else phase
 
 
-def _adjoint_phase(a: Sequence[int], twist: TwistMatrix) -> complex:
-    """(u^a)* = phase * u^{-a}: exp(-2 pi i sum_{i<j} a_i a_j theta_ij)."""
-    arg = 0.0
+def _adjoint_phase(a, twist: TwistMatrix):
+    """(u^a)* = phase * u^{-a}: exp(-2 pi i sum_{i<j} a_i a_j theta_ij), for one
+    key or a (..., d) array of keys."""
+    a = np.asarray(a)
+    arg = np.zeros(a.shape[:-1])
     for i in range(twist.d):
         for j in range(i + 1, twist.d):
-            arg += a[i] * a[j] * twist.theta[i, j]
-    return complex(np.exp(-2j * np.pi * (arg % 1.0)))
+            arg = arg + a[..., i] * a[..., j] * twist.theta[i, j]
+    phase = np.exp(-2j * np.pi * (arg % 1.0))
+    return complex(phase) if phase.ndim == 0 else phase
+
+
+def _adjoint_coeffs(blocks: dict, twist: TwistMatrix) -> dict:
+    """Coefficients of the adjoint under twist: the block at -a is
+    adjoint-phase(a) times the conjugate transpose of the block at a."""
+    phases = _adjoint_phase(np.array(list(blocks), dtype=np.intp).reshape(-1, twist.d), twist)
+    return {tuple(-c for c in a): p * b.conj().T
+            for (a, b), p in zip(blocks.items(), phases)}
 
 
 class NCPoly:
@@ -242,11 +259,7 @@ def multiply(f: NCPoly, g: NCPoly) -> NCPoly:
 
 def adjoint(f: NCPoly) -> NCPoly:
     """Involution: block at -a is adjoint-phase(a) times the conjugate transpose."""
-    out = {
-        tuple(-c for c in a): _adjoint_phase(a, f.twist) * b.conj().T
-        for a, b in f.coeffs.items()
-    }
-    return NCPoly(f.twist, f.m, out)
+    return NCPoly(f.twist, f.m, _adjoint_coeffs(f.coeffs, f.twist))
 
 
 def project(f: NCPoly, mask: Callable[[Sequence[int]], bool]) -> NCPoly:
@@ -279,35 +292,58 @@ def apply_semigroup(f: NCPoly, psi: LengthFunction, t: float) -> NCPoly:
     return f.scale_coeffs(lambda k: math.exp(-t * psi.value(k)))
 
 
+def gradient_coeffs(
+    xs: list[tuple[int, ...]], F: np.ndarray, ys: list[tuple[int, ...]], G: np.ndarray,
+    psi: LengthFunction, twist: TwistMatrix,
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Carre du champ rule: the coefficients of Gamma(f, g), the sum over x, y
+    of K(x,y) (u^x)* fhat(x)* ghat(y) u^y, from stacks F of f's blocks over the
+    keys xs and G of g's blocks over ys, shape (S, ..., m, m); the middle axes
+    batch many elements.
+
+    Returns the keys y - x in order of first occurrence over the pairs with
+    K(x,y) != 0, x outer, and their blocks; each key adds its terms in that
+    order (one x at a time, all of its y at once).
+    """
+    if psi.dim != twist.d:
+        raise ValueError("length function dimension mismatch")
+    shape = np.broadcast_shapes(F.shape[1:], G.shape[1:])
+    if not xs or not ys:
+        return [], np.zeros((0,) + shape, dtype=complex)
+    both = xs + [y for y in ys if y not in set(xs)]
+    pos = {k: i for i, k in enumerate(both)}
+    K = gromov_entries_for_coords(psi, both)[np.ix_([pos[x] for x in xs], [pos[y] for y in ys])]
+    X, Y = np.array(xs).reshape(-1, twist.d), np.array(ys).reshape(-1, twist.d)
+    live = K != 0.0
+    pairs = (Y[None, :, :] - X[:, None, :])[live]  # x outer, y inner
+    keys, first, inv = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    slot = np.zeros(K.shape, dtype=np.intp)
+    slot[live] = np.argsort(order)[inv.reshape(-1)]
+    w = K * (_adjoint_phase(X, twist)[:, None] * normal_order_phase(-X[:, None], Y, twist))
+    out = np.zeros((len(keys),) + shape, dtype=complex)
+    for i in range(len(X)):
+        (js,) = np.nonzero(live[i])
+        terms = np.swapaxes(F[i].conj(), -1, -2) @ G[js]
+        terms *= w[i, js].reshape((-1,) + (1,) * len(shape))
+        out[slot[i, js]] += terms
+    return [tuple(int(c) for c in k) for k in keys[order]], out
+
+
+def _stack(f: NCPoly) -> np.ndarray:
+    return np.array([f.coeffs[k] for k in f.support()]).reshape(-1, f.m, f.m)
+
+
 def gradient_form(f: NCPoly, g: NCPoly, psi: LengthFunction) -> NCPoly:
-    """Carre du champ: sum_{x,y} fhat(x)* K(x,y) ghat(y) at monomial u^{y-x}.
+    """Carre du champ Gamma(f, g) as a polynomial (gradient_coeffs over the
+    supports of f and g).
 
     The normal-ordering phase of (u^x)* u^y is included, so embedding the
     result into any compatible matrix model matches the model-side gradient.
     """
     f._require_compatible(g)
-    if psi.dim != f.d:
-        raise ValueError("length function dimension mismatch")
-    xs = f.support()
-    ys = g.support()
-    if not xs or not ys:
-        return NCPoly.zero(f.twist, f.m)
-    both = xs + [y for y in ys if y not in set(xs)]
-    K = gromov_entries_for_coords(psi, both)
-    pos = {k: i for i, k in enumerate(both)}
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    for x in xs:
-        fx = f.coeffs[x].conj().T
-        ax = _adjoint_phase(x, f.twist)
-        negx = tuple(-c for c in x)
-        for y in ys:
-            w = K[pos[x], pos[y]]
-            if w == 0.0:
-                continue
-            c = tuple(b - a for a, b in zip(x, y))
-            phase = ax * normal_order_phase(negx, y, f.twist)
-            out[c] = out.get(c, 0) + (w * phase) * (fx @ g.coeffs[y])
-    return NCPoly(f.twist, f.m, out)
+    keys, gam = gradient_coeffs(f.support(), _stack(f), g.support(), _stack(g), psi, f.twist)
+    return NCPoly(f.twist, f.m, dict(zip(keys, gam)))
 
 
 # -- sup-norm oracles -------------------------------------------------------
@@ -365,27 +401,21 @@ class SymbolGrid:
         S = self.values(self._lift(blocks, m))
         return float(_mats.batched_sigma_max(S).max())
 
-    def lip_column(
-        self,
-        blocks: dict[tuple[int, ...], np.ndarray],
-        rows: np.ndarray,
-        m: int = 1,
-    ) -> float:
-        """||Gamma^(1/2)|| from precomputed cocycle rows over this support.
-
-        Rows of the cocycle factor give D_i = sum_a rows[i, a] fhat(a) u^a and
-        Gamma = sum_i D_i* D_i, so its top eigenvalue is taken pointwise.
-        """
-        X = self._lift(blocks, m)
-        D = self.values(np.einsum("rs,sij->srij", rows, X))  # (grid, r, mm, mm)
-        H = np.einsum("trki,trkj->tij", D.conj(), D)
+    def lip_column(self, gam: dict[tuple[int, ...], np.ndarray]) -> float:
+        """||Gamma^(1/2)|| from the coefficients of Gamma = Gamma(f, f): the top
+        eigenvalue of its symbol, pointwise on the grid."""
+        if not gam:
+            return 0.0
+        H = self.values(self._lift(gam, len(next(iter(gam.values())))))
         return float(np.sqrt(max(_mats.batched_max_eig(H).max(), 0.0)))
 
-    def lip_column_row(self, f: NCPoly, rows: np.ndarray) -> tuple[float, float]:
-        """Column and row gradient norms of f, whose support and adjoint's
-        support lie in this grid's support."""
-        return (self.lip_column(f.coeffs, rows, f.m),
-                self.lip_column(adjoint(f).coeffs, rows, f.m))
+    def lip_column_row(self, f: NCPoly, psi: LengthFunction) -> tuple[float, float]:
+        """Column and row gradient norms of f, from Gamma(f, f) and Gamma(f*, f*),
+        whose keys must lie in this grid's support (band_window(2 band, d) for
+        f of that band)."""
+        fs = adjoint(f)
+        return (self.lip_column(gradient_form(f, f, psi).coeffs),
+                self.lip_column(gradient_form(fs, fs, psi).coeffs))
 
 
 def _default_grid(band: int) -> int:

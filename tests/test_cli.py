@@ -166,8 +166,13 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
     ({"id": "isometry", "n_schedule": [8], "amplifications": [0]}, "amplifications"),
     ({"id": "bridge-reach", "theta": [1, 2, 3]}, "theta"),
     ({"id": "bridge-reach", "theta": [1, 0], "n_schedule": [8]}, "theta"),
+    ({"id": "bridge-reach", "theta": [0, 2], "n_schedule": [8], "samples": 1}, "theta"),
+    ({"id": "smoothing-tail", "n_schedule": [64], "samples": 2, "cutoffs": []}, "cutoffs"),
+    ({"id": "isometry", "n_schedule": [8], "samples": 2, "grid": 0}, "grid"),
+    ({"id": "isometry", "n_schedule": [8], "samples": 2, "lip_grid": 0}, "lip_grid"),
 ], ids=["n-zero", "n-over-cap", "samples-zero", "samples-negative",
-        "amplifications-empty", "amplifications-zero", "theta-triple", "theta-m-zero"])
+        "amplifications-empty", "amplifications-zero", "theta-triple", "theta-m-zero",
+        "theta-gcd", "cutoffs-empty", "grid-zero", "lip-grid-zero"])
 def test_cli_rejects_out_of_range_config_with_key_path(tmp_path, capsys, entry, key):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [entry]})

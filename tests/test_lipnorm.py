@@ -125,12 +125,12 @@ def test_model_paths_agree_and_adjoint_is_matrix_adjoint():
             assert via_poly.column == pytest.approx(via_extract.column, rel=1e-10)
             assert via_poly.row == pytest.approx(via_extract.row, rel=1e-10)
 
-            from fuzzytorus.lipnorm import _model_adjoint_blocks
             from fuzzytorus.matrixmodel import _embed_axes
+            from fuzzytorus.ncpoly import _adjoint_coeffs
 
             axes = _embed_axes(f, model)
-            adj = NCPoly(tw, m, _model_adjoint_blocks(f.coeffs, model, axes),
-                         prune=False)
+            twist = TwistMatrix(model.phase_table[np.ix_(axes, axes)])
+            adj = NCPoly(tw, m, _adjoint_coeffs(f.coeffs, twist), prune=False)
             assert np.abs(
                 embed(adj, model).matrix - embed(f, model).matrix.conj().T
             ).max() <= 1e-12

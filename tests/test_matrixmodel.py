@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fuzzytorus import _mats
-from fuzzytorus.lattice import LengthFunction, build_smoothing_multiplier, product_multiplier
+from fuzzytorus.lattice import LengthFunction
 from fuzzytorus.matrixmodel import (
     MatrixModel,
     ModelElement,
@@ -15,11 +15,10 @@ from fuzzytorus.matrixmodel import (
     fourier_coefficients,
     fuzzy_generators,
     higher_dim_generators,
-    model_multiplier,
-    model_semigroup,
     op_norm,
     schatten_norm,
 )
+from fuzzytorus.lipnorm import lip_seminorm
 from fuzzytorus.ncpoly import NCPoly, TwistMatrix, adjoint, multiply, sup_norm_oracle
 
 
@@ -396,65 +395,15 @@ def test_fuzzy_norm_converges_to_fiber_value():
     assert prev <= 0.05
 
 
-# -- multiplier transport ------------------------------------------------------
-
-
-def test_model_multiplier_matches_symbol_side():
-    n = 16
-    model = clock_shift(n)
-    heat = LengthFunction.heat((n,))
-    part = build_smoothing_multiplier(heat, 1.0, 0.3)
-    phi = product_multiplier([part, part])
-    rng = np.random.default_rng(19)
-    f = rand_poly(rng, TwistMatrix.zero(2), 3)
-    from fuzzytorus.ncpoly import apply_multiplier
-
-    lhs = model_multiplier(embed(f, model), phi).matrix
-    rhs = embed(apply_multiplier(f, phi), model).matrix
-    assert np.abs(lhs - rhs).max() <= 1e-10
-
-    heat2 = LengthFunction.heat((n, n))
-    lhs = model_semigroup(embed(f, model), heat2, 0.4).matrix
-    from fuzzytorus.ncpoly import apply_semigroup
-
-    rhs = embed(apply_semigroup(f, heat2, 0.4), model).matrix
-    assert np.abs(lhs - rhs).max() <= 1e-10
-
-
-def test_model_multiplier_zeroes_tail_and_identity():
-    n = 16
-    model = clock_shift(n)
-    heat = LengthFunction.heat((n,))
-    part = build_smoothing_multiplier(heat, 1.0, 0.3)
-    phi = product_multiplier([part, part])
-    f = NCPoly.monomial(TwistMatrix.zero(2), (7, 7))
-    assert heat.value((7,)) * 2 > phi.band
-    y = model_multiplier(embed(f, model), phi)
-    assert np.abs(y.matrix).max() <= 1e-12
-
-    ident = {
-        (j, k): 1.0
-        for j in range(-(n // 2 - 1), n // 2 + 1)
-        for k in range(-(n // 2 - 1), n // 2 + 1)
-    }
-    from fuzzytorus.lattice import MultiplierSpec
-
-    one = MultiplierSpec(ident, (n, n), math.inf, 0, 0.1, 1.0, 0.0, "one")
-    rng = np.random.default_rng(23)
-    g = rand_poly(rng, TwistMatrix.zero(2), 3)
-    e = embed(g, model)
-    assert np.abs(model_multiplier(e, one).matrix - e.matrix).max() <= 1e-10
+# -- coefficient extraction ----------------------------------------------------
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_model_multiplier_any_memory_layout(m):
-    # the adjoint view conj().T is Fortran-ordered; rescaling must not depend
-    # on the input's memory layout
+def test_extraction_any_memory_layout(m):
+    # the adjoint view conj().T is Fortran-ordered; coefficient extraction
+    # must not depend on the input's memory layout
     n = 16
     model = clock_shift(n)
-    heat = LengthFunction.heat((n,))
-    part = build_smoothing_multiplier(heat, 1.0, 0.3)
-    phi = product_multiplier([part, part])
     heat2 = LengthFunction.heat((n, n))
     rng = np.random.default_rng(37)
     f = rand_poly(rng, TwistMatrix.zero(2), 3, m=m)
@@ -463,24 +412,8 @@ def test_model_multiplier_any_memory_layout(m):
     xs = ModelElement(model, adj, m=m, band=x.band, axes=x.axes)
     xc = ModelElement(model, np.ascontiguousarray(adj), m=m, band=x.band, axes=x.axes)
     assert not xs.matrix.flags.c_contiguous
-    lhs = model_multiplier(xs, phi).matrix
-    rhs = model_multiplier(xc, phi).matrix
-    assert np.abs(rhs).max() > 0.1
-    assert np.array_equal(lhs, rhs)
-    lhs = model_semigroup(xs, heat2, 0.4).matrix
-    rhs = model_semigroup(xc, heat2, 0.4).matrix
-    assert np.abs(rhs).max() > 0.1
-    assert np.array_equal(lhs, rhs)
-    # phi is real and even, so it commutes with the adjoint
-    y = model_multiplier(x, phi).matrix.conj().T
-    assert np.abs(y - model_multiplier(xs, phi).matrix).max() <= 1e-10
-
-
-def test_model_multiplier_rejects_window_overflow():
-    # a generic matrix is outside the span of the fuzzy window monomials
-    fz = fuzzy_generators(1, 2, 4)
-    rng = np.random.default_rng(31)
-    bad = ModelElement(fz, rng.standard_normal((8, 8)) + 0j)
-    heat = LengthFunction.heat((4, 4))
-    with pytest.raises(ValueError, match="overflows"):
-        model_semigroup(bad, heat, 0.1)
+    lhs, rhs = fourier_coefficients(xs, 3), fourier_coefficients(xc, 3)
+    assert list(lhs.coeffs) == list(rhs.coeffs)
+    assert all(np.array_equal(lhs.coeffs[k], rhs.coeffs[k]) for k in rhs.coeffs)
+    assert max(_mats.max_abs(b) for b in rhs.coeffs.values()) > 0.1
+    assert lip_seminorm(xs, heat2) == lip_seminorm(xc, heat2)

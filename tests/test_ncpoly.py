@@ -12,15 +12,18 @@ from fuzzytorus.lattice import (
     band_window,
     build_smoothing_multiplier,
     cocycle_rows_for_coords,
+    gromov_entries_for_coords,
 )
 from fuzzytorus.ncpoly import (
     PRUNE_REL,
     NCPoly,
     SymbolGrid,
     TwistMatrix,
+    _adjoint_phase,
     adjoint,
     apply_multiplier,
     apply_semigroup,
+    gradient_coeffs,
     gradient_form,
     l2_norm,
     mean_zero,
@@ -80,6 +83,18 @@ def test_normal_order_phase_examples():
     assert normal_order_phase((1, 0), (0, 1), t) == pytest.approx(1.0)
     z = TwistMatrix.zero(2)
     assert normal_order_phase((3, -2), (5, 7), z) == pytest.approx(1.0)
+
+
+def test_phases_of_key_arrays_have_the_scalar_bits():
+    rng = np.random.default_rng(47)
+    for t in (TwistMatrix.two_dim(0.31), TwistMatrix.rational_2d(2, 5)):
+        a = rng.integers(-9, 10, size=(6, 2))
+        b = rng.integers(-9, 10, size=(5, 2))
+        got = normal_order_phase(a[:, None], b[None], t)
+        assert got.shape == (6, 5)
+        assert all(got[i, j] == normal_order_phase(tuple(a[i]), tuple(b[j]), t)
+                   for i in range(6) for j in range(5))
+        assert all(p == _adjoint_phase(tuple(k), t) for p, k in zip(_adjoint_phase(a, t), a))
 
 
 def test_phase_dimension_mismatch():
@@ -236,12 +251,11 @@ def test_oracle_rejects_coarse_grid_and_bad_twist():
 
 def test_symbol_grid_rejects_keys_outside_support():
     grid = SymbolGrid(band_window(1, 2), 64, TwistMatrix.zero(2))
-    rows = np.ones((1, 9))
     for blocks in ({(2, 0): np.eye(1)}, {(0, 0): np.eye(1), (0, -2): np.eye(1)}):
         with pytest.raises(ValueError, match="outside the grid's support"):
             grid.norm(blocks)
         with pytest.raises(ValueError, match="outside the grid's support"):
-            grid.lip_column(blocks, rows)
+            grid.lip_column(blocks)
     assert grid.norm({(1, -1): 3.0 * np.eye(1)}) == pytest.approx(3.0)
 
 
@@ -267,6 +281,17 @@ def _direct_sum_grid(support, G, d, fiber, blocks, m):
     return P, X
 
 
+def _cocycle_lip_column(support, G, d, fiber, blocks, m, psi):
+    """Reference ||Gamma(f, f)^(1/2)|| on the grid by the cocycle rows of psi
+    over f's support: D_i = sum_a rows[i, a] fhat(a) u^a as symbols, then the
+    top eigenvalue of sum_i D_i* D_i at each grid point."""
+    P, X = _direct_sum_grid(support, G, d, fiber, blocks, m)
+    rows = cocycle_rows_for_coords(psi, support)
+    D = np.tensordot(P, np.einsum("rs,sij->rsij", rows, X), axes=(1, 1))
+    H = np.einsum("trki,trkj->tij", D.conj(), D)
+    return float(np.sqrt(max(_mats.batched_max_eig(H).max(initial=0.0), 0.0)))
+
+
 @pytest.mark.parametrize(
     "d, m, fiber, band, G",
     [
@@ -277,7 +302,7 @@ def _direct_sum_grid(support, G, d, fiber, blocks, m):
         (2, 1, (1, 2), 2, 8),
         (2, 2, (2, 5), 2, 7),
         (2, 1, (2, 5), 2, 3),
-        (2, 2, (1, 2), 0, 6),  # constant element, no cocycle rows
+        (2, 2, (1, 2), 0, 6),  # constant element: Gamma = 0, no cocycle rows
     ],
 )
 def test_symbol_grid_matches_direct_sum(d, m, fiber, band, G):
@@ -285,7 +310,6 @@ def test_symbol_grid_matches_direct_sum(d, m, fiber, band, G):
     support = band_window(band, d)
     blocks = {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
               for k in support}
-    rows = rng.standard_normal((3, len(support))) if band else np.zeros((0, 1))
     twist = TwistMatrix.zero(d) if fiber is None else TwistMatrix.rational_2d(*fiber)
     grid = SymbolGrid(support, G, twist)
     P, X = _direct_sum_grid(support, G, d, fiber, blocks, m)
@@ -295,10 +319,12 @@ def test_symbol_grid_matches_direct_sum(d, m, fiber, band, G):
     norm = float(_mats.batched_sigma_max(S).max())
     assert grid.norm(blocks, m) == pytest.approx(norm, rel=1e-13, abs=0)
 
-    D = np.tensordot(P, np.einsum("rs,sij->rsij", rows, X), axes=(1, 1))
-    H = np.einsum("trki,trkj->tij", D.conj(), D)
-    lip = float(np.sqrt(max(_mats.batched_max_eig(H).max(initial=0.0), 0.0)))
-    assert grid.lip_column(blocks, rows, m) == pytest.approx(lip, rel=1e-13, abs=0)
+    psi = LengthFunction.heat((None,) * d)
+    f = NCPoly(twist, m, blocks)
+    gam = gradient_form(f, f, psi)
+    lip = _cocycle_lip_column(support, G, d, fiber, blocks, m, psi)
+    lip_grid = SymbolGrid(band_window(2 * band, d), G, twist)
+    assert lip_grid.lip_column(gam.coeffs) == pytest.approx(lip, rel=1e-13, abs=0)
 
 
 def test_oracle_error_bound_decreases():
@@ -439,11 +465,66 @@ def test_gradient_psd_assembly_matches_gagro():
     heat = LengthFunction.heat((None,))
     rng = np.random.default_rng(31)
     f = rand_poly(rng, TwistMatrix.zero(1), 4, m=2)
-    rows = cocycle_rows_for_coords(heat, f.support())
-    via_stack = SymbolGrid(f.support(), 256, f.twist).lip_column(f.coeffs, rows, f.m)
+    via_rows = _cocycle_lip_column(f.support(), 256, 1, None, f.coeffs, f.m, heat)
     gam = gradient_form(f, f, heat)
-    direct = math.sqrt(sup_norm_oracle(gam, grid=256))
-    assert via_stack == pytest.approx(direct, rel=1e-10)
+    assert SymbolGrid(band_window(8, 1), 256, f.twist).lip_column(gam.coeffs) == pytest.approx(
+        via_rows, rel=1e-13)
+    assert math.sqrt(sup_norm_oracle(gam, grid=256)) == pytest.approx(via_rows, rel=1e-10)
+
+
+def _gradient_form_loop(f, g, psi):
+    """The scalar loop over pairs (x, y) that gradient_coeffs vectorizes over
+    y, kept as its bitwise reference."""
+    xs, ys = f.support(), g.support()
+    both = xs + [y for y in ys if y not in set(xs)]
+    K = gromov_entries_for_coords(psi, both)
+    pos = {k: i for i, k in enumerate(both)}
+    out = {}
+    for x in xs:
+        fx = f.coeffs[x].conj().T
+        ax = _adjoint_phase(x, f.twist)
+        negx = tuple(-c for c in x)
+        for y in ys:
+            w = K[pos[x], pos[y]]
+            if w == 0.0:
+                continue
+            c = tuple(b - a for a, b in zip(x, y))
+            phase = ax * normal_order_phase(negx, y, f.twist)
+            out[c] = out.get(c, 0) + (w * phase) * (fx @ g.coeffs[y])
+    return NCPoly(f.twist, f.m, out)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+def test_gradient_form_is_bitwise_the_scalar_loop(d, m):
+    # zero twist: keys, key order and every block bit are the loop's
+    rng = np.random.default_rng((43, d, m))
+    tw = TwistMatrix.zero(d)
+    f = rand_poly(rng, tw, 2, m=m)
+    g = project(rand_poly(rng, tw, 3, m=m), lambda k: k[0] != 1)
+    for psi in (LengthFunction.heat((None,) * d), LengthFunction.heat((16,) * d),
+                LengthFunction.word((16,) * d)):
+        for a, b in ((f, f), (f, g), (g, f)):
+            got, ref = gradient_form(a, b, psi), _gradient_form_loop(a, b, psi)
+            assert list(got.coeffs) == list(ref.coeffs)
+            assert all(np.array_equal(got.coeffs[k], ref.coeffs[k]) for k in ref.coeffs)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_gradient_coeffs_batches_elements(m):
+    # a (S, B, m, m) stack gives each element's gradient_form blocks bitwise
+    rng = np.random.default_rng((53, m))
+    heat = LengthFunction.heat((None,))
+    tw = TwistMatrix.zero(1)
+    polys = [rand_poly(rng, tw, 2, m=m) for _ in range(4)]
+    xs = polys[0].support()
+    stack = np.stack([[p.coeffs[k] for p in polys] for k in xs])
+    keys, gam = gradient_coeffs(xs, stack, xs, stack, heat, tw)
+    assert gam.shape == (len(keys), 4, m, m)
+    for i, p in enumerate(polys):
+        ref = gradient_form(p, p, heat).coeffs
+        assert keys == list(ref)
+        assert all(np.array_equal(gam[j, i], ref[k]) for j, k in enumerate(keys))
 
 
 # -- normal form uniqueness / serialization ----------------------------------
