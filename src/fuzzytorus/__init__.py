@@ -6,7 +6,6 @@ from .lattice import (
     check_conditionally_negative,
     build_smoothing_multiplier,
     product_multiplier,
-    band_mask,
 )
 from .ncpoly import (
     TwistMatrix,
@@ -18,7 +17,6 @@ from .ncpoly import (
     mean_zero,
     l2_norm,
     apply_multiplier,
-    apply_semigroup,
     gradient_form,
     sup_norm_oracle,
 )
@@ -38,7 +36,6 @@ from .lipnorm import (
     LipReport,
     lip_seminorm,
     riesz_check,
-    sobolev_constant,
     lip_ball_sample,
 )
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import _mats
 from .lattice import (
+    _KINDS,
     LengthFunction,
     MultiplierSpec,
     band_window,
@@ -128,6 +129,18 @@ class ExperimentConfig:
             raise ValueError("n schedule must be strictly increasing")
         if self.samples < 1:
             raise ValueError("samples: need at least one sample")
+        if self.lip_samples < 1:
+            raise ValueError("lip_samples: need at least one sample")
+        if self.psi not in _KINDS:
+            raise ValueError(f"psi: unknown length kind {self.psi!r}; expected one of {_KINDS}")
+        if self.band < 0:
+            raise ValueError("band: need band >= 0")
+        if self.sample_band < 0:
+            raise ValueError("sample_band: need sample_band >= 0")
+        if self.R < 0:
+            raise ValueError("R: need R >= 0")
+        if not self.eps > 0:
+            raise ValueError("eps: need eps > 0")
         if not self.amplifications or min(self.amplifications) < 1:
             raise ValueError("amplifications: need at least one, each >= 1")
         if not self.cutoffs:
@@ -518,10 +531,7 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
 
     k_val = psi_n.coord_value(1)
     phi = build_smoothing_multiplier(psi_n, k_val, eps)
-    samples = lip_ball_sample(
-        R, b, 1, cfg.samples, cfg.seed, psi=psi_n, twist=tw, model=model,
-        selfadjoint=True,
-    )
+    samples = lip_ball_sample(R, b, cfg.samples, cfg.seed, psi_n, tw, model)
     radius = 0.0
     covered = 0
     resid = 0.0

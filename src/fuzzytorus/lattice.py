@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "cocycle_rows_for_coords",
     "build_smoothing_multiplier",
     "product_multiplier",
-    "band_mask",
 ]
 
 
@@ -51,9 +50,8 @@ def band_window(band: int, d: int) -> list[tuple[int, ...]]:
 WORD = "word"
 HEAT = "heat"
 NAIVE_SQUARE = "naive_square"
-CUSTOM = "custom"
 
-_KINDS = (WORD, HEAT, NAIVE_SQUARE, CUSTOM)
+_KINDS = (WORD, HEAT, NAIVE_SQUARE)
 
 
 @dataclass(frozen=True)
@@ -66,18 +64,14 @@ class LengthFunction:
     * heat:  (n^2 / 2 pi^2) (1 - cos(2 pi k / n)), or k^2 for n=None
     * naive_square: (canonical k)^2 even at finite n -- deliberately NOT
       conditionally negative, kept so the PSD audit has a failing case
-    * custom: user-supplied per-coordinate callables on canonical ints
     """
 
     kind: str
     moduli: tuple[Optional[int], ...]
-    custom_fns: tuple[Callable[[int], float], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown length kind {self.kind!r}")
-        if self.kind == CUSTOM and len(self.custom_fns) != len(self.moduli):
-            raise ValueError("custom length needs one callable per coordinate")
 
     @classmethod
     def word(cls, moduli: Sequence[Optional[int]]) -> "LengthFunction":
@@ -91,17 +85,13 @@ class LengthFunction:
     def naive_square(cls, moduli: Sequence[Optional[int]]) -> "LengthFunction":
         return cls(NAIVE_SQUARE, tuple(moduli))
 
-    @classmethod
-    def custom(cls, moduli, fns) -> "LengthFunction":
-        return cls(CUSTOM, tuple(moduli), tuple(fns))
-
     @property
     def dim(self) -> int:
         return len(self.moduli)
 
     def with_moduli(self, moduli: Sequence[Optional[int]]) -> "LengthFunction":
         """Same family of lengths transported to another modulus tuple."""
-        return LengthFunction(self.kind, tuple(moduli), self.custom_fns)
+        return LengthFunction(self.kind, tuple(moduli))
 
     def coord_value(self, k: int, axis: int = 0) -> float:
         return float(self.coord_values(k, axis))
@@ -122,9 +112,7 @@ class LengthFunction:
             if n is None:
                 return ks.astype(float) ** 2
             return (n * n / (2 * math.pi**2)) * (1.0 - np.cos(2 * math.pi * ks / n))
-        if self.kind == NAIVE_SQUARE:
-            return ks.astype(float) ** 2
-        return np.vectorize(self.custom_fns[axis], otypes=[float])(ks)
+        return ks.astype(float) ** 2  # naive_square
 
     def value(self, coords: Sequence[int]) -> float:
         if len(coords) != self.dim:
@@ -138,14 +126,6 @@ class LengthFunction:
         for axis in range(self.dim):
             out += self.coord_values(coords[..., axis], axis)
         return out
-
-    def describe(self) -> str:
-        mods = ",".join("inf" if n is None else str(n) for n in self.moduli)
-        return f"{self.kind}[{mods}]"
-
-    def serialize(self) -> str:
-        mods = " ".join("inf" if n is None else str(n) for n in self.moduli)
-        return f"kind {self.kind}\nmoduli {mods}\n"
 
 
 def gromov_entries_for_coords(
@@ -202,18 +182,15 @@ def check_conditionally_negative(
     return witness >= -tol, witness
 
 
-def cocycle_rows_for_coords(
-    psi: LengthFunction, coords: Sequence[Sequence[int]], tol: Optional[float] = None
-) -> np.ndarray:
+def cocycle_rows_for_coords(psi: LengthFunction, coords: Sequence[Sequence[int]]) -> np.ndarray:
     """Eigen-based factor rows G (r x s) with G^T G = K, the Gromov form over
     raw coordinates.
 
-    Eigenvalues in [-tol, tol] are treated as zero; anything below -tol means
-    K is not admissible and raises.
+    Eigenvalues in [-tol, tol], tol = psd_tolerance(K), are treated as zero;
+    anything below -tol means K is not admissible and raises.
     """
     K = gromov_entries_for_coords(psi, coords)
-    if tol is None:
-        tol = psd_tolerance(K)
+    tol = psd_tolerance(K)
     eigs, vecs = np.linalg.eigh(K)
     if eigs.min() < -tol:
         raise ValueError(f"Gromov matrix is not PSD within tol: min eig {eigs.min()}")
@@ -226,41 +203,19 @@ class MultiplierSpec:
     """Finitely supported Fourier multiplier symbol phi on a product lattice.
 
     ``values`` maps canonical coordinate tuples to phi(g); absent keys are 0.
-    ``band`` is the length cutoff m (support lies in {psi <= m}), ``cutoff``
-    the low-length level k on which |phi - 1| <= eps, ``alpha`` the decay
-    scale, ``tail`` the certified window tail sum (which bounds the cb-norm
-    defect of the truncation).
+    ``band`` is the length cutoff m (support lies in {psi <= m}) and ``tail``
+    the certified window tail sum (which bounds the cb-norm defect of the
+    truncation).
     """
 
     values: dict[tuple[int, ...], complex]
     moduli: tuple[Optional[int], ...]
     band: float
-    cutoff: float
-    eps: float
-    alpha: float
     tail: float
-    psi_descr: str
 
     def value_at(self, coords: Sequence[int]) -> complex:
         key = tuple(canonical_rep(c, n) for c, n in zip(coords, self.moduli))
         return self.values.get(key, 0.0)
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.values.keys())
-
-    def serialize(self) -> str:
-        lines = [
-            f"psi {self.psi_descr}",
-            f"cutoff {self.cutoff!r}",
-            f"band {self.band!r}",
-            f"eps {self.eps!r}",
-            f"alpha {self.alpha!r}",
-            f"tail {self.tail!r}",
-        ]
-        for key in self.support():
-            v = complex(self.values[key])
-            lines.append(" ".join(map(str, key)) + f" {v.real!r} {v.imag!r}")
-        return "\n".join(lines) + "\n"
 
 
 def _min_alpha(k: float, eps: float) -> float:
@@ -327,16 +282,7 @@ def build_smoothing_multiplier(
     values = {
         tuple(p): float(w) for p, v, w in zip(pts, vals, weights) if v <= band
     }
-    return MultiplierSpec(
-        values=values,
-        moduli=psi.moduli,
-        band=band,
-        cutoff=float(k),
-        eps=eps,
-        alpha=alpha,
-        tail=tail,
-        psi_descr=psi.describe(),
-    )
+    return MultiplierSpec(values=values, moduli=psi.moduli, band=band, tail=tail)
 
 
 def product_multiplier(parts: Sequence[MultiplierSpec]) -> MultiplierSpec:
@@ -352,38 +298,6 @@ def product_multiplier(parts: Sequence[MultiplierSpec]) -> MultiplierSpec:
         values=values,
         moduli=tuple(p.moduli[0] for p in parts),
         band=sum(p.band for p in parts),
-        cutoff=min(p.cutoff for p in parts),
-        eps=1.0 - np.prod([1.0 - p.eps for p in parts]),
-        alpha=min(p.alpha for p in parts),
         tail=float(sum(p.tail for p in parts)),
-        psi_descr=" x ".join(p.psi_descr for p in parts),
     )
 
-
-LOW_BAND = "low_band"
-TAIL = "tail"
-MEAN_ZERO = "mean_zero"
-
-
-def band_mask(
-    kind: str,
-    k: int = 0,
-    modulus: Optional[int] = None,
-    dim: int = 1,
-    axis: int = 0,
-) -> Callable[[Sequence[int]], bool]:
-    """Index predicates: P_k (max-coordinate band), Q_k (tail on one axis),
-    and the mean-zero mask dropping only the origin."""
-    if kind in (LOW_BAND, TAIL) and modulus is not None and modulus <= 2 * k:
-        raise ValueError("need modulus > 2k for a well-defined band")
-
-    def _canon_abs(c: int) -> int:
-        return abs(canonical_rep(c, modulus))
-
-    if kind == LOW_BAND:
-        return lambda coords: all(_canon_abs(c) <= k for c in coords)
-    if kind == TAIL:
-        return lambda coords: _canon_abs(coords[axis]) > k
-    if kind == MEAN_ZERO:
-        return lambda coords: any(c != 0 for c in coords)
-    raise ValueError(f"unknown mask kind {kind!r}")

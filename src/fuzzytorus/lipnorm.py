@@ -1,4 +1,4 @@
-"""Lipschitz seminorms from gradient forms, plus Riesz/Sobolev empirical checks.
+"""Lipschitz seminorms from gradient forms, plus the Riesz empirical check.
 
 The seminorm of x is max(||Gamma(x,x)^(1/2)||, ||Gamma(x*,x*)^(1/2)||),
 evaluated either on the symbol side (Gamma's coefficients from gradient_form,
@@ -11,20 +11,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import _mats
 from .lattice import LengthFunction, band_window, cocycle_rows_for_coords
-from .matrixmodel import (
-    ModelElement,
-    clock_shift,
-    embed,
-    model_coefficients,
-    op_norm,
-    _embed_axes,
-)
+from .matrixmodel import ModelElement, embed, model_coefficients, op_norm, _embed_axes
 from .ncpoly import (
     NCPoly,
     SymbolGrid,
@@ -33,9 +26,7 @@ from .ncpoly import (
     adjoint,
     gradient_form,
     l2_norm,
-    mean_zero,
     oracle_grid,
-    sup_norm_oracle,
 )
 
 __all__ = [
@@ -43,7 +34,6 @@ __all__ = [
     "lip_seminorm",
     "lip_seminorm_on_model",
     "riesz_check",
-    "sobolev_constant",
     "lip_ball_sample",
 ]
 
@@ -64,21 +54,11 @@ def _model_psi(psi: LengthFunction, model, naxes: int) -> LengthFunction:
     raise ValueError("length function moduli do not match the model lattice")
 
 
-ROWS_CACHE_SIZE = 256
-
-
-def cocycle_rows_cached(psi: LengthFunction, support) -> np.ndarray:
-    """Cocycle factor rows, memoized on (kind, moduli, support) for the
-    built-in length families (supports here are small band windows); the
-    cache keeps the ROWS_CACHE_SIZE most recent keys."""
-    if psi.kind == "custom":
-        return cocycle_rows_for_coords(psi, support)
-    return _cocycle_rows(psi.kind, psi.moduli, tuple(support))
-
-
-@functools.lru_cache(maxsize=ROWS_CACHE_SIZE)
-def _cocycle_rows(kind: str, moduli: tuple, support: tuple) -> np.ndarray:
-    return cocycle_rows_for_coords(LengthFunction(kind, moduli), support)
+@functools.lru_cache(maxsize=256)
+def _cocycle_rows(psi: LengthFunction, support: tuple) -> np.ndarray:
+    """Cocycle factor rows of psi over a support tuple, memoized for the
+    256 most recent keys (supports here are small band windows)."""
+    return cocycle_rows_for_coords(psi, support)
 
 
 def _model_gamma(blocks, model, psi_n: LengthFunction, axes, m: int) -> np.ndarray:
@@ -95,7 +75,7 @@ def _model_gamma(blocks, model, psi_n: LengthFunction, axes, m: int) -> np.ndarr
     """
     blocks = {k: b for k, b in blocks.items() if _mats.max_abs(b) > 1e-15}
     support = sorted(blocks)
-    rows = cocycle_rows_cached(psi_n, support) if support else np.zeros((0, 0))
+    rows = _cocycle_rows(psi_n, tuple(support)) if support else np.zeros((0, 0))
     N = model.dim
     gamma = np.zeros((m, N, m, N), dtype=complex)
     if rows.size:
@@ -222,76 +202,37 @@ def _draw_blocks(rng, coords, m: int) -> dict[tuple[int, ...], np.ndarray]:
     }
 
 
-def sobolev_constant(
-    psi: LengthFunction,
-    ns: Sequence[int],
-    samples: int,
-    seed: int,
-    band: int = 2,
-    tol: float = 1e-9,
-) -> dict[int, float]:
-    """Empirical per-n constant sup ||x - tau(x) 1|| / L_n(x) on the n-point model."""
-    out = {}
-    for n in ns:
-        model = clock_shift(n)
-        worst = 0.0
-        seen = False
-        for i in range(samples):
-            rng = np.random.default_rng((seed, n, i))
-            coeffs = _draw_blocks(rng, band_window(band, 1), 1)
-            f = mean_zero(NCPoly(TwistMatrix.zero(1), 1, coeffs))
-            e = embed(f, model)
-            lip = lip_seminorm(e, psi).lip
-            if lip <= tol:
-                continue
-            seen = True
-            worst = max(worst, op_norm(e) / lip)
-        if not seen:
-            raise ValueError("all samples were constant; cannot form the ratio")
-        out[n] = worst
-    return out
+MAX_RETRIES = 8  # fresh draws per sample before a degenerate one is an error
 
 
 def lip_ball_sample(
     R: float,
     band: int,
-    m: int,
     count: int,
     seed: int,
     psi: LengthFunction,
-    twist=None,
-    model=None,
-    selfadjoint: bool = False,
-    grid: Optional[int] = None,
-    max_retries: int = 8,
+    twist: TwistMatrix,
+    model,
 ) -> list[NCPoly]:
-    """Random elements of D_R = {L(x) <= 1, ||x|| <= R}, membership exact.
+    """Random self-adjoint elements of D_R = {L(x) <= 1, ||x|| <= R} inside
+    the model, membership exact.
 
-    Coefficient blocks are i.i.d. complex Gaussian on the band window
-    (symmetrized in self-adjoint mode), then rescaled by max(L(x), ||x||/R).
-    Per-sample generators are seeded with (seed, index) so draws are
-    order-independent.
+    Coefficient blocks are i.i.d. complex Gaussian scalars on the band window,
+    symmetrized to f = (g + g*)/2, then rescaled by max(L(x), ||x||/R) with
+    both measured on embed(f, model).  Per-sample generators are seeded with
+    (seed, index, attempt) so draws are order-independent.
     """
     if R <= 0:
         raise ValueError("R must be positive; D_0 has empty interior here")
-    if twist is None:
-        twist = TwistMatrix.zero(psi.dim)
     coords = band_window(band, twist.d)
     out = []
     for i in range(count):
-        for attempt in range(max_retries):
+        for attempt in range(MAX_RETRIES):
             rng = np.random.default_rng((seed, i, attempt))
-            f = NCPoly(twist, m, _draw_blocks(rng, coords, m))
-            if selfadjoint:
-                f = 0.5 * (f + adjoint(f))
-            if model is not None:
-                e = embed(f, model)
-                norm = op_norm(e)
-                lip = lip_seminorm(e, psi).lip
-            else:
-                norm = sup_norm_oracle(f, grid=grid)
-                lip = lip_seminorm(f, psi, grid=grid).lip
-            s = max(lip, norm / R)
+            f = NCPoly(twist, 1, _draw_blocks(rng, coords, 1))
+            f = 0.5 * (f + adjoint(f))
+            e = embed(f, model)
+            s = max(lip_seminorm(e, psi).lip, op_norm(e) / R)
             if s > 1e-12:
                 out.append((1.0 / s) * f)
                 break

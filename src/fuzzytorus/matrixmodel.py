@@ -240,7 +240,7 @@ def fuzzy_generators(p: int, m: int, n: int) -> MatrixModel:
     )
 
 
-def higher_dim_generators(n: int, d: int, cap: int = DIMENSION_CAP) -> MatrixModel:
+def higher_dim_generators(n: int, d: int) -> MatrixModel:
     """2d unitaries in M_{n^d} with every ordered pair at phase exp(2 pi i / n).
 
     Slot pattern: pair k acts as G^{(k-1)} (x) {U or V} (x) 1..., G = V U^{-1},
@@ -248,8 +248,8 @@ def higher_dim_generators(n: int, d: int, cap: int = DIMENSION_CAP) -> MatrixMod
     """
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
-    if n**d > cap:
-        raise ValueError(f"dimension {n**d} exceeds cap {cap}")
+    if n**d > DIMENSION_CAP:
+        raise ValueError(f"dimension {n**d} exceeds cap {DIMENSION_CAP}")
     gens = []
     for pair in range(d):
         corr = np.exp(1j * np.pi * (n - 1) * pair / n)

@@ -15,13 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _mats
-from .lattice import (
-    MEAN_ZERO,
-    LengthFunction,
-    MultiplierSpec,
-    band_mask,
-    gromov_entries_for_coords,
-)
+from .lattice import LengthFunction, MultiplierSpec, gromov_entries_for_coords
 
 PRUNE_REL = 1e-14
 
@@ -35,14 +29,11 @@ __all__ = [
     "mean_zero",
     "l2_norm",
     "apply_multiplier",
-    "apply_semigroup",
     "gradient_form",
     "gradient_coeffs",
     "SymbolGrid",
     "sup_norm_oracle",
     "oracle_error_bound",
-    "poly_to_text",
-    "poly_from_text",
 ]
 
 
@@ -205,10 +196,6 @@ class NCPoly:
     def mean_block(self) -> np.ndarray:
         return self.get((0,) * self.d)
 
-    def is_selfadjoint(self, tol: float = 1e-12) -> bool:
-        diff = self - adjoint(self)
-        return all(_mats.max_abs(b) <= tol for b in diff.coeffs.values())
-
     # -- linear arithmetic --------------------------------------------------
 
     def _require_compatible(self, other: "NCPoly"):
@@ -267,7 +254,7 @@ def project(f: NCPoly, mask: Callable[[Sequence[int]], bool]) -> NCPoly:
 
 
 def mean_zero(f: NCPoly) -> NCPoly:
-    return project(f, band_mask(MEAN_ZERO, dim=f.d))
+    return project(f, any)
 
 
 def l2_norm(f: NCPoly) -> float:
@@ -283,13 +270,6 @@ def apply_multiplier(f: NCPoly, phi: MultiplierSpec) -> NCPoly:
     if len(phi.moduli) != f.d:
         raise ValueError("multiplier dimension does not match the polynomial")
     return f.scale_coeffs(lambda k: phi.value_at(k))
-
-
-def apply_semigroup(f: NCPoly, psi: LengthFunction, t: float) -> NCPoly:
-    """Heat-type semigroup exp(-t psi) acting coefficient-wise."""
-    if psi.dim != f.d:
-        raise ValueError("length function dimension mismatch")
-    return f.scale_coeffs(lambda k: math.exp(-t * psi.value(k)))
 
 
 def gradient_coeffs(
@@ -448,44 +428,3 @@ def oracle_error_bound(band: int, G: int, d: int) -> float:
     """Relative defect bound of the grid oracle, O((band/G)^2) per dimension."""
     return d * 0.5 * (math.pi * band / G) ** 2
 
-
-# -- plain-text serialization ----------------------------------------------
-
-
-def poly_to_text(f: NCPoly) -> str:
-    """Line-based dump: header then one line per index, block entries row-major."""
-    upper = [
-        f.twist.theta[i, j] for i in range(f.d) for j in range(i + 1, f.d)
-    ]
-    lines = [
-        f"d {f.d} m {f.m}",
-        "theta " + " ".join(repr(float(x)) for x in upper),
-    ]
-    for k in f.support():
-        b = f.coeffs[k]
-        ent = " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in b.reshape(-1))
-        lines.append(" ".join(map(str, k)) + " " + ent)
-    return "\n".join(lines) + "\n"
-
-
-def poly_from_text(text: str) -> NCPoly:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    d, m = int(head[1]), int(head[3])
-    upper = [float(x) for x in lines[1].split()[1:]]
-    theta = np.zeros((d, d))
-    pos = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            theta[i, j] = upper[pos]
-            theta[j, i] = -upper[pos]
-            pos += 1
-    coeffs = {}
-    for ln in lines[2:]:
-        parts = ln.split()
-        k = tuple(int(x) for x in parts[:d])
-        vals = [float(x) for x in parts[d:]]
-        re = np.array(vals[0::2])
-        im = np.array(vals[1::2])
-        coeffs[k] = (re + 1j * im).reshape(m, m)
-    return NCPoly(TwistMatrix(theta), m, coeffs)

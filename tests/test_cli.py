@@ -170,9 +170,19 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
     ({"id": "smoothing-tail", "n_schedule": [64], "samples": 2, "cutoffs": []}, "cutoffs"),
     ({"id": "isometry", "n_schedule": [8], "samples": 2, "grid": 0}, "grid"),
     ({"id": "isometry", "n_schedule": [8], "samples": 2, "lip_grid": 0}, "lip_grid"),
+    ({"id": "covering-net", "samples": 2, "eps": 0}, "eps"),
+    ({"id": "covering-net", "samples": 2, "eps": -0.5}, "eps"),
+    ({"id": "covering-net", "samples": 2, "R": -1}, "R"),
+    ({"id": "covering-net", "samples": 2, "sample_band": -1}, "sample_band"),
+    ({"id": "intertwining", "n_schedule": [16], "samples": 2, "band": -1}, "band"),
+    ({"id": "isometry", "n_schedule": [8], "samples": 2, "band": -1}, "band"),
+    ({"id": "psd-audit", "psi": "bogus"}, "psi"),
+    ({"id": "isometry", "n_schedule": [8], "samples": 2, "lip_samples": 0}, "lip_samples"),
 ], ids=["n-zero", "n-over-cap", "samples-zero", "samples-negative",
         "amplifications-empty", "amplifications-zero", "theta-triple", "theta-m-zero",
-        "theta-gcd", "cutoffs-empty", "grid-zero", "lip-grid-zero"])
+        "theta-gcd", "cutoffs-empty", "grid-zero", "lip-grid-zero", "eps-zero",
+        "eps-negative", "R-negative", "sample-band-negative", "band-negative-intertwining",
+        "band-negative-isometry", "psi-unknown", "lip-samples-zero"])
 def test_cli_rejects_out_of_range_config_with_key_path(tmp_path, capsys, entry, key):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [entry]})

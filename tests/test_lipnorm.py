@@ -16,13 +16,12 @@ from fuzzytorus.lattice import (
     product_multiplier,
 )
 from fuzzytorus.lipnorm import (
+    _cocycle_rows,
     _model_gamma,
-    cocycle_rows_cached,
     lip_ball_sample,
     lip_seminorm,
     lip_seminorm_on_model,
     riesz_check,
-    sobolev_constant,
 )
 from fuzzytorus.matrixmodel import (
     _kron_values,
@@ -41,7 +40,6 @@ from fuzzytorus.ncpoly import (
     apply_multiplier,
     mean_zero,
     multiply,
-    sup_norm_oracle,
 )
 
 HEAT1 = LengthFunction.heat((None,))
@@ -158,7 +156,7 @@ def dense_stack_gamma(blocks, model, psi_n, axes, m):
     for row, k in zip(stack, support):
         dense = np.kron(blocks[k], model.monomial(k, axes))
         assert np.abs(row - dense.ravel()).max() <= 1e-12
-    D = (cocycle_rows_cached(psi_n, support) @ stack).reshape(-1, size)
+    D = (_cocycle_rows(psi_n, tuple(support)) @ stack).reshape(-1, size)
     return D.conj().T @ D
 
 
@@ -378,10 +376,11 @@ def test_riesz_p4_ratio_finite_sweep():
     assert max(ratios) < 10.0
 
 
-# -- sobolev / sampling ----------------------------------------------------------
+# -- norm-to-Lip ratio / sampling ------------------------------------------------
 
 
 def test_sobolev_examples():
+    # ||u|| / L_n(u) on the generator, against the symbol-side 1 / sqrt(psi(1))
     u_ratio = 1.0 / math.sqrt(HEAT1.coord_value(1))
     n = 16
     model = clock_shift(n)
@@ -391,27 +390,13 @@ def test_sobolev_examples():
     got = op_norm(e) / lip_seminorm(e, HEAT1).lip
     assert got == pytest.approx(u_ratio, rel=2e-2)
 
-    table = sobolev_constant(HEAT1, [16, 32, 64, 128, 256], samples=12, seed=5)
-    vals = list(table.values())
-    assert max(vals) <= 2 * min(vals)  # within a factor 2 across n
-
 
 def test_lip_ball_membership():
-    tw = TwistMatrix.zero(2)
-    samples = lip_ball_sample(
-        1.5, 2, 1, 10, 7, psi=HEAT2, twist=tw, selfadjoint=True
-    )
-    for f in samples:
-        assert f.is_selfadjoint()
-        assert lip_seminorm(f, HEAT2).lip <= 1 + 1e-12
-        assert sup_norm_oracle(f) <= 1.5 + 1e-12
-
     model = clock_shift(32)
-    samples = lip_ball_sample(
-        2.0, 1, 1, 5, 9, psi=LengthFunction.heat((32,)),
-        twist=TwistMatrix.zero(1), model=model,
-    )
+    samples = lip_ball_sample(2.0, 1, 5, 9, LengthFunction.heat((32,)), TwistMatrix.zero(1), model)
+    assert len(samples) == 5
     for f in samples:
+        assert all(_mats.max_abs(b) <= 1e-12 for b in (f - adjoint(f)).coeffs.values())
         e = embed(f, model)
         assert lip_seminorm(e, LengthFunction.heat((32,))).lip <= 1 + 1e-12
         assert op_norm(e) <= 2.0 + 1e-12
@@ -419,4 +404,4 @@ def test_lip_ball_membership():
 
 def test_lip_ball_rejects_r_zero():
     with pytest.raises(ValueError):
-        lip_ball_sample(0.0, 1, 1, 1, 1, psi=HEAT1)
+        lip_ball_sample(0.0, 1, 1, 1, LengthFunction.heat((8,)), TwistMatrix.zero(1), clock_shift(8))

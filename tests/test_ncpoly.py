@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fuzzytorus import _mats
 from fuzzytorus.lattice import (
     LengthFunction,
-    band_mask,
     band_window,
     build_smoothing_multiplier,
     cocycle_rows_for_coords,
@@ -22,7 +21,6 @@ from fuzzytorus.ncpoly import (
     _adjoint_phase,
     adjoint,
     apply_multiplier,
-    apply_semigroup,
     gradient_coeffs,
     gradient_form,
     l2_norm,
@@ -30,8 +28,6 @@ from fuzzytorus.ncpoly import (
     multiply,
     normal_order_phase,
     oracle_error_bound,
-    poly_from_text,
-    poly_to_text,
     project,
     sup_norm_oracle,
 )
@@ -141,7 +137,7 @@ def test_adjoint_examples():
     d1 = TwistMatrix.zero(1)
     assert adjoint(3 * NCPoly.generator(d1, 0)).get((-1,))[0, 0] == pytest.approx(3.0)
     s = NCPoly.generator(d1, 0) + adjoint(NCPoly.generator(d1, 0))
-    assert s.is_selfadjoint()
+    assert all(_mats.max_abs(b) <= 1e-12 for b in (s - adjoint(s)).coeffs.values())
 
 
 @given(st.floats(0.0, 0.999), st.integers(1, 3))
@@ -195,11 +191,12 @@ def test_project_examples():
     assert mz.support() == [(1,)]
 
     u2 = NCPoly.monomial(z, (2,))
-    assert project(u2, band_mask("low_band", 1)).support() == []
+    assert project(u2, lambda k: all(abs(c) <= 1 for c in k)).support() == []
 
     z2 = TwistMatrix.zero(2)
     f2 = NCPoly.monomial(z2, (1, 1)) + NCPoly.monomial(z2, (0, 1))
-    assert project(f2, band_mask("tail", 2, dim=2)).support() == []
+    assert project(f2, lambda k: abs(k[0]) > 2).support() == []
+    assert project(f2, lambda k: abs(k[0]) > 0).support() == [(1, 1)]
 
 
 def test_l2_examples():
@@ -341,22 +338,7 @@ def test_oracle_is_lower_bound():
     assert fine <= coarse * (1 + oracle_error_bound(3, 32, 1)) + 1e-9
 
 
-# -- multipliers and semigroups -----------------------------------------------
-
-
-def test_semigroup_examples():
-    z1 = TwistMatrix.zero(1)
-    heat = LengthFunction.heat((None,))
-    u = NCPoly.generator(z1, 0)
-    assert apply_semigroup(u, heat, 0.7).get((1,))[0, 0] == pytest.approx(
-        math.exp(-0.7)
-    )
-    z2 = TwistMatrix.zero(2)
-    heat2 = LengthFunction.heat((12, 12))
-    m = NCPoly.monomial(z2, (2, 3))
-    got = apply_semigroup(m, heat2, 0.2).get((2, 3))[0, 0]
-    expect = math.exp(-0.2 * (heat2.coord_value(2) + heat2.coord_value(3)))
-    assert got == pytest.approx(expect)
+# -- multipliers ----------------------------------------------------------------
 
 
 def test_apply_multiplier_identity_and_tail_kill():
@@ -403,7 +385,7 @@ def test_gradient_selfadjoint_and_sesquilinear():
     f = rand_poly(rng, t, 1, m=2)
     g = rand_poly(rng, t, 1, m=2)
     gam = gradient_form(f, f, heat2)
-    assert gam.is_selfadjoint(tol=1e-10)
+    assert all(_mats.max_abs(b) <= 1e-10 for b in (gam - adjoint(gam)).coeffs.values())
     # sesquilinearity in the first slot
     c = 1.3 - 0.7j
     lhs = gradient_form(c * f + g, c * f + g, heat2)
@@ -527,7 +509,7 @@ def test_gradient_coeffs_batches_elements(m):
         assert all(np.array_equal(gam[j, i], ref[k]) for j, k in enumerate(keys))
 
 
-# -- normal form uniqueness / serialization ----------------------------------
+# -- normal form uniqueness --------------------------------------------------
 
 
 def test_normal_form_uniqueness_roundtrip():
@@ -541,14 +523,3 @@ def test_normal_form_uniqueness_roundtrip():
     for k in h.support():
         assert np.allclose(h.get(k), h2.get(k), atol=1e-12)
 
-
-def test_text_serialization_roundtrip():
-    t = TwistMatrix.two_dim(0.31)
-    rng = np.random.default_rng(43)
-    f = rand_poly(rng, t, 1, m=2)
-    g = poly_from_text(poly_to_text(f))
-    assert g.support() == f.support()
-    assert g.m == f.m
-    for k in f.support():
-        assert np.allclose(f.get(k), g.get(k), atol=0)
-    assert np.allclose(g.twist.theta, f.twist.theta)
