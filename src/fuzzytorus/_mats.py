@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-BAND_MIN_DIM = 256  # smallest N for hermitian_max_eig's band path
-DENSE_MAX_DIM = 512  # largest N for operator_norm's exact SVD
+BAND_MIN_DIM = 256  # smallest N for the band paths of both solvers
+DENSE_MAX_DIM = 512  # largest N for operator_norm's band solver or exact SVD
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -33,17 +33,32 @@ def batched_sigma_max(mats: np.ndarray) -> np.ndarray:
     if m == 1:
         return np.abs(mats[..., 0, 0])
     if m == 2:
-        h = np.einsum("...ki,...kj->...ij", mats.conj(), mats)
-        return np.sqrt(np.maximum(batched_max_eig(h), 0.0))
+        # sigma_max^2 = |M|_F^2 / 2 + sqrt(a^2 + |b|^2), a = (|c0|^2 - |c1|^2) / 2
+        # and b = <c0, c1> over M's columns: a sum of squares, exact to an ulp
+        # also at sigma_1 = sigma_2, where |M|_F^4 / 4 - |det M|^2 cancels
+        sq = mats.real**2 + mats.imag**2
+        cols = sq[..., 0, :] + sq[..., 1, :]
+        half = 0.5 * (cols[..., 0] - cols[..., 1])
+        inner = mats[..., 0, 0].conj() * mats[..., 0, 1] + mats[..., 1, 0].conj() * mats[..., 1, 1]
+        root = np.sqrt(half * half + (inner.real**2 + inner.imag**2))
+        return np.sqrt(0.5 * (cols[..., 0] + cols[..., 1]) + root)
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
 def operator_norm(x: np.ndarray) -> float:
-    """Largest singular value; exact SVD up to DENSE_MAX_DIM, then max |x_ii|
-    for a diagonal x and deterministic shifted power iteration on x*x (start
-    vector fixed, rtol 1e-10) otherwise."""
+    """Largest singular value.  Up to DENSE_MAX_DIM: the band solver on x*x
+    when x is at least BAND_MIN_DIM wide and, as given, of half-bandwidth w
+    with 2w <= N/8 (callers order the basis to make it so), an exact SVD
+    otherwise.  Above it: max |x_ii| for a diagonal x and deterministic
+    shifted power iteration on x*x (start vector fixed, rtol 1e-10) otherwise."""
     n = x.shape[0]
     if n <= DENSE_MAX_DIM:
+        w = _half_bandwidth(x) if n >= BAND_MIN_DIM else -1
+        if 0 <= 2 * w <= n // 8:
+            try:
+                return math.sqrt(max(_band_max_eig(_gram_band(x, w)), 0.0))
+            except np.linalg.LinAlgError:  # the estimate was too low to polish
+                pass
         return float(np.linalg.svd(x, compute_uv=False)[0])
     diag = np.diagonal(x)
     if np.count_nonzero(x) == np.count_nonzero(diag):
@@ -70,23 +85,43 @@ def hermitian_max_eig(x: np.ndarray) -> float:
     order the basis to make it so), dense eigvalsh otherwise."""
     n = x.shape[0]
     if n >= BAND_MIN_DIM:
-        w = int(np.abs(np.subtract(*np.nonzero(x))).max(initial=-1))  # -1 for x = 0
+        w = _half_bandwidth(x)
         if 0 <= w <= n // 8:
+            ab = np.array([np.pad(x.diagonal(-d), (0, d)) for d in range(w + 1)])
             try:
-                return _band_max_eig(x, w)
+                return _band_max_eig(ab)
             except np.linalg.LinAlgError:  # the estimate was too low to polish
                 pass
     return float(np.linalg.eigvalsh(x)[-1])
 
 
-def _band_max_eig(x: np.ndarray, w: int) -> float:
-    """Top eigenvalue of x of half-bandwidth w in O(N^2 w): LAPACK's band
+def _half_bandwidth(x: np.ndarray) -> int:
+    """max |i - j| over the nonzeros of x; -1 for x = 0."""
+    return int(np.abs(np.subtract(*np.nonzero(x))).max(initial=-1))
+
+
+def _gram_band(x: np.ndarray, w: int) -> np.ndarray:
+    """x*x in lower band storage, ab[d, j] = (x*x)[j + d, j] for d <= 2w, from
+    the 2w + 1 diagonals of x of half-bandwidth w in O(N w^2): with
+    B[r, j] = x[j + r - w, j], (x*x)[j + d, j] = sum_r conj(B[r, j + d]) B[r + d, j]."""
+    n = x.shape[0]
+    rows = np.arange(n) + np.arange(-w, w + 1)[:, None]
+    inside = (rows >= 0) & (rows < n)
+    band = np.where(inside, x[rows.clip(0, n - 1), np.arange(n)], 0.0)
+    ab = np.zeros((2 * w + 1, n), dtype=complex)
+    for d in range(2 * w + 1):
+        ab[d, :n - d] = np.einsum("rj,rj->j", band[:2 * w + 1 - d, d:].conj(), band[d:, :n - d])
+    return ab
+
+
+def _band_max_eig(ab: np.ndarray) -> float:
+    """Top eigenvalue of the Hermitian matrix H held in LAPACK lower band
+    storage ab[d, j] = H[j + d, j], d <= w, in O(N^2 w): LAPACK's band
     estimate lam, polished by 4 solves with the banded Cholesky factor of
-    sigma I - x, sigma = lam + 1e-13 |lam|, into an fsum Rayleigh quotient."""
+    sigma I - H, sigma = lam + 1e-13 |lam|, into an fsum Rayleigh quotient."""
     from scipy import linalg  # imported here: only large band matrices need it
 
-    n = x.shape[0]
-    ab = np.array([np.pad(x.diagonal(-d), (0, d)) for d in range(w + 1)])  # ab[d, j] = x[j + d, j]
+    w, n = ab.shape[0] - 1, ab.shape[1]
     lam = float(linalg.eig_banded(ab, lower=True, eigvals_only=True, select="i",
                                   select_range=(n - 1, n - 1))[0])
     shifted = -ab

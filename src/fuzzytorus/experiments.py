@@ -141,6 +141,15 @@ class ExperimentConfig:
             raise ValueError("R: need R >= 0")
         if not self.eps > 0:
             raise ValueError("eps: need eps > 0")
+        # isometry and bridge-reach read eps as a row bound; these two smooth with it
+        if self.experiment == "covering-net" and self.eps >= 1:
+            raise ValueError("eps: covering-net smooths with eps, which must lie in (0, 1)")
+        if self.experiment == "smoothing-tail" and self.eps_multiplier is None and self.eps >= 2:
+            raise ValueError("eps: smoothing-tail smooths with eps/2, which must lie in (0, 1)")
+        if self.eps_multiplier is not None and not 0 < self.eps_multiplier < 1:
+            raise ValueError("eps_multiplier: need 0 < eps_multiplier < 1")
+        if self.net_cap < 1:
+            raise ValueError("net_cap: need net_cap >= 1")
         if not self.amplifications or min(self.amplifications) < 1:
             raise ValueError("amplifications: need at least one, each >= 1")
         if not self.cutoffs:

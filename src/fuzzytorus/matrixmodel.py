@@ -369,6 +369,12 @@ def model_coefficients(x: ModelElement) -> tuple[tuple[int, ...], dict]:
 
 
 def op_norm(x: ModelElement) -> float:
+    """Operator norm of x.  Where _mats.operator_norm has a band solver
+    (BAND_MIN_DIM <= N <= DENSE_MAX_DIM), x goes in its model's band order;
+    every other size passes x.matrix itself."""
+    if _mats.BAND_MIN_DIM <= x.matrix.shape[0] <= _mats.DENSE_MAX_DIM:
+        order = x.model.band_order(x.m)
+        return _mats.operator_norm(x.matrix[np.ix_(order, order)])
     return _mats.operator_norm(x.matrix)
 
 

@@ -348,12 +348,15 @@ class SymbolGrid:
         keys = np.array(self.support, dtype=np.intp).reshape(-1, d) % G
         self._cells = np.ravel_multi_index(tuple(keys.T), (G,) * d)
         self.fiber_mats = None
+        self._corner = None
         if not twist.is_zero:
             from .matrixmodel import clock_shift  # matrixmodel imports this module
 
             p, q = twist.rational
             model = clock_shift(q)
             self.fiber_mats = [model.monomial((k[0], p * k[1])) for k in self.support]
+            if G % q == 0:
+                self._corner = G // q
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """sum_a X[a] exp(2 pi i k_a . t) at the G^d grid points t, shape
@@ -377,8 +380,19 @@ class SymbolGrid:
             X[i] = b if self.fiber_mats is None else np.kron(b, self.fiber_mats[i])
         return X
 
+    def _domain(self, A: np.ndarray) -> np.ndarray:
+        """The grid values a maximum over the grid needs.  For a rational
+        fiber p/q with q | G, a 1/q shift along either axis conjugates the
+        fiber symbol by a power of the q x q clock or shift, so its singular
+        values and eigenvalues repeat and the (G/q)^2 corner holds them all;
+        otherwise all G^d values."""
+        if self._corner is None:
+            return A
+        c = self._corner
+        return A.reshape((self.G, self.G) + A.shape[1:])[:c, :c]
+
     def norm(self, blocks: dict[tuple[int, ...], np.ndarray], m: int = 1) -> float:
-        S = self.values(self._lift(blocks, m))
+        S = self._domain(self.values(self._lift(blocks, m)))
         return float(_mats.batched_sigma_max(S).max())
 
     def lip_column(self, gam: dict[tuple[int, ...], np.ndarray]) -> float:
@@ -386,7 +400,7 @@ class SymbolGrid:
         eigenvalue of its symbol, pointwise on the grid."""
         if not gam:
             return 0.0
-        H = self.values(self._lift(gam, len(next(iter(gam.values())))))
+        H = self._domain(self.values(self._lift(gam, len(next(iter(gam.values()))))))
         return float(np.sqrt(max(_mats.batched_max_eig(H).max(), 0.0)))
 
     def lip_column_row(self, f: NCPoly, psi: LengthFunction) -> tuple[float, float]:

@@ -178,11 +178,20 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
     ({"id": "isometry", "n_schedule": [8], "samples": 2, "band": -1}, "band"),
     ({"id": "psd-audit", "psi": "bogus"}, "psi"),
     ({"id": "isometry", "n_schedule": [8], "samples": 2, "lip_samples": 0}, "lip_samples"),
+    ({"id": "covering-net", "samples": 2, "net_cap": 0}, "net_cap"),
+    ({"id": "covering-net", "samples": 2, "eps": 2}, "eps"),
+    ({"id": "smoothing-tail", "n_schedule": [64], "samples": 2, "eps": 2}, "eps"),
+    ({"id": "bridge-reach", "n_schedule": [8], "samples": 1, "eps_multiplier": 1.5},
+     "eps_multiplier"),
+    ({"id": "smoothing-tail", "n_schedule": [64], "samples": 2, "eps_multiplier": 0},
+     "eps_multiplier"),
 ], ids=["n-zero", "n-over-cap", "samples-zero", "samples-negative",
         "amplifications-empty", "amplifications-zero", "theta-triple", "theta-m-zero",
         "theta-gcd", "cutoffs-empty", "grid-zero", "lip-grid-zero", "eps-zero",
         "eps-negative", "R-negative", "sample-band-negative", "band-negative-intertwining",
-        "band-negative-isometry", "psi-unknown", "lip-samples-zero"])
+        "band-negative-isometry", "psi-unknown", "lip-samples-zero", "net-cap-zero",
+        "eps-covering-net-above-one", "eps-smoothing-tail-half-above-one",
+        "eps-multiplier-above-one", "eps-multiplier-zero"])
 def test_cli_rejects_out_of_range_config_with_key_path(tmp_path, capsys, entry, key):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [entry]})

@@ -201,13 +201,13 @@ def band_ordered_gamma(model, band, m, axes=None, seed=17):
 
 @pytest.fixture
 def band_calls(monkeypatch):
-    """Half-bandwidths of the band matrices hermitian_max_eig solves."""
+    """Half-bandwidths of the band matrices the band solver receives."""
     calls = []
     solve = _mats._band_max_eig
 
-    def spy(x, w):
-        calls.append(w)
-        return solve(x, w)
+    def spy(ab):
+        calls.append(ab.shape[0] - 1)
+        return solve(ab)
 
     monkeypatch.setattr(_mats, "_band_max_eig", spy)
     return calls
@@ -259,6 +259,44 @@ def test_band_path_falls_back_when_polish_fails(band_calls):
     x = -np.diag(np.arange(256.0)).astype(complex)
     assert _mats.hermitian_max_eig(x) == 0.0
     assert band_calls == [0]
+
+
+@pytest.mark.parametrize(
+    "model,m,width",
+    [
+        # x has half-bandwidth m(2 band + 1) - 1 in band order, x*x twice that
+        (clock_shift(256), 1, 8),
+        (clock_shift(256), 2, 18),
+        (clock_shift(512), 1, 8),
+        (fuzzy_generators(1, 2, 128), 1, 8),
+        (fuzzy_generators(1, 2, 128), 2, 18),
+    ],
+    ids=("clock_shift-256-m1", "clock_shift-256-m2", "clock_shift-512-m1",
+         "fuzzy-m1", "fuzzy-m2"),
+)
+def test_band_operator_norm_matches_svd(model, m, width, band_calls):
+    x = embed(rand_poly(np.random.default_rng((model.dim, m)), model.symbol_twist, 2, m), model)
+    ref = np.linalg.svd(x.matrix, compute_uv=False)[0]
+    assert abs(op_norm(x) - ref) <= 1e-14 * ref
+    assert band_calls == [width]
+
+
+def test_band_operator_norm_falls_back_to_svd(band_calls, monkeypatch):
+    assert _mats.operator_norm(np.zeros((256, 256), dtype=complex)) == 0.0
+    cs = clock_shift(256)
+    x = embed(rand_poly(np.random.default_rng(5), cs.symbol_twist, 2), cs)
+    # in the natural basis the shift wraps around: half-bandwidth N - 1
+    svd = np.linalg.svd(x.matrix, compute_uv=False)[0]
+    assert _mats.operator_norm(x.matrix) == svd
+    assert band_calls == []
+
+    def too_low(ab):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(_mats, "_band_max_eig", too_low)
+    order = cs.band_order()
+    banded = x.matrix[np.ix_(order, order)]
+    assert op_norm(x) == np.linalg.svd(banded, compute_uv=False)[0]
 
 
 def run_python(code: str, threads: int = 1) -> str:

@@ -343,6 +343,16 @@ def test_operator_norm_of_diagonal_input_is_exact():
     assert _mats.operator_norm(np.zeros((1024, 1024))) == 0.0
 
 
+@pytest.mark.parametrize("n", (64, 1024))
+def test_op_norm_hands_over_the_matrix_itself_outside_the_band_range(n, monkeypatch):
+    cs = clock_shift(n)
+    x = embed(rand_poly(np.random.default_rng(n), cs.symbol_twist, 2), cs)
+    norm, seen = _mats.operator_norm, []
+    monkeypatch.setattr(_mats, "operator_norm", lambda a: seen.append(a) or norm(a))
+    assert op_norm(x) == norm(x.matrix)
+    assert len(seen) == 1 and seen[0] is x.matrix
+
+
 def test_commutator_defect_formula():
     for n in range(4, 257):
         cs = clock_shift(n)

@@ -324,6 +324,39 @@ def test_symbol_grid_matches_direct_sum(d, m, fiber, band, G):
     assert lip_grid.lip_column(gam.coeffs) == pytest.approx(lip, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("p,q", ((1, 2), (2, 3), (2, 5)))
+def test_fiber_oracle_on_fundamental_domain(p, q, m):
+    rng = np.random.default_rng((p, q, m))
+    twist = TwistMatrix.rational_2d(p, q)
+    f = NCPoly(twist, m, {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                          for k in band_window(2, 2)})
+    gam = gradient_form(f, f, LengthFunction.heat((None, None))).coeffs
+    for G, divides in ((8 * q, True), (8 * q + 1, False)):
+        grid = SymbolGrid(band_window(2, 2), G, twist)
+        lip_grid = SymbolGrid(band_window(4, 2), G, twist)
+        norm = _mats.batched_sigma_max(grid.values(grid._lift(f.coeffs, m))).max()
+        top = _mats.batched_max_eig(lip_grid.values(lip_grid._lift(gam, m))).max()
+        lip = np.sqrt(max(top, 0.0))
+        if divides:  # the corner's maximum: at most the full grid's, and 2e-15 close
+            assert norm * (1 - 2e-15) <= grid.norm(f.coeffs, m) <= norm
+            assert lip * (1 - 2e-15) <= lip_grid.lip_column(gam) <= lip
+        else:
+            assert grid.norm(f.coeffs, m) == norm
+            assert lip_grid.lip_column(gam) == lip
+
+
+def test_two_by_two_sigma_max_closed_form():
+    rng = np.random.default_rng(8)
+    mats = rng.standard_normal((10000, 2, 2)) + 1j * rng.standard_normal((10000, 2, 2))
+    ref = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    assert np.abs(_mats.batched_sigma_max(mats) - ref).max() <= 1e-15 * ref.max()
+    assert _mats.batched_sigma_max(np.zeros((3, 2, 2))).tolist() == [0.0] * 3
+    # sigma_1 = sigma_2: 3 times a unitary, where a |det|-based root reads 1e-8 high
+    unitary = np.linalg.qr(mats[:100])[0]
+    assert np.abs(_mats.batched_sigma_max(3 * unitary) - 3).max() <= 4e-15
+
+
 def test_oracle_error_bound_decreases():
     assert oracle_error_bound(2, 512, 2) < oracle_error_bound(2, 64, 2)
 
