@@ -20,10 +20,11 @@ def batched_max_eig(h: np.ndarray) -> np.ndarray:
     if m == 1:
         return h[..., 0, 0].real
     if m == 2:
-        tr = (h[..., 0, 0] + h[..., 1, 1]).real
-        det = (h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]).real
-        disc = np.maximum(tr * tr - 4.0 * det, 0.0)
-        return 0.5 * (tr + np.sqrt(disc))
+        # (a + b)/2 + sqrt(((a - b)/2)^2 + |h10|^2): a sum of squares, exact to
+        # an ulp also at a double eigenvalue, where tr^2 - 4 det cancels
+        a, b, off = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
+        half = 0.5 * (a - b)
+        return 0.5 * (a + b) + np.sqrt(half * half + (off.real**2 + off.imag**2))
     return np.linalg.eigvalsh(h)[..., -1]
 
 

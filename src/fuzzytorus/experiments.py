@@ -69,6 +69,11 @@ GE_METRICS = {
 }
 
 
+# Gate of the rows that are exact up to roundoff (intertwining, monotone
+# smoothing tails, PSD witnesses, bridge-reach's block checks).
+EXACT_TOL = 1e-10
+
+
 def row_passes(metric: str, value: float, bound: float) -> bool:
     if not math.isfinite(value):
         return False
@@ -117,7 +122,6 @@ class ExperimentConfig:
     net_cap: int = 500_000
     grid: Optional[int] = None
     lip_grid: int = 128
-    tol: float = 1e-10
 
     def __post_init__(self):
         ns = tuple(self.n_schedule)
@@ -135,6 +139,9 @@ class ExperimentConfig:
             raise ValueError(f"psi: unknown length kind {self.psi!r}; expected one of {_KINDS}")
         if self.band < 0:
             raise ValueError("band: need band >= 0")
+        if self.band < 1 and self.experiment in ("smoothing-tail", "hp-ratio"):
+            raise ValueError(f"band: {self.experiment} draws mean-zero elements, "
+                             "which are 0 at band 0; need band >= 1")
         if self.sample_band < 0:
             raise ValueError("sample_band: need sample_band >= 0")
         if self.R < 0:
@@ -208,7 +215,7 @@ def run_intertwining(cfg: ExperimentConfig) -> list[ReportRow]:
             lhs = _model_gamma(f.coeffs, model, psi_n, (0,), f.m)
             rhs = embed(gradient_form(f, f, psi_inf), model).matrix
             worst = max(worst, _mats.max_abs(lhs - rhs))
-        rows.append(ReportRow.make(cfg.experiment, n, "intertwining_defect", worst, cfg.tol))
+        rows.append(ReportRow.make(cfg.experiment, n, "intertwining_defect", worst, EXACT_TOL))
     return rows
 
 
@@ -289,17 +296,11 @@ def _model_for(cfg: ExperimentConfig, n: int) -> MatrixModel:
     return fuzzy_generators(p, m, n)
 
 
-def _twist_for(cfg: ExperimentConfig) -> TwistMatrix:
-    if cfg.theta is None:
-        return TwistMatrix.zero(2)
-    p, m = cfg.theta
-    return TwistMatrix.rational_2d(p, m) if m > 1 else TwistMatrix.zero(2)
-
-
 def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
     """eps(n) = worst |norm ratio - 1| of coefficient transport, plus the
     matching Lipschitz-isometry defect on a smaller sample set."""
-    tw = _twist_for(cfg)
+    models = [_model_for(cfg, n) for n in cfg.n_schedule]
+    tw = models[0].symbol_twist
     psi_inf = LengthFunction(cfg.psi, (None, None))
     support = band_window(cfg.band, 2)
     oracle = SymbolGrid(support, cfg.grid or 512, tw)
@@ -323,8 +324,7 @@ def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
     norm_defects = []
     lip_defects = []
     final_n = cfg.n_schedule[-1]
-    for n in cfg.n_schedule:
-        model = _model_for(cfg, n)
+    for n, model in zip(cfg.n_schedule, models):
         worst = 0.0
         for amp, i, f, ref in draws:
             worst = max(worst, abs(op_norm(embed(f, model)) / ref - 1.0))
@@ -395,9 +395,9 @@ def run_smoothing_tail(cfg: ExperimentConfig) -> list[ReportRow]:
                                    sup1 - cfg.eps, math.inf))
         if prev1 is not None:
             rows.append(ReportRow.make(cfg.experiment, k_freq, "tail_monotone_l2lip",
-                                       sup1 - prev1, cfg.tol))
+                                       sup1 - prev1, EXACT_TOL))
             rows.append(ReportRow.make(cfg.experiment, k_freq, "tail_monotone_lip",
-                                       sup2 - prev2, cfg.tol))
+                                       sup2 - prev2, EXACT_TOL))
         prev1, prev2 = sup1, sup2
     return rows
 
@@ -417,18 +417,18 @@ def run_psd_audit(cfg: ExperimentConfig) -> list[ReportRow]:
     for kind in ("heat", "word"):
         for n in ns:
             ok, witness = check_conditionally_negative(
-                LengthFunction(kind, (n,)), tol=cfg.tol
+                LengthFunction(kind, (n,)), tol=EXACT_TOL
             )
             rows.append(ReportRow.make(cfg.experiment, n, f"psd_min_eig/{kind}",
-                                       witness, -cfg.tol))
+                                       witness, -EXACT_TOL))
     worst = math.inf
     for n in range(4, 17):
         _, witness = check_conditionally_negative(
-            LengthFunction.naive_square((n,)), tol=cfg.tol
+            LengthFunction.naive_square((n,)), tol=EXACT_TOL
         )
         rows.append(ReportRow.make(cfg.experiment, n, "naive_min_eig", witness, math.inf))
         worst = min(worst, witness)
-    rows.append(ReportRow.make(cfg.experiment, None, "naive_max_witness", worst, -cfg.tol))
+    rows.append(ReportRow.make(cfg.experiment, None, "naive_max_witness", worst, -EXACT_TOL))
     return rows
 
 
@@ -578,7 +578,8 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
     smoothing residual, and the block derivation is checked on a = b."""
     if cfg.theta is None:
         raise ValueError("bridge reach needs a rational twist")
-    tw = _twist_for(cfg)
+    models = [_model_for(cfg, n) for n in cfg.n_schedule]
+    tw = models[0].symbol_twist
     psi_inf = LengthFunction(cfg.psi, (None, None))
     psi_coord_inf = LengthFunction(cfg.psi, (None,))
     support_nz = [c for c in band_window(cfg.band, 2) if any(c)]
@@ -612,8 +613,7 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
     delta_third = 0.0
     delta_consistency = 0.0
     delta_norm_max = 0.0
-    for n in cfg.n_schedule:
-        model = _model_for(cfg, n)
+    for n, model in zip(cfg.n_schedule, models):
         psi_n = psi_inf.with_moduli((n, n))
         worst = 0.0
         for amp, a_phi, norm_aphi, resid in a_side:
@@ -661,9 +661,9 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
     rows.append(ReportRow.make(cfg.experiment, None, "reach_trend_kendall",
                                kendall_decreasing(reaches), 0.5))
     rows.append(ReportRow.make(cfg.experiment, None, "delta_diag_third_block",
-                               delta_third, cfg.tol))
+                               delta_third, EXACT_TOL))
     rows.append(ReportRow.make(cfg.experiment, None, "delta_norm_consistency",
-                               delta_consistency, cfg.tol))
+                               delta_consistency, EXACT_TOL))
     rows.append(ReportRow.make(cfg.experiment, None, "delta_block_norm",
                                delta_norm_max, math.inf))
     return rows

@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "canonical_rep",
     "window_range",
+    "window_points",
     "band_window",
     "LengthFunction",
     "MultiplierSpec",
@@ -41,10 +42,22 @@ def window_range(n: int) -> range:
     return range(lo, lo + n)
 
 
+def window_points(
+    moduli: Sequence[Optional[int]], radius: Optional[int] = None
+) -> list[tuple[int, ...]]:
+    """The canonical window of Z_n on each finite-modulus axis and [-radius,
+    radius] on each infinite one, in itertools.product order."""
+    if radius is None and None in moduli:
+        raise ValueError("infinite modulus needs a window radius")
+    return list(itertools.product(*(
+        window_range(n) if n is not None else range(-radius, radius + 1) for n in moduli
+    )))
+
+
 def band_window(band: int, d: int) -> list[tuple[int, ...]]:
     """All k in Z^d with max |k_i| <= band, in itertools.product order (random
     coefficient draws consume it in this order)."""
-    return list(itertools.product(range(-band, band + 1), repeat=d))
+    return window_points((None,) * d, band)
 
 
 WORD = "word"
@@ -146,18 +159,6 @@ def psd_tolerance(K: np.ndarray) -> float:
     return 1e-10 * len(K) * max(1.0, float(np.abs(K).max(initial=0.0)))
 
 
-def _window_points(psi: LengthFunction, window: Optional[int]) -> list[tuple[int, ...]]:
-    per_axis = []
-    for n in psi.moduli:
-        if n is not None:
-            per_axis.append(list(window_range(n)))
-        else:
-            if window is None:
-                raise ValueError("infinite modulus needs a window radius")
-            per_axis.append(list(range(-window, window + 1)))
-    return list(itertools.product(*per_axis))
-
-
 def check_conditionally_negative(
     psi: LengthFunction,
     tol: Optional[float] = None,
@@ -171,7 +172,7 @@ def check_conditionally_negative(
     """
     if psi.dim != 1:
         raise ValueError("audit is per-coordinate; pass a one-dimensional length")
-    K = gromov_entries_for_coords(psi, _window_points(psi, window))
+    K = gromov_entries_for_coords(psi, window_points(psi.moduli, window))
     if tol is None:
         tol = psd_tolerance(K)
     try:
@@ -263,7 +264,7 @@ def build_smoothing_multiplier(
     alpha = _min_alpha(float(k), eps)
     if window is None and any(n is None for n in psi.moduli):
         window = max(64, 16 * int(math.ceil(k)) + 16)
-    pts = _window_points(psi, window)
+    pts = window_points(psi.moduli, window)
     vals = psi.values(pts)
     weights = np.exp(-vals / alpha)
     candidates = sorted({v for v in vals if v > k})

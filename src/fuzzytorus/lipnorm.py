@@ -1,9 +1,11 @@
 """Lipschitz seminorms from gradient forms, plus the Riesz empirical check.
 
 The seminorm of x is max(||Gamma(x,x)^(1/2)||, ||Gamma(x*,x*)^(1/2)||),
-evaluated either on the symbol side (Gamma's coefficients from gradient_form,
-then the grid or rational-fiber oracle) or inside a concrete matrix model,
-where Gamma is assembled through the PSD cocycle route sum_i D_i* D_i.
+evaluated either on the symbol side (lip_seminorm: Gamma's coefficients from
+gradient_form, then the grid or rational-fiber oracle) or inside a concrete
+matrix model from the coefficients of the embedded polynomial
+(lip_seminorm_on_model: Gamma assembled through the PSD cocycle route
+sum_i D_i* D_i).
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import _mats
 from .lattice import LengthFunction, band_window, cocycle_rows_for_coords
-from .matrixmodel import ModelElement, embed, model_coefficients, op_norm, _embed_axes
+from .matrixmodel import ModelElement, embed, op_norm, _embed_axes
 from .ncpoly import (
     NCPoly,
     SymbolGrid,
@@ -100,45 +102,29 @@ def _sqrt_top(gamma: np.ndarray, order: np.ndarray) -> float:
     return math.sqrt(max(_mats.hermitian_max_eig(gamma[np.ix_(order, order)]), 0.0))
 
 
-def _model_lip(blocks, model, psi: LengthFunction, axes, m: int) -> LipReport:
-    """Column and row norms inside the model from the coefficients of x; x*'s
-    coefficients follow from the model's phase table, which differs from the
-    symbol twist at finite n (theta + 1/n on the fuzzy model)."""
-    psi_n = _model_psi(psi, model, len(axes))
-    order = model.band_order(m)
-    adj_blocks = _adjoint_coeffs(blocks, TwistMatrix(model.phase_table[np.ix_(axes, axes)]))
-    col = _sqrt_top(_model_gamma(blocks, model, psi_n, axes, m), order)
-    row = _sqrt_top(_model_gamma(adj_blocks, model, psi_n, axes, m), order)
+def lip_seminorm(x: NCPoly, psi: LengthFunction, grid: Optional[int] = None) -> LipReport:
+    """Symbol-side max of the column and row gradient norms of x, through the
+    grid oracle of its twist."""
+    oracle = SymbolGrid(band_window(2 * x.band, x.d), oracle_grid(x, grid), x.twist)
+    col, row = oracle.lip_column_row(x, psi)
     return LipReport(column=col, row=row, lip=max(col, row))
 
 
-def lip_seminorm(
-    x: Union[NCPoly, ModelElement],
-    psi: LengthFunction,
-    grid: Optional[int] = None,
-) -> LipReport:
-    """max of the column and row gradient norms of x.
-
-    NCPoly inputs go through the grid oracle of their twist; ModelElement
-    inputs are measured by exact dense spectral norms with psi transported to
-    the model lattice.
-    """
-    if isinstance(x, NCPoly):
-        oracle = SymbolGrid(band_window(2 * x.band, x.d), oracle_grid(x, grid), x.twist)
-        col, row = oracle.lip_column_row(x, psi)
-        return LipReport(column=col, row=row, lip=max(col, row))
-    axes, blocks = model_coefficients(x)
-    return _model_lip(blocks, x.model, psi, axes, x.m)
-
-
 def lip_seminorm_on_model(f: NCPoly, model, psi: LengthFunction) -> LipReport:
-    """Model-side seminorm of embed(f) straight from the known coefficients.
+    """Model-side seminorm of embed(f, model) from f's coefficients, with psi
+    transported to the model lattice.
 
-    Equivalent to lip_seminorm(embed(f, model), psi) but skips the trace
-    extraction; the row norm uses the model-phase adjoint so that it matches
-    the matrix conjugate-transpose exactly.
+    The row norm uses the adjoint under the model's phase table, which differs
+    from the symbol twist at finite n (theta + 1/n on the fuzzy model), so it
+    matches the matrix conjugate-transpose exactly.
     """
-    return _model_lip(f.coeffs, model, psi, _embed_axes(f, model), f.m)
+    axes = _embed_axes(f, model)
+    psi_n = _model_psi(psi, model, len(axes))
+    order = model.band_order(f.m)
+    adj = _adjoint_coeffs(f.coeffs, TwistMatrix(model.phase_table[np.ix_(axes, axes)]))
+    col = _sqrt_top(_model_gamma(f.coeffs, model, psi_n, axes, f.m), order)
+    row = _sqrt_top(_model_gamma(adj, model, psi_n, axes, f.m), order)
+    return LipReport(column=col, row=row, lip=max(col, row))
 
 
 @dataclass(frozen=True)
@@ -219,8 +205,9 @@ def lip_ball_sample(
 
     Coefficient blocks are i.i.d. complex Gaussian scalars on the band window,
     symmetrized to f = (g + g*)/2, then rescaled by max(L(x), ||x||/R) with
-    both measured on embed(f, model).  Per-sample generators are seeded with
-    (seed, index, attempt) so draws are order-independent.
+    both measured in the model (L from f's coefficients).  Per-sample
+    generators are seeded with (seed, index, attempt) so draws are
+    order-independent.
     """
     if R <= 0:
         raise ValueError("R must be positive; D_0 has empty interior here")
@@ -231,8 +218,7 @@ def lip_ball_sample(
             rng = np.random.default_rng((seed, i, attempt))
             f = NCPoly(twist, 1, _draw_blocks(rng, coords, 1))
             f = 0.5 * (f + adjoint(f))
-            e = embed(f, model)
-            s = max(lip_seminorm(e, psi).lip, op_norm(e) / R)
+            s = max(lip_seminorm_on_model(f, model, psi).lip, op_norm(embed(f, model)) / R)
             if s > 1e-12:
                 out.append((1.0 / s) * f)
                 break

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _mats
-from .lattice import band_window, window_range
+from .lattice import band_window
 from .ncpoly import NCPoly, TwistMatrix
 
 __all__ = [
@@ -152,9 +152,6 @@ class MatrixModel:
         """Dense matrix of word(coords, axes); not cached."""
         return _dense(self.word(coords, axes))
 
-    def window(self) -> range:
-        return window_range(self.order)
-
     def band_order(self, m: int = 1) -> np.ndarray:
         """Basis order of C^m (x) C^N along the cycles of the last generator,
         each cycle c folded as c[0], c[-1], c[1], c[-2], ... (the m copies of
@@ -173,13 +170,11 @@ class MatrixModel:
 
 @dataclass(frozen=True, eq=False)
 class ModelElement:
-    """A matrix in M_m (x) M_N tagged with its model and known band (if any)."""
+    """A matrix in M_m (x) M_N tagged with its model."""
 
     model: MatrixModel
     matrix: np.ndarray
     m: int = 1
-    band: Optional[int] = None
-    axes: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         expect = self.m * self.model.dim
@@ -289,9 +284,7 @@ def _embed_axes(f: NCPoly, model: MatrixModel) -> tuple[int, ...]:
 
 def embed(f: NCPoly, model: MatrixModel) -> ModelElement:
     """Linear coefficient transport sum_k fhat(k) (x) W^k (indices fold mod n)."""
-    axes = _embed_axes(f, model)
-    out = _kron_sum(model, axes, f.coeffs, f.m)
-    return ModelElement(model, out, m=f.m, band=f.band, axes=axes)
+    return ModelElement(model, _kron_sum(model, _embed_axes(f, model), f.coeffs, f.m), m=f.m)
 
 
 def _word_entries(
@@ -325,19 +318,11 @@ def _kron_sum(model: MatrixModel, axes, blocks: dict, m: int) -> np.ndarray:
     return flat.reshape(size, size)
 
 
-def _extract_blocks(
-    x: ModelElement, coords: Sequence[tuple[int, ...]], axes: Sequence[int]
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Gather: xhat(k) = sum_j X[:, perm[j], :, j] conj(phase[j]) / N."""
-    idx, phase = _word_entries(x.model, axes, coords, x.m)
-    blocks = np.einsum("sabj,sj->sab", x.matrix.reshape(-1)[idx], phase.conj())
-    return dict(zip(coords, blocks / x.model.dim))
-
-
 def fourier_coefficients(
     x: ModelElement, band: int, axes: Optional[Sequence[int]] = None
 ) -> NCPoly:
-    """Trace-pairing coefficients over the band window; inverse of embed there.
+    """Trace-pairing coefficients over the band window, inverse of embed
+    there: the gather xhat(k) = sum_j X[:, perm[j], :, j] conj(phase[j]) / N.
 
     Requires band < n/2 so the window maps injectively into Z_n per axis.
     """
@@ -345,7 +330,10 @@ def fourier_coefficients(
     if 2 * band >= model.order:
         raise ValueError(f"band {band} must satisfy band < n/2 = {model.order / 2}")
     axes = tuple(range(model.n_generators)) if axes is None else tuple(axes)
-    blocks = _extract_blocks(x, band_window(band, len(axes)), axes)
+    coords = band_window(band, len(axes))
+    idx, phase = _word_entries(model, axes, coords, x.m)
+    gathered = np.einsum("sabj,sj->sab", x.matrix.reshape(-1)[idx], phase.conj())
+    blocks = dict(zip(coords, gathered / model.dim))
     twist = model.symbol_twist
     if len(axes) != twist.d:
         if len(axes) == 1:
@@ -353,19 +341,6 @@ def fourier_coefficients(
         else:
             raise ValueError("axis subset has no matching symbol twist")
     return NCPoly(twist, x.m, blocks)
-
-
-def model_coefficients(x: ModelElement) -> tuple[tuple[int, ...], dict]:
-    """(axes, coefficients) of x over its band window, or over the whole
-    canonical window (exact on the monomial span) when the band is unknown or
-    wraps around Z_n."""
-    model = x.model
-    axes = x.axes if x.axes is not None else tuple(range(model.n_generators))
-    if x.band is not None and 2 * x.band < model.order:
-        coords = band_window(x.band, len(axes))
-    else:
-        coords = list(itertools.product(model.window(), repeat=len(axes)))
-    return axes, _extract_blocks(x, coords, axes)
 
 
 def op_norm(x: ModelElement) -> float:

@@ -97,7 +97,8 @@ def normal_order_phase(a, b, twist: TwistMatrix):
     """Scalar with u^a u^b = phase * u^{a+b}: exp(2 pi i sum_{i>j} a_i b_j theta_ij).
 
     a and b may also be (..., d) integer arrays, which broadcast to an array
-    of phases with the bits of the scalar calls."""
+    of phases with the bits of the scalar calls.  The adjoint phase, (u^a)* =
+    conj(phase(-a, a)) u^{-a}, is this rule too (u^a is unitary)."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape[-1:] != (twist.d,) or b.shape[-1:] != (twist.d,):
         raise ValueError("dimension mismatch with the twist")
@@ -109,22 +110,12 @@ def normal_order_phase(a, b, twist: TwistMatrix):
     return complex(phase) if phase.ndim == 0 else phase
 
 
-def _adjoint_phase(a, twist: TwistMatrix):
-    """(u^a)* = phase * u^{-a}: exp(-2 pi i sum_{i<j} a_i a_j theta_ij), for one
-    key or a (..., d) array of keys."""
-    a = np.asarray(a)
-    arg = np.zeros(a.shape[:-1])
-    for i in range(twist.d):
-        for j in range(i + 1, twist.d):
-            arg = arg + a[..., i] * a[..., j] * twist.theta[i, j]
-    phase = np.exp(-2j * np.pi * (arg % 1.0))
-    return complex(phase) if phase.ndim == 0 else phase
-
-
 def _adjoint_coeffs(blocks: dict, twist: TwistMatrix) -> dict:
     """Coefficients of the adjoint under twist: the block at -a is
-    adjoint-phase(a) times the conjugate transpose of the block at a."""
-    phases = _adjoint_phase(np.array(list(blocks), dtype=np.intp).reshape(-1, twist.d), twist)
+    conj(normal_order_phase(-a, a)) times the conjugate transpose of the
+    block at a."""
+    keys = np.array(list(blocks), dtype=np.intp).reshape(-1, twist.d)
+    phases = normal_order_phase(-keys, keys, twist).conj()
     return {tuple(-c for c in a): p * b.conj().T
             for (a, b), p in zip(blocks.items(), phases)}
 
@@ -245,7 +236,8 @@ def multiply(f: NCPoly, g: NCPoly) -> NCPoly:
 
 
 def adjoint(f: NCPoly) -> NCPoly:
-    """Involution: block at -a is adjoint-phase(a) times the conjugate transpose."""
+    """Involution: block at -a is conj(normal_order_phase(-a, a)) times the
+    conjugate transpose of the block at a."""
     return NCPoly(f.twist, f.m, _adjoint_coeffs(f.coeffs, f.twist))
 
 
@@ -300,7 +292,8 @@ def gradient_coeffs(
     order = np.argsort(first)
     slot = np.zeros(K.shape, dtype=np.intp)
     slot[live] = np.argsort(order)[inv.reshape(-1)]
-    w = K * (_adjoint_phase(X, twist)[:, None] * normal_order_phase(-X[:, None], Y, twist))
+    w = K * (normal_order_phase(-X, X, twist).conj()[:, None]
+             * normal_order_phase(-X[:, None], Y, twist))
     out = np.zeros((len(keys),) + shape, dtype=complex)
     for i in range(len(X)):
         (js,) = np.nonzero(live[i])

@@ -185,18 +185,25 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
      "eps_multiplier"),
     ({"id": "smoothing-tail", "n_schedule": [64], "samples": 2, "eps_multiplier": 0},
      "eps_multiplier"),
+    ({"id": "smoothing-tail", "n_schedule": [64], "band": 0, "samples": 1}, "band"),
+    ({"id": "hp-ratio", "n_schedule": [64], "band": 0, "samples": 1}, "band"),
+    ({"id": "intertwining", "n_schedule": [16], "samples": 2, "tol": 5}, "tol"),
 ], ids=["n-zero", "n-over-cap", "samples-zero", "samples-negative",
         "amplifications-empty", "amplifications-zero", "theta-triple", "theta-m-zero",
         "theta-gcd", "cutoffs-empty", "grid-zero", "lip-grid-zero", "eps-zero",
         "eps-negative", "R-negative", "sample-band-negative", "band-negative-intertwining",
         "band-negative-isometry", "psi-unknown", "lip-samples-zero", "net-cap-zero",
         "eps-covering-net-above-one", "eps-smoothing-tail-half-above-one",
-        "eps-multiplier-above-one", "eps-multiplier-zero"])
+        "eps-multiplier-above-one", "eps-multiplier-zero", "band-zero-smoothing-tail",
+        "band-zero-hp-ratio", "tol-unknown"])
 def test_cli_rejects_out_of_range_config_with_key_path(tmp_path, capsys, entry, key):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [entry]})
     assert main(["all", "--manifest", man]) == 2
-    assert f"error: experiments[0]: {key}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # range errors read "experiments[0]: key: ...", unknown keys "experiments[0].key: ..."
+    assert (f"error: experiments[0]: {key}: " in err
+            or f"error: experiments[0].{key}: unknown configuration key" in err)
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from fuzzytorus.lattice import (
     gromov_entries_for_coords,
     product_multiplier,
     psd_tolerance,
+    window_points,
     window_range,
 )
 
@@ -40,6 +41,21 @@ def test_band_window_order():
     assert band_window(1, 1) == [(-1,), (0,), (1,)]
     assert band_window(1, 2)[:4] == [(-1, -1), (-1, 0), (-1, 1), (0, -1)]
     assert len(band_window(2, 3)) == 125 and band_window(0, 2) == [(0, 0)]
+
+
+def test_window_points_order_and_mixed_moduli():
+    # canonical window of Z_n on finite axes, [-r, r] on infinite ones,
+    # the last axis fastest
+    assert window_points((4,)) == [(-1,), (0,), (1,), (2,)]
+    pts = window_points((3, None), 1)
+    assert pts == [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
+                   (1, -1), (1, 0), (1, 1)]
+    assert window_points((None, 2), 2)[:3] == [(-2, 0), (-2, 1), (-1, 0)]
+    assert len(window_points((8, 5, None), 3)) == 8 * 5 * 7
+    assert window_points((None, None), 2) == band_window(2, 2)
+    assert window_points((6,), 9) == window_points((6,))  # radius unused when finite
+    with pytest.raises(ValueError, match="window radius"):
+        window_points((8, None))
 
 
 # -- length functions --------------------------------------------------------

@@ -24,13 +24,14 @@ from fuzzytorus.lipnorm import (
     riesz_check,
 )
 from fuzzytorus.matrixmodel import (
+    _embed_axes,
     _kron_values,
     _word_entries,
     clock_shift,
     embed,
+    fourier_coefficients,
     fuzzy_generators,
     higher_dim_generators,
-    model_coefficients,
     op_norm,
 )
 from fuzzytorus.ncpoly import (
@@ -105,7 +106,7 @@ def test_model_mode_matches_symbol_for_word_transport():
     for _ in range(10):
         f = rand_poly(rng, z1, 3)
         sym = lip_seminorm(f, word1, grid=4096).lip
-        mod = lip_seminorm(embed(f, model), word1).lip
+        mod = lip_seminorm_on_model(f, model, word1).lip
         assert mod == pytest.approx(sym, rel=2e-3)
         assert mod <= sym + 1e-9  # restriction never exceeds the finer grid
 
@@ -118,12 +119,12 @@ def test_model_paths_agree_and_adjoint_is_matrix_adjoint():
     ):
         for m in (1, 2):
             f = rand_poly(rng, tw, 2, m=m)
-            via_extract = lip_seminorm(embed(f, model), HEAT2)
+            via_extract = lip_seminorm_on_model(
+                fourier_coefficients(embed(f, model), 2), model, HEAT2)
             via_poly = lip_seminorm_on_model(f, model, HEAT2)
             assert via_poly.column == pytest.approx(via_extract.column, rel=1e-10)
             assert via_poly.row == pytest.approx(via_extract.row, rel=1e-10)
 
-            from fuzzytorus.matrixmodel import _embed_axes
             from fuzzytorus.ncpoly import _adjoint_coeffs
 
             axes = _embed_axes(f, model)
@@ -138,8 +139,8 @@ def test_model_gradient_matrix_is_psd():
     rng = np.random.default_rng(7)
     model = clock_shift(16)
     f = rand_poly(rng, TwistMatrix.zero(2), 2, m=2)
-    axes, blocks = model_coefficients(embed(f, model))
-    gam = _model_gamma(blocks, model, LengthFunction.heat((16, 16)), axes, f.m)
+    blocks = fourier_coefficients(embed(f, model), 2).coeffs
+    gam = _model_gamma(blocks, model, LengthFunction.heat((16, 16)), _embed_axes(f, model), f.m)
     eigs = np.linalg.eigvalsh(gam)
     assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
 
@@ -425,7 +426,7 @@ def test_sobolev_examples():
     z1 = TwistMatrix.zero(1)
     u = NCPoly.generator(z1, 0)
     e = embed(u, model)
-    got = op_norm(e) / lip_seminorm(e, HEAT1).lip
+    got = op_norm(e) / lip_seminorm_on_model(u, model, HEAT1).lip
     assert got == pytest.approx(u_ratio, rel=2e-2)
 
 
@@ -436,7 +437,9 @@ def test_lip_ball_membership():
     for f in samples:
         assert all(_mats.max_abs(b) <= 1e-12 for b in (f - adjoint(f)).coeffs.values())
         e = embed(f, model)
-        assert lip_seminorm(e, LengthFunction.heat((32,))).lip <= 1 + 1e-12
+        # measured on the coefficients extracted from the matrix
+        back = fourier_coefficients(e, 1, axes=(0,))
+        assert lip_seminorm_on_model(back, model, LengthFunction.heat((32,))).lip <= 1 + 1e-12
         assert op_norm(e) <= 2.0 + 1e-12
 
 

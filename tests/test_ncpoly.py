@@ -18,7 +18,6 @@ from fuzzytorus.ncpoly import (
     NCPoly,
     SymbolGrid,
     TwistMatrix,
-    _adjoint_phase,
     adjoint,
     apply_multiplier,
     gradient_coeffs,
@@ -90,7 +89,21 @@ def test_phases_of_key_arrays_have_the_scalar_bits():
         assert got.shape == (6, 5)
         assert all(got[i, j] == normal_order_phase(tuple(a[i]), tuple(b[j]), t)
                    for i in range(6) for j in range(5))
-        assert all(p == _adjoint_phase(tuple(k), t) for p, k in zip(_adjoint_phase(a, t), a))
+        adj = normal_order_phase(-a, a, t)
+        assert all(p == normal_order_phase(tuple(-k), tuple(k), t) for p, k in zip(adj, a))
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_adjoint_of_monomial_is_its_inverse(d):
+    # the adjoint phase is conj(normal_order_phase(-a, a)): (u^a)* u^a = 1
+    rng = np.random.default_rng((53, d))
+    for _ in range(20):
+        th = np.triu(rng.random((d, d)), 1)
+        t = TwistMatrix(th - th.T)
+        u = NCPoly.monomial(t, tuple(int(c) for c in rng.integers(-30, 31, size=d)))
+        prod = multiply(adjoint(u), u)
+        assert list(prod.coeffs) == [(0,) * d]
+        assert abs(prod.coeffs[(0,) * d][0, 0] - 1.0) <= 1e-15
 
 
 def test_phase_dimension_mismatch():
@@ -357,6 +370,20 @@ def test_two_by_two_sigma_max_closed_form():
     assert np.abs(_mats.batched_sigma_max(3 * unitary) - 3).max() <= 4e-15
 
 
+def test_two_by_two_max_eig_at_a_double_eigenvalue():
+    # H = (3U)*(3U) for U unitary has both eigenvalues 9, where tr^2 - 4 det
+    # cancels: the trace/determinant root read up to 2e-8 high on this batch
+    rng = np.random.default_rng(9)
+    z = rng.standard_normal((10000, 2, 2)) + 1j * rng.standard_normal((10000, 2, 2))
+    m = 3 * np.linalg.qr(z)[0]
+    h = np.swapaxes(m.conj(), -1, -2) @ m
+    ref = np.linalg.eigvalsh(h)[:, -1]
+    assert np.abs(_mats.batched_max_eig(h) / ref - 1).max() <= 4e-15
+    herm = z + np.swapaxes(z.conj(), -1, -2)
+    ref = np.linalg.eigvalsh(herm)[:, -1]
+    assert np.abs(_mats.batched_max_eig(herm) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_oracle_error_bound_decreases():
     assert oracle_error_bound(2, 512, 2) < oracle_error_bound(2, 64, 2)
 
@@ -497,8 +524,8 @@ def _gradient_form_loop(f, g, psi):
     out = {}
     for x in xs:
         fx = f.coeffs[x].conj().T
-        ax = _adjoint_phase(x, f.twist)
         negx = tuple(-c for c in x)
+        ax = normal_order_phase(negx, x, f.twist).conjugate()
         for y in ys:
             w = K[pos[x], pos[y]]
             if w == 0.0:
