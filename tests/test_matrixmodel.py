@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fuzzytorus import _mats
-from fuzzytorus.lattice import LengthFunction, window_range
+from fuzzytorus.lattice import window_range
 from fuzzytorus.matrixmodel import (
     MatrixModel,
     ModelElement,
@@ -19,7 +19,6 @@ from fuzzytorus.matrixmodel import (
     op_norm,
     schatten_norm,
 )
-from fuzzytorus.lipnorm import lip_seminorm_on_model
 from fuzzytorus.ncpoly import NCPoly, TwistMatrix, adjoint, multiply, sup_norm_oracle
 
 
@@ -415,7 +414,6 @@ def test_extraction_any_memory_layout(m):
     # must not depend on the input's memory layout
     n = 16
     model = clock_shift(n)
-    heat2 = LengthFunction.heat((n, n))
     rng = np.random.default_rng(37)
     f = rand_poly(rng, TwistMatrix.zero(2), 3, m=m)
     x = embed(f, model)
@@ -427,4 +425,3 @@ def test_extraction_any_memory_layout(m):
     assert list(lhs.coeffs) == list(rhs.coeffs)
     assert all(np.array_equal(lhs.coeffs[k], rhs.coeffs[k]) for k in rhs.coeffs)
     assert max(_mats.max_abs(b) for b in rhs.coeffs.values()) > 0.1
-    assert lip_seminorm_on_model(lhs, model, heat2) == lip_seminorm_on_model(rhs, model, heat2)
