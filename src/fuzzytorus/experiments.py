@@ -155,8 +155,8 @@ class ExperimentConfig:
             raise ValueError("eps: smoothing-tail smooths with eps/2, which must lie in (0, 1)")
         if self.eps_multiplier is not None and not 0 < self.eps_multiplier < 1:
             raise ValueError("eps_multiplier: need 0 < eps_multiplier < 1")
-        if self.net_cap < 1:
-            raise ValueError("net_cap: need net_cap >= 1")
+        if not 1 <= self.net_cap <= 2_000_000:
+            raise ValueError("net_cap: need 1 <= net_cap <= 2000000 (4 times the default)")
         if not self.amplifications or min(self.amplifications) < 1:
             raise ValueError("amplifications: need at least one, each >= 1")
         if not self.cutoffs:
@@ -437,32 +437,41 @@ def run_psd_audit(cfg: ExperimentConfig) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
+# Grid cells per row block of the net: covering-net evaluates its net on a
+# symbol grid this many values at a time (2,048 rows at G = 64).
+NET_BLOCK_CELLS = 2**17
+
+
 def _net_axis(limit: float, pitch: float) -> np.ndarray:
     m = int(math.floor(limit / pitch))
     return pitch * np.arange(-m, m + 1)
 
 
-def _net_sup_distance(C: np.ndarray, net_vals: np.ndarray, grid: SymbolGrid,
-                      yc: np.ndarray, y_vals: np.ndarray) -> float:
-    """min_i max_j |net_vals[i, j] - y_vals[j]|, scanning only the rows that can
-    attain it.
+def _net_sup_distance(C: np.ndarray, grid: SymbolGrid, yc: np.ndarray,
+                      y_vals: np.ndarray) -> float:
+    """min_i max_j |grid.values(C[i])[j] - y_vals[j]|, evaluating only the rows
+    that can attain it.
 
-    Net row i has values net_vals[i] = grid.values(C[i]); the sample has
-    coefficients yc and values y_vals, equal to grid.values(yc) up to a
-    roundoff err.  With the grid's keys distinct mod its size, discrete
+    The sample has coefficients yc and values y_vals, equal to grid.values(yc)
+    up to a roundoff err.  With the grid's keys distinct mod its size, discrete
     Plancherel gives ||c||_2 <= ||grid.values(c)||_inf for every coefficient
     gap c.  So a row no farther than dj, the sup distance of the l2-nearest
     row, has an l2 gap of at most dj + err; the relative and absolute margins
-    cover the rounding of the gaps and of the grid values.  The scanned rows'
-    distances are the floats a full scan computes, so the minimum is the same.
+    cover the rounding of the gaps and of the grid values.  The FFT transforms
+    each column on its own, so the evaluated rows' distances are the floats a
+    full scan computes, and the minimum is the same.
     """
     diff = C.view(np.float64) - yc.view(np.float64)
     gap2 = np.einsum("ij,ij->i", diff, diff)
-    dj = np.abs(net_vals[int(gap2.argmin())] - y_vals).max()
+    near = grid.values(C[[int(gap2.argmin())]].T)[:, 0]
+    dj = np.abs(near - y_vals).max()
     err = np.abs(y_vals - grid.values(yc)).max()
     cut = (dj + err) * (1 + 1e-9) + 1e-12 * (1.0 + np.abs(yc).sum())
-    cand = gap2 <= cut * cut
-    return float(np.abs(net_vals[cand] - y_vals).max(axis=1).min())
+    (cand,) = np.nonzero(gap2 <= cut * cut)
+    step = max(1, NET_BLOCK_CELLS // grid.G)
+    return min(float(np.abs(grid.values(C[cand[lo:lo + step]].T) - y_vals[:, None])
+                     .max(axis=0).min())
+               for lo in range(0, len(cand), step))
 
 
 def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
@@ -512,31 +521,40 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     C = np.zeros((count, s), dtype=complex)
     C[:, b] = flat[0]
     for k in range(1, b + 1):
-        ck = flat[2 * k - 1] + 1j * flat[2 * k]
-        C[:, b + k] = ck
-        C[:, b - k] = ck.conj()
+        C[:, b + k] = flat[2 * k - 1] + 1j * flat[2 * k]
+        C[:, b - k] = C[:, b + k].conj()
+    del mesh, flat  # 8 B per net point and axis, not needed past C
 
     Gf = max(64, 16 * b, n)
+    grid_f = SymbolGrid(coords, Gf, tw)
     grid_n = SymbolGrid(coords, n, tw)
 
-    def batch_lip(Cm: np.ndarray, psi: LengthFunction, G: int) -> np.ndarray:
-        # ||Gamma(f, f)||^(1/2) of every row f of Cm, by gradient_form's rule
-        stack = Cm.T[:, :, None, None]
-        keys, gam = gradient_coeffs(coords, stack, coords, stack, psi, tw)
-        g_vals = SymbolGrid(keys, G, tw).values(gam[..., 0, 0]).real
-        return np.sqrt(np.maximum(g_vals.max(axis=0), 0.0))
+    def batch_lip(psi: LengthFunction, G: int) -> Callable[[np.ndarray], np.ndarray]:
+        # ||Gamma(f, f)||^(1/2) of every row f of a block, by gradient_form's rule
+        empty = np.zeros((s, 0, 1, 1), dtype=complex)
+        g_grid = SymbolGrid(gradient_coeffs(coords, empty, coords, empty, psi, tw)[0], G, tw)
 
-    norms = np.abs(SymbolGrid(coords, Gf, tw).values(C.T)).max(axis=0)
-    lips = batch_lip(C, psi_sym, Gf)
-    sigma = np.maximum(1.0, np.maximum(lips, norms / R))
-    C = C / sigma[:, None]
-    net_vals = grid_n.values(C.T).T  # (count, n) model diagonal values
+        def lips(Cm: np.ndarray) -> np.ndarray:
+            stack = Cm.T[:, :, None, None]
+            gam = gradient_coeffs(coords, stack, coords, stack, psi, tw)[1]
+            g_vals = g_grid.values(gam[..., 0, 0]).real
+            return np.sqrt(np.maximum(g_vals.max(axis=0), 0.0))
 
-    # direction 2: embedded net points against membership in D_R(M_n)
-    lips_n = batch_lip(C, psi_n, n)
-    norms_n = np.abs(net_vals).max(axis=1)
-    sig2 = np.maximum(1.0, np.maximum(lips_n, norms_n / R))
-    d2 = float(((1.0 - 1.0 / sig2) * norms_n).max())
+        return lips
+
+    lip_f, lip_n = batch_lip(psi_sym, Gf), batch_lip(psi_n, n)
+    # rescale each net point into D_R at Gf, then measure direction 2 (the
+    # embedded net point against membership in D_R(M_n)); Gf >= n, so a block
+    # of NET_BLOCK_CELLS // Gf rows bounds both grids' values
+    step = max(1, NET_BLOCK_CELLS // Gf)
+    d2 = 0.0
+    for lo in range(0, count, step):
+        Cb = C[lo:lo + step]
+        norms = np.abs(grid_f.values(Cb.T)).max(axis=0)
+        Cb /= np.maximum(1.0, np.maximum(lip_f(Cb), norms / R))[:, None]
+        norms_n = np.abs(grid_n.values(Cb.T)).max(axis=0)
+        sig2 = np.maximum(1.0, np.maximum(lip_n(Cb), norms_n / R))
+        d2 = max(d2, float(((1.0 - 1.0 / sig2) * norms_n).max()))
 
     k_val = psi_n.coord_value(1)
     phi = build_smoothing_multiplier(psi_n, k_val, eps)
@@ -548,7 +566,7 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     for f in samples:
         e = embed(f, model)
         yc = np.array([f.coeffs.get(c, zero)[0, 0] for c in coords], dtype=complex)
-        dist = _net_sup_distance(C, net_vals, grid_n, yc, np.diag(e.matrix))
+        dist = _net_sup_distance(C, grid_n, yc, np.diag(e.matrix))
         radius = max(radius, dist)
         if dist <= (4 * R + 2) * eps:
             covered += 1

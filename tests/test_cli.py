@@ -188,6 +188,8 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
     ({"id": "isometry", "n_schedule": [8], "samples": 2, "lip_samples": 0},
      "experiments[0]: lip_samples: "),
     ({"id": "covering-net", "samples": 2, "net_cap": 0}, "experiments[0]: net_cap: "),
+    ({"id": "covering-net", "n_schedule": [64], "samples": 2, "eps": 0.001,
+      "net_cap": 10**12}, "experiments[0]: net_cap: "),
     ({"id": "covering-net", "samples": 2, "eps": 2}, "experiments[0]: eps: "),
     ({"id": "smoothing-tail", "n_schedule": [64], "samples": 2, "eps": 2},
      "experiments[0]: eps: "),
@@ -205,6 +207,7 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
         "theta-gcd", "cutoffs-empty", "grid-zero", "lip-grid-zero", "eps-zero",
         "eps-negative", "R-negative", "sample-band-negative", "band-negative-intertwining",
         "band-negative-isometry", "psi-unknown", "lip-samples-zero", "net-cap-zero",
+        "net-cap-above-max",
         "eps-covering-net-above-one", "eps-smoothing-tail-half-above-one",
         "eps-multiplier-above-one", "eps-multiplier-zero", "band-zero-smoothing-tail",
         "band-zero-hp-ratio", "tol-unknown"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,9 +176,10 @@ def _full_scan(net_vals, y_vals):
 
 @pytest.mark.parametrize("n", [8, 64])
 @pytest.mark.parametrize("b", [1, 2])
-def test_net_sup_distance_equals_full_scan(n, b):
+def test_net_sup_distance_equals_full_scan(n, b, monkeypatch):
     # rescaled lattice nets as covering-net builds them, samples embedded in
-    # the clock/shift model so their values carry the model's roundoff
+    # the clock/shift model so their values carry the model's roundoff; the
+    # candidate rows are evaluated in one block and in blocks of three rows
     rng = np.random.default_rng((n, b))
     s = 2 * b + 1
     model = clock_shift(n)
@@ -200,7 +203,50 @@ def test_net_sup_distance_equals_full_scan(n, b):
         f = NCPoly(TwistMatrix.zero(1), 1, {(int(k),): c for k, c in zip(ks, yc)})
         y_vals = np.diag(embed(f, model).matrix)
         yc = np.array([f.coeffs.get((int(k),), np.zeros((1, 1)))[0, 0] for k in ks])
-        assert ex._net_sup_distance(C, net_vals, grid, yc, y_vals) == _full_scan(net_vals, y_vals)
+        for cells in (ex.NET_BLOCK_CELLS, 3 * n):
+            monkeypatch.setattr(ex, "NET_BLOCK_CELLS", cells)
+            assert ex._net_sup_distance(C, grid, yc, y_vals) == _full_scan(net_vals, y_vals)
+
+
+@pytest.mark.parametrize("d, b, G", [(1, 3, 64), (2, 2, 16)])
+def test_symbol_grid_values_column_by_column(d, b, G):
+    # covering-net evaluates its net a block of rows at a time and a sample's
+    # candidate rows alone: each column's values must not depend on the others
+    rng = np.random.default_rng((d, b, G))
+    grid = SymbolGrid(band_window(b, d), G, TwistMatrix.zero(d))
+    S = len(grid.support)
+    X = rng.standard_normal((S, 300)) + 1j * rng.standard_normal((S, 300))
+    full = grid.values(X)
+    for cols in (rng.choice(300, size=37, replace=False), rng.integers(300, size=1),
+                 np.arange(128, 300)):
+        assert np.array_equal(grid.values(X[:, cols]), full[:, cols])
+
+
+def test_covering_net_rows_independent_of_block_size(monkeypatch):
+    # 997 rows per block at Gf = 64 (a last block shorter than the rest), the
+    # default, and one block holding the whole net
+    cfg = small("covering-net")
+    runs = []
+    for cells in (997 * 64, ex.NET_BLOCK_CELLS, 64 * 10**6):
+        monkeypatch.setattr(ex, "NET_BLOCK_CELLS", cells)
+        runs.append(ex.run_experiment(cfg))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert 997 < dict((r.metric, r.value) for r in runs[0])["net_size"] < 10**6
+
+
+def test_covering_net_memory_stays_below_net_size_times_grid():
+    # the net workload's covering-net entry: 62,475 net points on a 64-point
+    # grid would take 64 MB per complex array of values; blocks keep the peak
+    # at about 7 MB
+    cfg = small("covering-net", n_schedule=(64,), samples=2)
+    tracemalloc.start()
+    try:
+        rows = ex.run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dict((r.metric, r.value) for r in rows)["net_size"] == 62_475
+    assert peak < 32 * 2**20
 
 
 def test_bridge_reach_small():
