@@ -144,6 +144,12 @@ class ExperimentConfig:
                              "which are 0 at band 0; need band >= 1")
         if self.sample_band < 0:
             raise ValueError("sample_band: need sample_band >= 0")
+        n = ns[-1] if ns else 64  # the one model of smoothing-tail and covering-net
+        if self.experiment == "smoothing-tail" and 2 * self.band >= n:
+            raise ValueError(f"band: sample band exceeds the model window; need 2 band < n = {n}")
+        if self.experiment == "covering-net" and 2 * self.sample_band >= n:
+            raise ValueError(f"sample_band: frequencies -{self.sample_band}..{self.sample_band} "
+                             f"alias mod n = {n}; covering-net needs 2 * sample_band < n")
         if self.R < 0:
             raise ValueError("R: need R >= 0")
         if not self.eps > 0:
@@ -212,7 +218,7 @@ def run_intertwining(cfg: ExperimentConfig) -> list[ReportRow]:
         for i in range(cfg.samples):
             rng = np.random.default_rng((cfg.seed, n, i))
             f = NCPoly(tw, 1, _draw_blocks(rng, band_window(cfg.band, 1), 1))
-            lhs = _model_gamma(f.coeffs, model, psi_n, (0,), f.m)
+            lhs = _model_gamma(f, model, psi_n, (0,))
             rhs = embed(gradient_form(f, f, psi_inf), model).matrix
             worst = max(worst, _mats.max_abs(lhs - rhs))
         rows.append(ReportRow.make(cfg.experiment, n, "intertwining_defect", worst, EXACT_TOL))
@@ -310,9 +316,8 @@ def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
     for amp in cfg.amplifications:
         for i in range(cfg.samples):
             rng = np.random.default_rng((cfg.seed, amp, i))
-            blocks = _draw_blocks(rng, support, amp)
-            f = NCPoly(tw, amp, blocks)
-            draws.append((amp, i, f, oracle.norm(blocks, amp)))
+            f = NCPoly(tw, amp, _draw_blocks(rng, support, amp))
+            draws.append((amp, i, f, oracle.norm(f.coeffs, amp)))
 
     lip_draws = []
     for amp, i, f, _ in draws:
@@ -360,8 +365,6 @@ def run_smoothing_tail(cfg: ExperimentConfig) -> list[ReportRow]:
     """sup over samples of ||x - T_phi x|| / (||x||_2 + L(x)) and the pure-Lip
     variant, per frequency cutoff; the sup is reported, monotone in the cutoff."""
     n = cfg.n_schedule[-1] if cfg.n_schedule else 64
-    if 2 * cfg.band >= n:
-        raise ValueError("sample band exceeds the model window; need band < n/2")
     model = clock_shift(n)
     tw = TwistMatrix.zero(2)
     psi_n = LengthFunction(cfg.psi, (n, n))
@@ -479,11 +482,6 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     cover model-side samples within (4R+2) eps (d = 1)."""
     n = cfg.n_schedule[-1] if cfg.n_schedule else 64
     b = cfg.sample_band
-    if 2 * b >= n:
-        raise ValueError(
-            f"sample_band: frequencies -{b}..{b} alias mod n = {n}; "
-            f"covering-net needs 2 * sample_band < n"
-        )
     R = cfg.R
     eps = cfg.eps
     if R == 0:

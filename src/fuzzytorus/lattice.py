@@ -28,12 +28,12 @@ __all__ = [
 ]
 
 
-def canonical_rep(k: int, n: Optional[int]) -> int:
-    """Reduce k into the canonical window (-n/2, n/2]; identity for n=None."""
+def canonical_rep(k, n: Optional[int]):
+    """Reduce k (an int or int array) into the window (-n/2, n/2]; identity for n=None."""
     if n is None:
-        return int(k)
+        return k
     lo = -((n - 1) // 2)
-    return (int(k) - lo) % n + lo
+    return (k - lo) % n + lo
 
 
 def window_range(n: int) -> range:
@@ -215,8 +215,13 @@ class MultiplierSpec:
     tail: float
 
     def value_at(self, coords: Sequence[int]) -> complex:
-        key = tuple(canonical_rep(c, n) for c, n in zip(coords, self.moduli))
-        return self.values.get(key, 0.0)
+        return self.values_at([coords])[0]
+
+    def values_at(self, keys) -> list[complex]:
+        """value_at of every key of a list or (S, d) integer array."""
+        cols = np.array(keys, dtype=np.intp).reshape(-1, len(self.moduli)).T
+        reps = [canonical_rep(c, n).tolist() for c, n in zip(cols, self.moduli)]
+        return [self.values.get(k, 0.0) for k in zip(*reps)]
 
 
 def _min_alpha(k: float, eps: float) -> float:

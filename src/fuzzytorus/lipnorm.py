@@ -25,6 +25,7 @@ from .ncpoly import (
     SymbolGrid,
     TwistMatrix,
     _adjoint_coeffs,
+    _sorted_stack,
     adjoint,
     gradient_form,
     l2_norm,
@@ -63,9 +64,9 @@ def _cocycle_rows(psi: LengthFunction, support: tuple) -> np.ndarray:
     return cocycle_rows_for_coords(psi, support)
 
 
-def _model_gamma(blocks, model, psi_n: LengthFunction, axes, m: int) -> np.ndarray:
-    """Gamma(x, x) inside the model from x's coefficients, PSD by construction
-    and exactly Hermitian.
+def _model_gamma(f: NCPoly, model, psi_n: LengthFunction, axes) -> np.ndarray:
+    """Gamma(x, x) for x = embed(f, model) from f's coefficients, PSD by
+    construction, exactly Hermitian and homogeneous (no absolute cut).
 
     With G the cocycle factor of the Gromov form over x's support and
     X_a = xhat(a) (x) W^a, the rows D_i = sum_a G[i,a] X_a satisfy
@@ -75,19 +76,16 @@ def _model_gamma(blocks, model, psi_n: LengthFunction, axes, m: int) -> np.ndarr
     Lam[i,g,r]* Lam[i,h,r] at block (P_g^-1 r, P_h^-1 r), O(R L^2 m^3 N) for
     L groups.  Pairs g < h and half of each g = h make A; Gamma = A + A*.
     """
-    blocks = {k: b for k, b in blocks.items() if _mats.max_abs(b) > 1e-15}
-    support = sorted(blocks)
+    support, coef = _sorted_stack(f)
     rows = _cocycle_rows(psi_n, tuple(support)) if support else np.zeros((0, 0))
-    N = model.dim
+    N, m = model.dim, f.m
     gamma = np.zeros((m, N, m, N), dtype=complex)
     if rows.size:
-        words = [model.word(k, axes) for k in support]
+        perms, phase = model.words(support, axes)
         groups: dict[bytes, list[int]] = {}
-        for a, (perm, _) in enumerate(words):
+        for a, perm in enumerate(perms):
             groups.setdefault(perm.tobytes(), []).append(a)
-        coef = np.array([blocks[k] for k in support], dtype=complex)
-        phase = np.array([w[1] for w in words])
-        inv = [np.argsort(words[g[0]][0]) for g in groups.values()]
+        inv = [np.argsort(perms[g[0]]) for g in groups.values()]
         lam = [np.einsum("ia,acd,ar->ircd", rows[:, g], coef[g], phase[g][:, p])
                for g, p in zip(groups.values(), inv)]
         for g in range(len(lam)):
@@ -121,9 +119,10 @@ def lip_seminorm_on_model(f: NCPoly, model, psi: LengthFunction) -> LipReport:
     axes = _embed_axes(f, model)
     psi_n = _model_psi(psi, model, len(axes))
     order = model.band_order(f.m)
-    adj = _adjoint_coeffs(f.coeffs, TwistMatrix(model.phase_table[np.ix_(axes, axes)]))
-    col = _sqrt_top(_model_gamma(f.coeffs, model, psi_n, axes, f.m), order)
-    row = _sqrt_top(_model_gamma(adj, model, psi_n, axes, f.m), order)
+    twist = TwistMatrix(model.phase_table[np.ix_(axes, axes)])
+    adj = NCPoly(twist, f.m, _adjoint_coeffs(f, twist), prune=False)
+    col = _sqrt_top(_model_gamma(f, model, psi_n, axes), order)
+    row = _sqrt_top(_model_gamma(adj, model, psi_n, axes), order)
     return LipReport(column=col, row=row, lip=max(col, row))
 
 
@@ -180,12 +179,11 @@ def _psd_sqrt_schatten(g: ModelElement, p: float) -> float:
     return float((np.mean(sv**p)) ** (1.0 / p))
 
 
-def _draw_blocks(rng, coords, m: int) -> dict[tuple[int, ...], np.ndarray]:
-    """i.i.d. complex Gaussian m x m blocks, drawn in coords order."""
-    return {
-        c: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        for c in coords
-    }
+def _draw_blocks(rng, coords, m: int) -> tuple[list, np.ndarray]:
+    """NCPoly's (keys, blocks) pair of i.i.d. complex Gaussian m x m blocks on
+    coords, one draw: per key in coords order, a real then an imaginary block."""
+    z = rng.standard_normal((len(coords), 2, m, m))
+    return coords, z[:, 0] + 1j * z[:, 1]
 
 
 MAX_RETRIES = 8  # fresh draws per sample before a degenerate one is an error

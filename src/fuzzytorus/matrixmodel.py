@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -40,6 +41,9 @@ __all__ = [
 
 RELATION_TOL = 1e-12
 DIMENSION_CAP = 4096
+# Bytes of word stacks a model keeps; past it the least recently used stack
+# goes first (a band-8 window on n = 64, 289 words, takes 444 KiB).
+WORD_CACHE_BYTES = 2**25
 
 # A word W is a generalized permutation stored as arrays (perm, phase):
 # W e_j = phase[j] e_{perm[j]}.  Products and adjoints are index arithmetic.
@@ -47,8 +51,8 @@ Word = tuple[np.ndarray, np.ndarray]
 
 
 def _compose(a: Word, b: Word) -> Word:
-    """The word A B."""
-    return a[0][b[0]], a[1][b[0]] * b[1]
+    """The word A B, or along the last axis the words of two stacks."""
+    return np.take_along_axis(a[0], b[0], -1), np.take_along_axis(a[1], b[0], -1) * b[1]
 
 
 def _dense(a: Word) -> np.ndarray:
@@ -86,7 +90,7 @@ class MatrixModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "_words", {})
+        object.__setattr__(self, "_stacks", OrderedDict())
         ident = (np.arange(self.dim), np.ones(self.dim, dtype=complex))
         gens = [self.power(i, 1) for i in range(self.n_generators)]
         for i, (perm, phase) in enumerate(gens):
@@ -133,24 +137,35 @@ class MatrixModel:
             phase = np.multiply.outer(phase, ph).ravel()
         return perm, phase
 
-    def word(self, coords: Sequence[int], axes: Optional[Sequence[int]] = None) -> Word:
-        """Ordered word prod_i W_{axes[i]}^{coords[i]} as (perm, phase), cached
-        by folded exponents (O(N) memory per word)."""
+    def words(self, support: Sequence[tuple[int, ...]], axes: Optional[Sequence[int]] = None):
+        """Ordered words prod_i W_{axes[i]}^{k[i]} of every key k of support as
+        (S, N) perm and phase stacks, composed from power at each axis's folded
+        exponents (one call per distinct exponent).  Cached per (axes, support);
+        past WORD_CACHE_BYTES the least recently used stacks go first."""
         axes = tuple(range(self.n_generators)) if axes is None else tuple(axes)
-        key = (axes, tuple(int(c) % self.order for c in coords))
-        if key not in self._words:
-            out = (np.arange(self.dim), np.ones(self.dim, dtype=complex))
-            for axis, c in zip(axes, key[1]):
-                out = _compose(out, self.power(axis, c))
-            self._words[key] = out
-        return self._words[key]
+        key, stacks, N = (axes, tuple(support)), self._stacks, self.dim
+        if key not in stacks:
+            exps = np.array(key[1], dtype=np.intp).reshape(-1, len(axes)) % self.order
+            out = np.tile(np.arange(N), (len(exps), 1)), np.ones((len(exps), N), dtype=complex)
+            for axis, col in zip(axes, exps.T):
+                uniq, inv = np.unique(col, return_inverse=True)
+                pw = [self.power(axis, int(c)) for c in uniq]
+                perm = np.array([p for p, _ in pw], dtype=np.intp).reshape(-1, N)
+                phase = np.array([ph for _, ph in pw], dtype=complex).reshape(-1, N)
+                out = _compose(out, (perm[inv], phase[inv]))
+            stacks[key] = out
+            while len(stacks) > 1 and sum(
+                    p.nbytes + ph.nbytes for p, ph in stacks.values()) > WORD_CACHE_BYTES:
+                stacks.popitem(last=False)
+        stacks.move_to_end(key)
+        return stacks[key]
 
     def generators(self) -> list[np.ndarray]:
         return [_dense(self.power(i, 1)) for i in range(self.n_generators)]
 
     def monomial(self, coords: Sequence[int], axes: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Dense matrix of word(coords, axes); not cached."""
-        return _dense(self.word(coords, axes))
+        """Dense matrix of the word of coords over axes."""
+        return _dense(tuple(a[0] for a in self.words([tuple(coords)], axes)))
 
     def band_order(self, m: int = 1) -> np.ndarray:
         """Basis order of C^m (x) C^N along the cycles of the last generator,
@@ -284,7 +299,7 @@ def _embed_axes(f: NCPoly, model: MatrixModel) -> tuple[int, ...]:
 
 def embed(f: NCPoly, model: MatrixModel) -> ModelElement:
     """Linear coefficient transport sum_k fhat(k) (x) W^k (indices fold mod n)."""
-    return ModelElement(model, _kron_sum(model, _embed_axes(f, model), f.coeffs, f.m), m=f.m)
+    return ModelElement(model, _kron_sum(model, _embed_axes(f, model), f.keys, f.blocks), m=f.m)
 
 
 def _word_entries(
@@ -294,27 +309,20 @@ def _word_entries(
     matrix, shape (s, m, m, N), and the word phases, shape (s, N).  Entry
     (a, b, j) sits at row a N + perm[j], column b N + j."""
     N = model.dim
-    words = [model.word(k, axes) for k in keys]
-    perm = np.array([w[0] for w in words], dtype=np.intp).reshape(-1, 1, 1, N)
-    phase = np.array([w[1] for w in words], dtype=complex).reshape(-1, N)
-    row = np.arange(m)[:, None, None] * N + perm
+    perm, phase = model.words(keys, axes)
+    row = np.arange(m)[:, None, None] * N + perm[:, None, None, :]
     return row * (m * N) + np.arange(m)[:, None] * N + np.arange(N), phase
 
 
-def _kron_values(blocks, phase: np.ndarray, m: int) -> np.ndarray:
-    """block[a, b] phase[j] for the (s, m, m, N) entries of _word_entries."""
-    stacked = np.array(list(blocks), dtype=complex).reshape(-1, m, m, 1)
-    return stacked * phase[:, None, None, :]
-
-
-def _kron_sum(model: MatrixModel, axes, blocks: dict, m: int) -> np.ndarray:
-    """New mN x mN matrix sum_k blocks[k] (x) W^k, O(s m^2 N) for s blocks of
-    size m.  np.add.at adds in index order, so each entry sums its terms in
-    key order."""
+def _kron_sum(model: MatrixModel, axes, keys, blocks: np.ndarray) -> np.ndarray:
+    """New mN x mN matrix sum_k blocks[k] (x) W^k for keys and their
+    (s, m, m) stack, O(s m^2 N).  np.add.at adds in index order, so each
+    entry sums its terms in key order."""
+    m = blocks.shape[-1]
     size = m * model.dim
     flat = np.zeros(size * size, dtype=complex)
-    idx, phase = _word_entries(model, axes, list(blocks), m)
-    np.add.at(flat, idx, _kron_values(blocks.values(), phase, m))
+    idx, phase = _word_entries(model, axes, keys, m)
+    np.add.at(flat, idx, blocks[..., None] * phase[:, None, None, :])  # (s, m, m, N)
     return flat.reshape(size, size)
 
 
@@ -333,14 +341,13 @@ def fourier_coefficients(
     coords = band_window(band, len(axes))
     idx, phase = _word_entries(model, axes, coords, x.m)
     gathered = np.einsum("sabj,sj->sab", x.matrix.reshape(-1)[idx], phase.conj())
-    blocks = dict(zip(coords, gathered / model.dim))
     twist = model.symbol_twist
     if len(axes) != twist.d:
         if len(axes) == 1:
             twist = TwistMatrix.zero(1)
         else:
             raise ValueError("axis subset has no matching symbol twist")
-    return NCPoly(twist, x.m, blocks)
+    return NCPoly(twist, x.m, (coords, gathered / model.dim))
 
 
 def op_norm(x: ModelElement) -> float:

@@ -110,39 +110,62 @@ def normal_order_phase(a, b, twist: TwistMatrix):
     return complex(phase) if phase.ndim == 0 else phase
 
 
-def _adjoint_coeffs(blocks: dict, twist: TwistMatrix) -> dict:
-    """Coefficients of the adjoint under twist: the block at -a is
+def _adjoint_coeffs(f: "NCPoly", twist: TwistMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and blocks of f's adjoint under twist: the block at -a is
     conj(normal_order_phase(-a, a)) times the conjugate transpose of the
-    block at a."""
-    keys = np.array(list(blocks), dtype=np.intp).reshape(-1, twist.d)
+    block at a, in f's key order."""
+    keys = np.array(f.keys, dtype=np.intp).reshape(-1, twist.d)
     phases = normal_order_phase(-keys, keys, twist).conj()
-    return {tuple(-c for c in a): p * b.conj().T
-            for (a, b), p in zip(blocks.items(), phases)}
+    return -keys, phases[:, None, None] * f.blocks.conj().transpose(0, 2, 1)
+
+
+def _block_stack(keys, blocks, m: int) -> np.ndarray:
+    """The (S, m, m) complex stack of blocks (scalars allowed at m = 1), or
+    the error naming the first block of another shape."""
+    shapes = ((len(keys), m, m), (len(keys),) if m == 1 else None)
+    try:
+        stack = np.asarray(blocks, dtype=complex)
+        if stack.shape in shapes:
+            return stack.reshape(shapes[0])
+    except ValueError:  # blocks of mixed shapes
+        pass
+    for k, b in zip(keys, blocks):
+        if np.shape(b) not in ((m, m), () if m == 1 else None):
+            raise ValueError(f"coefficient block at {k} has shape {np.shape(b)}")
+    return np.array([np.reshape(b, (m, m)) for b in blocks], dtype=complex).reshape(shapes[0])
 
 
 class NCPoly:
-    """Immutable band-limited twisted polynomial with m x m block coefficients."""
+    """Immutable band-limited twisted polynomial with m x m block coefficients,
+    held as a tuple of distinct integer keys and an (S, m, m) block stack."""
 
-    __slots__ = ("twist", "m", "coeffs")
+    __slots__ = ("twist", "m", "keys", "blocks")
 
     def __init__(self, twist: TwistMatrix, m: int = 1, coeffs=None, prune: bool = True):
+        """coeffs maps keys to blocks, or is a pair of S distinct keys and their
+        (S, m, m) stack; prune drops blocks at most PRUNE_REL times the top."""
         self.twist = twist
         self.m = int(m)
-        raw = {}
-        for k, block in (coeffs or {}).items():
-            arr = np.asarray(block, dtype=complex)
-            if arr.shape == () and self.m == 1:
-                arr = arr.reshape(1, 1)
-            if arr.shape != (self.m, self.m):
-                raise ValueError(f"coefficient block at {k} has shape {arr.shape}")
-            if len(k) != twist.d:
-                raise ValueError(f"index {k} has wrong dimension for the twist")
-            raw[tuple(int(c) for c in k)] = arr
-        if prune and raw:
-            tops = np.abs(np.stack(list(raw.values()))).max(axis=(1, 2))
-            cut = PRUNE_REL * tops.max()
-            raw = {k: b for (k, b), t in zip(raw.items(), tops) if t > cut}
-        self.coeffs = raw
+        if not isinstance(coeffs, tuple):
+            coeffs = (list(coeffs or {}), list((coeffs or {}).values()))
+        keys, stack, d = coeffs[0], _block_stack(*coeffs, self.m), twist.d
+        for k in keys:
+            if len(k) != d:
+                raise ValueError(f"index {tuple(k)} has wrong dimension for the twist")
+        keys = np.array(keys, dtype=np.intp).reshape(len(stack), d)
+        if prune and len(stack):
+            tops = np.abs(stack).max(axis=(1, 2))
+            live = tops > PRUNE_REL * tops.max()
+            keys, stack = keys[live], stack[live]
+        self.keys = tuple(map(tuple, keys.tolist()))
+        if len(set(self.keys)) < len(self.keys):
+            raise ValueError("coefficient keys must be distinct")
+        self.blocks = stack
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], np.ndarray]:
+        """The blocks keyed by their exponents, as views of the stack."""
+        return dict(zip(self.keys, self.blocks))
 
     # -- constructors ------------------------------------------------------
 
@@ -174,12 +197,10 @@ class NCPoly:
 
     @property
     def band(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(max(abs(c) for c in k) for k in self.coeffs)
+        return max((max(abs(c) for c in k) for k in self.keys), default=0)
 
     def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.coeffs.keys())
+        return sorted(self.keys)
 
     def get(self, k) -> np.ndarray:
         return self.coeffs.get(tuple(k), np.zeros((self.m, self.m), dtype=complex))
@@ -195,19 +216,18 @@ class NCPoly:
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         self._require_compatible(other)
-        out = {k: b.copy() for k, b in self.coeffs.items()}
-        for k, b in other.coeffs.items():
-            out[k] = out.get(k, 0) + b
-        return NCPoly(self.twist, self.m, out)
+        pos = {k: i for i, k in enumerate(dict.fromkeys(self.keys + other.keys))}
+        out = np.zeros((len(pos), self.m, self.m), dtype=complex)
+        out[:len(self.keys)] = self.blocks
+        out[[pos[k] for k in other.keys]] += other.blocks
+        return NCPoly(self.twist, self.m, (list(pos), out))
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-1.0) * other
 
     def __rmul__(self, c) -> "NCPoly":
         if np.isscalar(c):
-            return NCPoly(
-                self.twist, self.m, {k: c * b for k, b in self.coeffs.items()}
-            )
+            return NCPoly(self.twist, self.m, (self.keys, c * self.blocks))
         return NotImplemented
 
     def __mul__(self, other):
@@ -218,9 +238,8 @@ class NCPoly:
         return NotImplemented
 
     def scale_coeffs(self, fn: Callable[[tuple[int, ...]], complex]) -> "NCPoly":
-        return NCPoly(
-            self.twist, self.m, {k: fn(k) * b for k, b in self.coeffs.items()}
-        )
+        scale = np.array([fn(k) for k in self.keys], dtype=complex).reshape(-1, 1, 1)
+        return NCPoly(self.twist, self.m, (self.keys, scale * self.blocks))
 
 
 def multiply(f: NCPoly, g: NCPoly) -> NCPoly:
@@ -238,11 +257,12 @@ def multiply(f: NCPoly, g: NCPoly) -> NCPoly:
 def adjoint(f: NCPoly) -> NCPoly:
     """Involution: block at -a is conj(normal_order_phase(-a, a)) times the
     conjugate transpose of the block at a."""
-    return NCPoly(f.twist, f.m, _adjoint_coeffs(f.coeffs, f.twist))
+    return NCPoly(f.twist, f.m, _adjoint_coeffs(f, f.twist))
 
 
 def project(f: NCPoly, mask: Callable[[Sequence[int]], bool]) -> NCPoly:
-    return NCPoly(f.twist, f.m, {k: b for k, b in f.coeffs.items() if mask(k)})
+    keep = np.array([mask(k) for k in f.keys], dtype=bool)
+    return NCPoly(f.twist, f.m, ([k for k, t in zip(f.keys, keep) if t], f.blocks[keep]))
 
 
 def mean_zero(f: NCPoly) -> NCPoly:
@@ -252,7 +272,7 @@ def mean_zero(f: NCPoly) -> NCPoly:
 def l2_norm(f: NCPoly) -> float:
     """Normalized-trace L2 norm; normal-ordered monomials are orthonormal."""
     s = 0.0
-    for b in f.coeffs.values():
+    for b in f.blocks:
         s += float(np.vdot(b, b).real)
     return math.sqrt(s / f.m)
 
@@ -261,7 +281,7 @@ def apply_multiplier(f: NCPoly, phi: MultiplierSpec) -> NCPoly:
     """Coefficient-wise scaling by phi (reduced into phi's moduli)."""
     if len(phi.moduli) != f.d:
         raise ValueError("multiplier dimension does not match the polynomial")
-    return f.scale_coeffs(lambda k: phi.value_at(k))
+    return f.scale_coeffs(dict(zip(f.keys, phi.values_at(f.keys))).__getitem__)
 
 
 def gradient_coeffs(
@@ -303,8 +323,10 @@ def gradient_coeffs(
     return [tuple(int(c) for c in k) for k in keys[order]], out
 
 
-def _stack(f: NCPoly) -> np.ndarray:
-    return np.array([f.coeffs[k] for k in f.support()]).reshape(-1, f.m, f.m)
+def _sorted_stack(f: NCPoly) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """f's keys in ascending order and the stack of their blocks."""
+    order = sorted(range(len(f.keys)), key=f.keys.__getitem__)
+    return [f.keys[i] for i in order], f.blocks[order]
 
 
 def gradient_form(f: NCPoly, g: NCPoly, psi: LengthFunction) -> NCPoly:
@@ -315,8 +337,8 @@ def gradient_form(f: NCPoly, g: NCPoly, psi: LengthFunction) -> NCPoly:
     result into any compatible matrix model matches the model-side gradient.
     """
     f._require_compatible(g)
-    keys, gam = gradient_coeffs(f.support(), _stack(f), g.support(), _stack(g), psi, f.twist)
-    return NCPoly(f.twist, f.m, dict(zip(keys, gam)))
+    keys, gam = gradient_coeffs(*_sorted_stack(f), *_sorted_stack(g), psi, f.twist)
+    return NCPoly(f.twist, f.m, (keys, gam))
 
 
 # -- sup-norm oracles -------------------------------------------------------

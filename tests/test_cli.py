@@ -202,6 +202,12 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
     ({"id": "hp-ratio", "n_schedule": [64], "band": 0, "samples": 1}, "experiments[0]: band: "),
     ({"id": "intertwining", "n_schedule": [16], "samples": 2, "tol": 5},
      "experiments[0].tol: unknown configuration key"),
+    ({"id": "smoothing-tail", "n_schedule": [16], "band": 8, "samples": 1},
+     "experiments[0]: band: sample band exceeds the model window"),
+    ({"id": "smoothing-tail", "band": 32, "samples": 1},
+     "experiments[0]: band: sample band exceeds the model window"),
+    ({"id": "covering-net", "n_schedule": [4], "sample_band": 2, "samples": 1},
+     "experiments[0]: sample_band: frequencies -2..2 alias mod n = 4"),
 ], ids=["n-zero", "n-over-cap", "samples-zero", "samples-negative",
         "amplifications-empty", "amplifications-zero", "theta-triple", "theta-m-zero",
         "theta-gcd", "cutoffs-empty", "grid-zero", "lip-grid-zero", "eps-zero",
@@ -210,7 +216,8 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
         "net-cap-above-max",
         "eps-covering-net-above-one", "eps-smoothing-tail-half-above-one",
         "eps-multiplier-above-one", "eps-multiplier-zero", "band-zero-smoothing-tail",
-        "band-zero-hp-ratio", "tol-unknown"])
+        "band-zero-hp-ratio", "tol-unknown", "band-smoothing-tail-window",
+        "band-smoothing-tail-default-n", "sample-band-covering-net-alias"])
 def test_cli_rejects_out_of_range_config_with_key_path(tmp_path, capsys, entry, prefix):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [entry]})

@@ -17,6 +17,7 @@ from fuzzytorus.lattice import (
 )
 from fuzzytorus.lipnorm import (
     _cocycle_rows,
+    _draw_blocks,
     _model_gamma,
     lip_ball_sample,
     lip_seminorm,
@@ -25,7 +26,6 @@ from fuzzytorus.lipnorm import (
 )
 from fuzzytorus.matrixmodel import (
     _embed_axes,
-    _kron_values,
     _word_entries,
     clock_shift,
     embed,
@@ -94,6 +94,24 @@ def test_lip_homogeneity_and_adjoint_symmetry():
         c = complex(rng.standard_normal(), rng.standard_normal())
         assert lip_seminorm(c * f, HEAT2).lip == pytest.approx(abs(c) * lf, rel=1e-10)
         assert lip_seminorm(adjoint(f), HEAT2).lip == pytest.approx(lf, rel=1e-12)
+    # model side: no absolute cut, so tiny multiples keep their seminorm
+    model = clock_shift(16)
+    f = rand_poly(rng, z2, 2)
+    lf = lip_seminorm_on_model(f, model, HEAT2).lip
+    for c in (1e-16, 1e-20, complex(rng.standard_normal(), rng.standard_normal())):
+        lc = lip_seminorm_on_model(c * f, model, HEAT2).lip
+        assert lc / abs(c) == pytest.approx(lf, rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_draw_blocks_is_the_two_calls_per_key_stream(m):
+    coords = band_window(3, 2)
+    keys, blocks = _draw_blocks(np.random.default_rng((4, m)), coords, m)
+    rng = np.random.default_rng((4, m))
+    ref = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in coords]
+    assert keys == coords
+    assert blocks.shape == (len(coords), m, m)
+    assert np.array_equal(blocks.view(np.uint64), np.array(ref).view(np.uint64))
 
 
 def test_model_mode_matches_symbol_for_word_transport():
@@ -129,7 +147,7 @@ def test_model_paths_agree_and_adjoint_is_matrix_adjoint():
 
             axes = _embed_axes(f, model)
             twist = TwistMatrix(model.phase_table[np.ix_(axes, axes)])
-            adj = NCPoly(tw, m, _adjoint_coeffs(f.coeffs, twist), prune=False)
+            adj = NCPoly(tw, m, _adjoint_coeffs(f, twist), prune=False)
             assert np.abs(
                 embed(adj, model).matrix - embed(f, model).matrix.conj().T
             ).max() <= 1e-12
@@ -139,8 +157,8 @@ def test_model_gradient_matrix_is_psd():
     rng = np.random.default_rng(7)
     model = clock_shift(16)
     f = rand_poly(rng, TwistMatrix.zero(2), 2, m=2)
-    blocks = fourier_coefficients(embed(f, model), 2).coeffs
-    gam = _model_gamma(blocks, model, LengthFunction.heat((16, 16)), _embed_axes(f, model), f.m)
+    g = fourier_coefficients(embed(f, model), 2)
+    gam = _model_gamma(g, model, LengthFunction.heat((16, 16)), _embed_axes(f, model))
     eigs = np.linalg.eigvalsh(gam)
     assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
 
@@ -151,7 +169,7 @@ def dense_stack_gamma(blocks, model, psi_n, axes, m):
     support = sorted(blocks)
     S, size = len(support), m * model.dim
     idx, phase = _word_entries(model, axes, support, m)
-    vals = _kron_values([blocks[k] for k in support], phase, m)
+    vals = np.array([blocks[k] for k in support]).reshape(S, m, m, 1) * phase[:, None, None, :]
     stack = np.zeros((S, size * size), dtype=complex)
     np.put_along_axis(stack, idx.reshape(S, -1), vals.reshape(S, -1), axis=1)
     for row, k in zip(stack, support):
@@ -182,7 +200,7 @@ def test_model_gamma_matches_dense_stack_reference(model, band, m):
               for k in band_window(band, d)}
     axes = tuple(range(d))
     psi = LengthFunction.heat((model.order,) * d)
-    gam = _model_gamma(blocks, model, psi, axes, m)
+    gam = _model_gamma(NCPoly(model.symbol_twist, m, blocks), model, psi, axes)
     ref = dense_stack_gamma(blocks, model, psi, axes, m)
     # the grouped-word sum adds in another order than the stack product
     assert np.abs(gam - ref).max() <= 1e-14 * np.abs(gam).max()
@@ -197,7 +215,8 @@ def band_ordered_gamma(model, band, m, axes=None, seed=17):
               for k in band_window(band, len(axes))}
     psi = LengthFunction.heat((model.order,) * len(axes))
     order = model.band_order(m)
-    return _model_gamma(blocks, model, psi, axes, m)[np.ix_(order, order)]
+    f = NCPoly(TwistMatrix.zero(len(axes)), m, blocks)
+    return _model_gamma(f, model, psi, axes)[np.ix_(order, order)]
 
 
 @pytest.fixture

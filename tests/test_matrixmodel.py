@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from fuzzytorus import _mats
-from fuzzytorus.lattice import window_range
+from fuzzytorus.lattice import band_window, window_range
 from fuzzytorus.matrixmodel import (
+    WORD_CACHE_BYTES,
     MatrixModel,
     ModelElement,
     _embed_axes,
@@ -425,3 +426,46 @@ def test_extraction_any_memory_layout(m):
     assert list(lhs.coeffs) == list(rhs.coeffs)
     assert all(np.array_equal(lhs.coeffs[k], rhs.coeffs[k]) for k in rhs.coeffs)
     assert max(_mats.max_abs(b) for b in rhs.coeffs.values()) > 0.1
+
+
+def closed_form_word(model, k, axes):
+    """The identity composed with power(axis, k_axis mod n) one axis at a time."""
+    perm, phase = np.arange(model.dim), np.ones(model.dim, dtype=complex)
+    for axis, c in zip(axes, k):
+        p, ph = model.power(axis, c % model.order)
+        perm, phase = perm[p], phase[p] * ph
+    return perm, phase
+
+
+@pytest.mark.parametrize("model,band", [
+    (clock_shift(64), 8), (clock_shift(1024), 2), (fuzzy_generators(1, 2, 128), 4),
+    (higher_dim_generators(4, 2), 2)], ids=lambda v: getattr(v, "provenance", ""))
+def test_word_stacks_are_the_closed_form_bitwise(model, band):
+    for axes in (tuple(range(model.n_generators)), (0,)):
+        support = band_window(band, len(axes))
+        perm, phase = model.words(support, axes)
+        assert perm.shape == phase.shape == (len(support), model.dim)
+        for k, p, ph in zip(support, perm, phase):
+            ref_p, ref_ph = closed_form_word(model, k, axes)
+            assert np.array_equal(p, ref_p)
+            assert np.array_equal(ph.view(np.uint64), ref_ph.view(np.uint64))
+
+
+def test_word_cache_keeps_recent_stacks_under_its_byte_cap():
+    model = clock_shift(1024)
+    # 289 words of 1024 entries: 7.1 MB per stack, 57 MB for all eight
+    supports = [[(a, b) for a in range(s, s + 17) for b in range(-8, 9)] for s in range(0, 80, 10)]
+    first = [a.copy() for a in model.words(supports[0])]
+    for support in supports[1:]:
+        model.words(support)
+        model.words(supports[0])  # the most recently used stack stays
+        assert sum(p.nbytes + ph.nbytes for p, ph in model._stacks.values()) <= WORD_CACHE_BYTES
+    assert 1 < len(model._stacks) < len(supports)
+    assert next(reversed(model._stacks))[1] == tuple(supports[0])
+    assert ((0, 1), tuple(supports[1])) not in model._stacks
+    for support in (supports[0], supports[1]):  # kept and rebuilt stacks alike
+        perm, phase = model.words(support)
+        for i in (0, 100, 288):
+            ref_p, ref_ph = closed_form_word(model, support[i], (0, 1))
+            assert np.array_equal(perm[i], ref_p) and np.array_equal(phase[i], ref_ph)
+    assert all(np.array_equal(a, b) for a, b in zip(first, model.words(supports[0])))

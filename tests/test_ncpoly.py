@@ -10,8 +10,10 @@ from fuzzytorus.lattice import (
     LengthFunction,
     band_window,
     build_smoothing_multiplier,
+    canonical_rep,
     cocycle_rows_for_coords,
     gromov_entries_for_coords,
+    product_multiplier,
 )
 from fuzzytorus.ncpoly import (
     PRUNE_REL,
@@ -59,6 +61,29 @@ def test_prune_boundary_is_strict(m):
     assert np.array_equal(p.coeffs[(2,)], above)
     kept = NCPoly(tw, m, {(0,): top, (1,): at_cut}, prune=False)
     assert sorted(kept.coeffs) == [(0,), (1,)]
+
+
+def test_block_stack_validation():
+    z2 = TwistMatrix.zero(2)
+    with pytest.raises(ValueError, match=r"coefficient block at \(1, 0\) has shape \(3, 3\)"):
+        NCPoly(z2, 2, {(0, 0): np.eye(2), (1, 0): np.eye(3)})
+    with pytest.raises(ValueError, match=r"coefficient block at \(0, 0\) has shape \(\)"):
+        NCPoly(z2, 2, {(0, 0): 1.0})
+    with pytest.raises(ValueError, match=r"index \(1, 0, 0\) has wrong dimension"):
+        NCPoly(z2, 1, {(0, 0): 1.0, (1, 0, 0): 2.0})
+    # numpy-int keys become int tuples; scalars, 0-d and 1 x 1 blocks mix at m = 1
+    p = NCPoly(z2, 1, {(np.int64(1), np.int32(-2)): 2.0, (0, 0): np.array([[3j]]),
+                       (2, 0): np.array(4.0)})
+    assert p.keys == ((1, -2), (0, 0), (2, 0))
+    assert all(type(c) is int for k in p.keys for c in k)
+    assert p.blocks.shape == (3, 1, 1) and p.blocks.dtype == complex
+    assert np.array_equal(p.blocks[:, 0, 0], [2.0, 3j, 4.0])
+    # the (keys, blocks) pair: an integer key array and a stack
+    q = NCPoly(z2, 1, (np.array([[1, -2], [0, 0], [2, 0]]), np.array([2.0, 3j, 4.0])))
+    assert q.keys == p.keys and np.array_equal(q.blocks, p.blocks)
+    assert NCPoly(z2, 2, {}).blocks.shape == (0, 2, 2)
+    with pytest.raises(ValueError, match="keys must be distinct"):
+        NCPoly(z2, 1, ([(1, 0), (1, 0)], [1.0, 2.0]))
 
 
 # -- twists and phases --------------------------------------------------------
@@ -410,6 +435,26 @@ def test_apply_multiplier_identity_and_tail_kill():
     assert heat.value((40,)) > phi.band
     assert g.get((40,))[0, 0] == 0.0
     assert abs(g.get((1,))[0, 0] - 1.0) <= 0.3
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_apply_multiplier_is_scale_coeffs_bitwise(m):
+    # keys outside the window of Z_16 reduce into it (12 -> -4, -9 -> 7)
+    heat = LengthFunction.heat((16,))
+    phi = product_multiplier([build_smoothing_multiplier(heat, heat.coord_value(2), 0.2)] * 2)
+    rng = np.random.default_rng(m)
+    keys = band_window(3, 2) + [(12, 1), (-9, 0), (5, 5)]
+    blocks = rng.standard_normal((len(keys), m, m)) + 1j * rng.standard_normal((len(keys), m, m))
+    f = NCPoly(TwistMatrix.zero(2), m, dict(zip(keys, blocks)))
+    g = apply_multiplier(f, phi)
+    ref = f.scale_coeffs(phi.value_at)
+    assert g.keys == ref.keys
+    assert np.array_equal(g.blocks.view(np.uint64), ref.blocks.view(np.uint64))
+    # per key: the canonical representative's value times the block
+    for k, b in g.coeffs.items():
+        v = phi.values.get(tuple(canonical_rep(c, 16) for c in k), 0.0)
+        assert np.array_equal((v * f.coeffs[k]).view(np.uint64), b.view(np.uint64))
+    assert phi.values_at([(12, 1), (-9, 0)]) == [phi.values[(-4, 1)], phi.values[(7, 0)]]
 
 
 # -- gradient form ------------------------------------------------------------
