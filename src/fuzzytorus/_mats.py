@@ -66,10 +66,11 @@ def operator_norm(x: np.ndarray) -> float:
         return max_abs(diag)
     v = np.ones(n, dtype=complex) + 1e-3 * np.arange(n) / n
     v /= np.linalg.norm(v)
-    xh = x.conj().T
     lam = 0.0
     for _ in range(5000):
-        w = xh @ (x @ v)
+        # x* u as conj(x^T conj(u)): the same kernel over x's own memory as
+        # a conjugate copy would get, and conjugation is exact
+        w = (x.T @ (x @ v).conj()).conj()
         new = float(np.linalg.norm(w))
         if new == 0.0:
             return 0.0
@@ -80,20 +81,30 @@ def operator_norm(x: np.ndarray) -> float:
     raise RuntimeError("power iteration did not converge for the operator norm")
 
 
-def hermitian_max_eig(x: np.ndarray) -> float:
-    """Largest eigenvalue of a Hermitian matrix: the band solver when x is at
-    least BAND_MIN_DIM wide and, as given, of half-bandwidth w <= N/8 (callers
-    order the basis to make it so), dense eigvalsh otherwise."""
-    n = x.shape[0]
-    if n >= BAND_MIN_DIM:
-        w = _half_bandwidth(x)
-        if 0 <= w <= n // 8:
-            ab = np.array([np.pad(x.diagonal(-d), (0, d)) for d in range(w + 1)])
-            try:
-                return _band_max_eig(ab)
-            except np.linalg.LinAlgError:  # the estimate was too low to polish
-                pass
-    return float(np.linalg.eigvalsh(x)[-1])
+def hermitian_max_eig(ab: np.ndarray) -> float:
+    """Largest eigenvalue of the Hermitian matrix H held in lower band storage
+    ab[d, j] = H[j + d, j], d <= w (callers order the basis to make w small
+    and trim ab to its last nonzero diagonal): the band solver when H is at
+    least BAND_MIN_DIM wide and w <= N/8, dense eigvalsh of H otherwise."""
+    w, n = ab.shape[0] - 1, ab.shape[1]
+    if n >= BAND_MIN_DIM and 0 <= w <= n // 8:
+        try:
+            return _band_max_eig(ab)
+        except np.linalg.LinAlgError:  # the estimate was too low to polish
+            pass
+    return float(np.linalg.eigvalsh(hermitian_from_band(ab))[-1])
+
+
+def hermitian_from_band(ab: np.ndarray) -> np.ndarray:
+    """The dense Hermitian matrix H of lower band storage ab[d, j] = H[j + d, j]."""
+    n = ab.shape[1]
+    h = np.zeros((n, n), dtype=complex)
+    for d in range(ab.shape[0]):
+        j = np.arange(n - d)
+        h[j + d, j] = ab[d, :n - d]
+        if d:
+            h[j, j + d] = ab[d, :n - d].conj()
+    return h
 
 
 def _half_bandwidth(x: np.ndarray) -> int:

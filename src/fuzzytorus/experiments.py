@@ -99,6 +99,8 @@ class ReportRow:
 
 # Experiments that sweep their whole n_schedule; the others fall back to a default.
 NEEDS_SCHEDULE = ("intertwining", "rate", "isometry", "bridge-reach")
+# Experiments that draw elements at every amplification in `amplifications`.
+AMPLIFIED = ("isometry", "smoothing-tail", "bridge-reach")
 
 
 @dataclass(frozen=True)
@@ -185,6 +187,14 @@ class ExperimentConfig:
                     raise ValueError(
                         f"schedule entries {bad} are not admissible sizes m^(k+1) for m={m}"
                     )
+        if self.experiment in AMPLIFIED:
+            # the largest matrix built: amplification x model dimension at the last n
+            q = self.theta[1] if self.theta is not None and self.experiment != "smoothing-tail" else 1
+            amp = max(self.amplifications)
+            if amp * q * n > DIMENSION_CAP:
+                raise ValueError(f"amplifications: amplification {amp} of the {q * n}-dimensional "
+                                 f"model at n = {n} gives dimension {amp * q * n}, "
+                                 f"above DIMENSION_CAP = {DIMENSION_CAP}")
 
 
 def kendall_decreasing(vals: Sequence[float]) -> float:
@@ -214,12 +224,13 @@ def run_intertwining(cfg: ExperimentConfig) -> list[ReportRow]:
             raise ValueError("band exceeds n/2; intertwining needs band <= n/2")
         model = clock_shift(n)
         psi_n = psi_inf.with_moduli((n,))
+        order = model.band_order()  # Gamma's basis; the max over entries ignores it
         worst = 0.0
         for i in range(cfg.samples):
             rng = np.random.default_rng((cfg.seed, n, i))
             f = NCPoly(tw, 1, _draw_blocks(rng, band_window(cfg.band, 1), 1))
-            lhs = _model_gamma(f, model, psi_n, (0,))
-            rhs = embed(gradient_form(f, f, psi_inf), model).matrix
+            lhs = _mats.hermitian_from_band(_model_gamma(f, model, psi_n, (0,)))
+            rhs = embed(gradient_form(f, f, psi_inf), model).matrix[np.ix_(order, order)]
             worst = max(worst, _mats.max_abs(lhs - rhs))
         rows.append(ReportRow.make(cfg.experiment, n, "intertwining_defect", worst, EXACT_TOL))
     return rows

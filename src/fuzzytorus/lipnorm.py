@@ -65,8 +65,10 @@ def _cocycle_rows(psi: LengthFunction, support: tuple) -> np.ndarray:
 
 
 def _model_gamma(f: NCPoly, model, psi_n: LengthFunction, axes) -> np.ndarray:
-    """Gamma(x, x) for x = embed(f, model) from f's coefficients, PSD by
-    construction, exactly Hermitian and homogeneous (no absolute cut).
+    """Gamma(x, x) for x = embed(f, model) from f's coefficients, in lower band
+    storage ab[d, j] = Gamma[j + d, j] over the basis model.band_order(f.m),
+    trimmed to its last nonzero diagonal.  PSD by construction, exactly
+    Hermitian and homogeneous (no absolute cut).
 
     With G the cocycle factor of the Gromov form over x's support and
     X_a = xhat(a) (x) W^a, the rows D_i = sum_a G[i,a] X_a satisfy
@@ -74,30 +76,44 @@ def _model_gamma(f: NCPoly, model, psi_n: LengthFunction, axes) -> np.ndarray:
     row r of D_i the block Lam[i,g,r] = sum_{a in g} G[i,a] xhat(a)
     phase_a[P_g^-1 r], at column P_g^-1 r; pair (g, h) adds sum_i
     Lam[i,g,r]* Lam[i,h,r] at block (P_g^-1 r, P_h^-1 r), O(R L^2 m^3 N) for
-    L groups.  Pairs g < h and half of each g = h make A; Gamma = A + A*.
+    L groups.  Pairs g < h and half of each g = h make A, summed entrywise
+    in g <= h order into A's full band storage; Gamma = A + A* is folded from
+    it, never formed as an mN x mN matrix.
     """
     support, coef = _sorted_stack(f)
     rows = _cocycle_rows(psi_n, tuple(support)) if support else np.zeros((0, 0))
     N, m = model.dim, f.m
-    gamma = np.zeros((m, N, m, N), dtype=complex)
-    if rows.size:
-        perms, phase = model.words(support, axes)
-        groups: dict[bytes, list[int]] = {}
-        for a, perm in enumerate(perms):
-            groups.setdefault(perm.tobytes(), []).append(a)
-        inv = [np.argsort(perms[g[0]]) for g in groups.values()]
-        lam = [np.einsum("ia,acd,ar->ircd", rows[:, g], coef[g], phase[g][:, p])
-               for g, p in zip(groups.values(), inv)]
-        for g in range(len(lam)):
-            for h in range(g, len(lam)):
-                pair = np.einsum("irca,ircb->rab", lam[g].conj(), lam[h])
-                gamma[:, inv[g], :, inv[h]] += 0.5 * pair if g == h else pair
-    gamma = gamma.reshape(m * N, m * N)
-    return gamma + gamma.conj().T
+    size = m * N
+    if not rows.size:
+        return np.zeros((0, size), dtype=complex)
+    members, inv = model.word_groups(support, axes)
+    phase = model.words(support, axes)[1]
+    lam = np.array([np.einsum("ia,acd,ar->ircd", rows[:, g], coef[g], phase[g][:, p])
+                    for g, p in zip(members, inv)])
+    # pairs (g, h >= g) in g <= h order as (pair, r, a, b), each entry at
+    # (pos[g, r, a], pos[h, r, b]), pos[g, r, a] the band position of a N + inv[g, r]
+    L = len(lam)
+    gs = np.repeat(np.arange(L), np.arange(L, 0, -1))
+    hs = np.concatenate([np.arange(g, L) for g in range(L)])
+    vals = np.concatenate([np.einsum("irca,hircb->hrab", lam[g].conj(), lam[g:]) for g in range(L)])
+    vals[gs == hs] *= 0.5
+    pos = np.empty(size, dtype=np.intp)
+    pos[model.band_order(m)] = np.arange(size)
+    pos = pos[inv[:, :, None] + N * np.arange(m)]
+    col = pos[hs][:, :, None, :]
+    off = pos[gs][..., None] - col
+    w = int(np.abs(off).max())
+    full = np.zeros((2 * w + 1) * size, dtype=complex)  # A[i, j] at [i - j + w, j]
+    np.add.at(full, ((off + w) * size + col).ravel(), vals.ravel())
+    full = full.reshape(2 * w + 1, size)
+    ab = np.zeros((w + 1, size), dtype=complex)
+    for d in range(w + 1):
+        ab[d, :size - d] = full[w + d, :size - d] + full[w - d, d:].conj()
+    return ab[:np.flatnonzero(ab.any(axis=1)).max(initial=-1) + 1]
 
 
-def _sqrt_top(gamma: np.ndarray, order: np.ndarray) -> float:
-    return math.sqrt(max(_mats.hermitian_max_eig(gamma[np.ix_(order, order)]), 0.0))
+def _sqrt_top(ab: np.ndarray) -> float:
+    return math.sqrt(max(_mats.hermitian_max_eig(ab), 0.0))
 
 
 def lip_seminorm(x: NCPoly, psi: LengthFunction, grid: Optional[int] = None) -> LipReport:
@@ -118,11 +134,10 @@ def lip_seminorm_on_model(f: NCPoly, model, psi: LengthFunction) -> LipReport:
     """
     axes = _embed_axes(f, model)
     psi_n = _model_psi(psi, model, len(axes))
-    order = model.band_order(f.m)
     twist = TwistMatrix(model.phase_table[np.ix_(axes, axes)])
     adj = NCPoly(twist, f.m, _adjoint_coeffs(f, twist), prune=False)
-    col = _sqrt_top(_model_gamma(f, model, psi_n, axes), order)
-    row = _sqrt_top(_model_gamma(adj, model, psi_n, axes), order)
+    col = _sqrt_top(_model_gamma(f, model, psi_n, axes))
+    row = _sqrt_top(_model_gamma(adj, model, psi_n, axes))
     return LipReport(column=col, row=row, lip=max(col, row))
 
 

@@ -41,8 +41,9 @@ __all__ = [
 
 RELATION_TOL = 1e-12
 DIMENSION_CAP = 4096
-# Bytes of word stacks a model keeps; past it the least recently used stack
-# goes first (a band-8 window on n = 64, 289 words, takes 444 KiB).
+# Bytes of word stacks, with their permutation groups, a model keeps; past it
+# the least recently used stack goes first (a band-8 window on n = 64, 289
+# words, takes 444 KiB).
 WORD_CACHE_BYTES = 2**25
 
 # A word W is a generalized permutation stored as arrays (perm, phase):
@@ -91,6 +92,8 @@ class MatrixModel:
 
     def __post_init__(self):
         object.__setattr__(self, "_stacks", OrderedDict())
+        object.__setattr__(self, "_groups", {})
+        object.__setattr__(self, "_orders", {})
         ident = (np.arange(self.dim), np.ones(self.dim, dtype=complex))
         gens = [self.power(i, 1) for i in range(self.n_generators)]
         for i, (perm, phase) in enumerate(gens):
@@ -142,8 +145,8 @@ class MatrixModel:
         (S, N) perm and phase stacks, composed from power at each axis's folded
         exponents (one call per distinct exponent).  Cached per (axes, support);
         past WORD_CACHE_BYTES the least recently used stacks go first."""
-        axes = tuple(range(self.n_generators)) if axes is None else tuple(axes)
-        key, stacks, N = (axes, tuple(support)), self._stacks, self.dim
+        key, stacks, N = self._word_key(support, axes), self._stacks, self.dim
+        axes = key[0]
         if key not in stacks:
             exps = np.array(key[1], dtype=np.intp).reshape(-1, len(axes)) % self.order
             out = np.tile(np.arange(N), (len(exps), 1)), np.ones((len(exps), N), dtype=complex)
@@ -154,11 +157,38 @@ class MatrixModel:
                 phase = np.array([ph for _, ph in pw], dtype=complex).reshape(-1, N)
                 out = _compose(out, (perm[inv], phase[inv]))
             stacks[key] = out
-            while len(stacks) > 1 and sum(
-                    p.nbytes + ph.nbytes for p, ph in stacks.values()) > WORD_CACHE_BYTES:
-                stacks.popitem(last=False)
+            self._evict()
         stacks.move_to_end(key)
         return stacks[key]
+
+    def word_groups(self, support: Sequence[tuple[int, ...]],
+                    axes: Optional[Sequence[int]] = None) -> tuple[list[np.ndarray], np.ndarray]:
+        """The words of support grouped by permutation, groups in order of
+        first occurrence: each group's key indices, ascending, and the (L, N)
+        inverses of the L group permutations.  Cached with the word stacks."""
+        perms = self.words(support, axes)[0]
+        key = self._word_key(support, axes)
+        if key not in self._groups:
+            groups: dict[bytes, list[int]] = {}
+            for a, perm in enumerate(perms):
+                groups.setdefault(perm.tobytes(), []).append(a)
+            members = [np.array(g, dtype=np.intp) for g in groups.values()]
+            self._groups[key] = members, np.argsort(perms[[g[0] for g in members]], axis=1)
+            self._evict()
+        return self._groups[key]
+
+    def _word_key(self, support, axes) -> tuple:
+        axes = tuple(range(self.n_generators)) if axes is None else tuple(axes)
+        return axes, tuple(support)
+
+    def _evict(self) -> None:
+        """Drop the least recently used stacks, with their groups, until the
+        cache holds at most WORD_CACHE_BYTES (the newest stack always stays)."""
+        stacks, groups = self._stacks, self._groups
+        while len(stacks) > 1 and sum(p.nbytes + ph.nbytes for p, ph in stacks.values()) + sum(
+                inv.nbytes + sum(g.nbytes for g in members)
+                for members, inv in groups.values()) > WORD_CACHE_BYTES:
+            groups.pop(stacks.popitem(last=False)[0], None)
 
     def generators(self) -> list[np.ndarray]:
         return [_dense(self.power(i, 1)) for i in range(self.n_generators)]
@@ -172,15 +202,19 @@ class MatrixModel:
         each cycle c folded as c[0], c[-1], c[1], c[-2], ... (the m copies of
         a point kept together).  A sum of words that move each point at most
         b steps along those cycles is a band matrix of half-bandwidth at most
-        m(2b + 1) - 1 in this order."""
-        perm, order, seen = self.power(self.n_generators - 1, 1)[0].tolist(), [], set()
-        for s in range(self.dim):
-            cyc = [] if s in seen else [s]
-            while cyc and perm[cyc[-1]] != s:
-                cyc.append(perm[cyc[-1]])
-            seen.update(cyc)
-            order += [cyc[-(i + 1) // 2 if i % 2 else i // 2] for i in range(len(cyc))]
-        return (np.array(order, dtype=np.intp)[:, None] + self.dim * np.arange(m)).ravel()
+        m(2b + 1) - 1 in this order.  Cached per m, read-only."""
+        if m not in self._orders:
+            perm, order, seen = self.power(self.n_generators - 1, 1)[0].tolist(), [], set()
+            for s in range(self.dim):
+                cyc = [] if s in seen else [s]
+                while cyc and perm[cyc[-1]] != s:
+                    cyc.append(perm[cyc[-1]])
+                seen.update(cyc)
+                order += [cyc[-(i + 1) // 2 if i % 2 else i // 2] for i in range(len(cyc))]
+            out = (np.array(order, dtype=np.intp)[:, None] + self.dim * np.arange(m)).ravel()
+            out.setflags(write=False)
+            self._orders[m] = out
+        return self._orders[m]
 
 
 @dataclass(frozen=True, eq=False)

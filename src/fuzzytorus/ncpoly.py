@@ -369,7 +369,7 @@ class SymbolGrid:
 
             p, q = twist.rational
             model = clock_shift(q)
-            self.fiber_mats = [model.monomial((k[0], p * k[1])) for k in self.support]
+            self.fiber_mats = np.array([model.monomial((k[0], p * k[1])) for k in self.support])
             if G % q == 0:
                 self._corner = G // q
 
@@ -385,14 +385,20 @@ class SymbolGrid:
         return A
 
     def _lift(self, blocks: dict[tuple[int, ...], np.ndarray], m: int) -> np.ndarray:
-        zero_q = 1 if self.fiber_mats is None else self.fiber_mats[0].shape[0]
-        X = np.zeros((len(self.support), m * zero_q, m * zero_q), dtype=complex)
-        for k, b in blocks.items():
-            i = self._slot.get(k)
-            if i is None:
-                raise ValueError(f"coefficient key {k} is outside the grid's support")
-            b = np.atleast_2d(b)
-            X[i] = b if self.fiber_mats is None else np.kron(b, self.fiber_mats[i])
+        """The (S, mq, mq) stack of blocks in support order, each block b lifted
+        to kron(b, fiber_mats[k]) on a rational fiber (q = 1 otherwise) by one
+        broadcast product, entry by entry np.kron's b[a, c] * F[s, t]."""
+        slots = [self._slot.get(k) for k in blocks]
+        if None in slots:
+            k = list(blocks)[slots.index(None)]
+            raise ValueError(f"coefficient key {k} is outside the grid's support")
+        B = np.array([np.atleast_2d(b) for b in blocks.values()]).reshape(-1, m, m)
+        if self.fiber_mats is not None:
+            q = self.fiber_mats.shape[1]
+            F = self.fiber_mats[slots]
+            B = (B[:, :, None, :, None] * F[:, None, :, None, :]).reshape(-1, m * q, m * q)
+        X = np.zeros((len(self.support),) + B.shape[1:], dtype=complex)
+        X[slots] = B
         return X
 
     def _domain(self, A: np.ndarray) -> np.ndarray:

@@ -208,6 +208,14 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
      "experiments[0]: band: sample band exceeds the model window"),
     ({"id": "covering-net", "n_schedule": [4], "sample_band": 2, "samples": 1},
      "experiments[0]: sample_band: frequencies -2..2 alias mod n = 4"),
+    ({"id": "isometry", "n_schedule": [1024], "amplifications": [64], "samples": 1},
+     "experiments[0]: amplifications: amplification 64 of the 1024-dimensional model"),
+    ({"id": "bridge-reach", "theta": [1, 2], "n_schedule": [8, 2048], "samples": 1},
+     "experiments[0]: amplifications: amplification 2 of the 4096-dimensional model"),
+    ({"id": "bridge-reach", "theta": [1, 2], "n_schedule": [4096], "amplifications": [1]},
+     "experiments[0]: amplifications: amplification 1 of the 8192-dimensional model"),
+    ({"id": "smoothing-tail", "amplifications": [65], "samples": 1},
+     "experiments[0]: amplifications: amplification 65 of the 64-dimensional model"),
 ], ids=["n-zero", "n-over-cap", "samples-zero", "samples-negative",
         "amplifications-empty", "amplifications-zero", "theta-triple", "theta-m-zero",
         "theta-gcd", "cutoffs-empty", "grid-zero", "lip-grid-zero", "eps-zero",
@@ -217,7 +225,9 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
         "eps-covering-net-above-one", "eps-smoothing-tail-half-above-one",
         "eps-multiplier-above-one", "eps-multiplier-zero", "band-zero-smoothing-tail",
         "band-zero-hp-ratio", "tol-unknown", "band-smoothing-tail-window",
-        "band-smoothing-tail-default-n", "sample-band-covering-net-alias"])
+        "band-smoothing-tail-default-n", "sample-band-covering-net-alias",
+        "amplification-over-cap", "amplification-over-cap-fuzzy", "fuzzy-model-over-cap",
+        "amplification-over-cap-default-n"])
 def test_cli_rejects_out_of_range_config_with_key_path(tmp_path, capsys, entry, prefix):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [entry]})

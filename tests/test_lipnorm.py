@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from fuzzytorus.lipnorm import (
     _cocycle_rows,
     _draw_blocks,
     _model_gamma,
+    _sqrt_top,
     lip_ball_sample,
     lip_seminorm,
     lip_seminorm_on_model,
@@ -37,6 +39,7 @@ from fuzzytorus.matrixmodel import (
 from fuzzytorus.ncpoly import (
     NCPoly,
     TwistMatrix,
+    _sorted_stack,
     adjoint,
     apply_multiplier,
     mean_zero,
@@ -159,8 +162,58 @@ def test_model_gradient_matrix_is_psd():
     f = rand_poly(rng, TwistMatrix.zero(2), 2, m=2)
     g = fourier_coefficients(embed(f, model), 2)
     gam = _model_gamma(g, model, LengthFunction.heat((16, 16)), _embed_axes(f, model))
-    eigs = np.linalg.eigvalsh(gam)
+    eigs = np.linalg.eigvalsh(_mats.hermitian_from_band(gam))
     assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
+
+
+def natural_gamma(f, model, psi_n, axes):
+    """_model_gamma's band storage as a dense matrix in the natural basis."""
+    pos = np.argsort(model.band_order(f.m))
+    return _mats.hermitian_from_band(_model_gamma(f, model, psi_n, axes))[np.ix_(pos, pos)]
+
+
+def dense_model_gamma(f, model, psi_n, axes):
+    """Reference Gamma: the dense mN x mN assembly that the band storage
+    replaced, pair by pair in g <= h order, then A + A*.  The band route
+    must reproduce its bits."""
+    support, coef = _sorted_stack(f)
+    rows = _cocycle_rows(psi_n, tuple(support)) if support else np.zeros((0, 0))
+    N, m = model.dim, f.m
+    gamma = np.zeros((m, N, m, N), dtype=complex)
+    if rows.size:
+        perms, phase = model.words(support, axes)
+        groups = {}
+        for a, perm in enumerate(perms):
+            groups.setdefault(perm.tobytes(), []).append(a)
+        inv = [np.argsort(perms[g[0]]) for g in groups.values()]
+        lam = [np.einsum("ia,acd,ar->ircd", rows[:, g], coef[g], phase[g][:, p])
+               for g, p in zip(groups.values(), inv)]
+        for g in range(len(lam)):
+            for h in range(g, len(lam)):
+                pair = np.einsum("irca,ircb->rab", lam[g].conj(), lam[h])
+                gamma[:, inv[g], :, inv[h]] += 0.5 * pair if g == h else pair
+    gamma = gamma.reshape(m * N, m * N)
+    return gamma + gamma.conj().T
+
+
+def dense_hermitian_max_eig(x):
+    """Reference top eigenvalue of a dense Hermitian x given in band order:
+    its diagonals up to the last nonzero one to the band solver, as the
+    dense entry point did, or eigvalsh."""
+    n = x.shape[0]
+    if n >= _mats.BAND_MIN_DIM:
+        w = _mats._half_bandwidth(x)
+        if 0 <= w <= n // 8:
+            ab = np.array([np.pad(x.diagonal(-d), (0, d)) for d in range(w + 1)])
+            try:
+                return _mats._band_max_eig(ab)
+            except np.linalg.LinAlgError:
+                pass
+    return float(np.linalg.eigvalsh(x)[-1])
+
+
+def dense_sqrt_top(gamma, order):
+    return math.sqrt(max(dense_hermitian_max_eig(gamma[np.ix_(order, order)]), 0.0))
 
 
 def dense_stack_gamma(blocks, model, psi_n, axes, m):
@@ -200,23 +253,27 @@ def test_model_gamma_matches_dense_stack_reference(model, band, m):
               for k in band_window(band, d)}
     axes = tuple(range(d))
     psi = LengthFunction.heat((model.order,) * d)
-    gam = _model_gamma(NCPoly(model.symbol_twist, m, blocks), model, psi, axes)
+    gam = natural_gamma(NCPoly(model.symbol_twist, m, blocks), model, psi, axes)
     ref = dense_stack_gamma(blocks, model, psi, axes, m)
     # the grouped-word sum adds in another order than the stack product
     assert np.abs(gam - ref).max() <= 1e-14 * np.abs(gam).max()
     assert np.array_equal(gam, gam.conj().T)
 
 
-def band_ordered_gamma(model, band, m, axes=None, seed=17):
-    """Gamma of a random element on the band window, in the model's band order."""
+def random_gamma_input(model, band, m, axes=None, seed=17, psi="heat"):
+    """A random element on the band window with the arguments of _model_gamma."""
     axes = tuple(range(model.n_generators)) if axes is None else axes
     rng = np.random.default_rng(seed)
     blocks = {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
               for k in band_window(band, len(axes))}
-    psi = LengthFunction.heat((model.order,) * len(axes))
-    order = model.band_order(m)
-    f = NCPoly(TwistMatrix.zero(len(axes)), m, blocks)
-    return _model_gamma(f, model, psi, axes)[np.ix_(order, order)]
+    psi_n = LengthFunction(psi, (model.order,) * len(axes))
+    return NCPoly(TwistMatrix.zero(len(axes)), m, blocks), model, psi_n, axes
+
+
+def band_ordered_gamma(model, band, m, axes=None, seed=17):
+    """Gamma of a random element on the band window, in lower band storage
+    over the model's band order."""
+    return _model_gamma(*random_gamma_input(model, band, m, axes, seed))
 
 
 @pytest.fixture
@@ -250,7 +307,7 @@ def test_band_max_eig_matches_dense(model, m, axes, width, band_calls):
     gam = band_ordered_gamma(model, 2, m, axes)
     top = _mats.hermitian_max_eig(gam)
     assert band_calls == [width]
-    ref = np.linalg.eigvalsh(gam)[-1]
+    ref = np.linalg.eigvalsh(_mats.hermitian_from_band(gam))[-1]
     assert abs(top - ref) <= 1e-14 * ref
 
 
@@ -261,24 +318,97 @@ def test_band_max_eig_is_polished():
     if np.finfo(np.longdouble).eps > 1e-18:
         pytest.skip("needs an extended-precision long double")
     gam = band_ordered_gamma(clock_shift(1024), 2, 1)
-    vec = np.linalg.eigh(gam)[1][:, -1].astype(np.clongdouble)
-    true = float((np.vdot(vec, gam.astype(np.clongdouble) @ vec) / np.vdot(vec, vec)).real)
+    dense = _mats.hermitian_from_band(gam)
+    vec = np.linalg.eigh(dense)[1][:, -1].astype(np.clongdouble)
+    true = float((np.vdot(vec, dense.astype(np.clongdouble) @ vec) / np.vdot(vec, vec)).real)
     assert abs(_mats.hermitian_max_eig(gam) - true) <= 1e-15 * true
 
 
 def test_torus_pattern_takes_dense_path(band_calls):
     # higher_dim's words move along a 2-torus: no narrow band in the cycle order
     gam = band_ordered_gamma(higher_dim_generators(16, 2), 1, 1)
-    assert _mats.hermitian_max_eig(gam) == np.linalg.eigvalsh(gam)[-1]
+    assert _mats.hermitian_max_eig(gam) == np.linalg.eigvalsh(_mats.hermitian_from_band(gam))[-1]
     assert band_calls == []
 
 
 def test_band_path_falls_back_when_polish_fails(band_calls):
     # top eigenvalue 0: sigma = 0 leaves sigma I - x singular, so the
     # Cholesky factor fails and the dense path answers
-    x = -np.diag(np.arange(256.0)).astype(complex)
+    x = -np.arange(256.0).astype(complex)[None]  # the diagonal matrix -diag(0..255)
     assert _mats.hermitian_max_eig(x) == 0.0
     assert band_calls == [0]
+
+
+def zero_outer_block(model, band, m):
+    """An element whose blocks at the largest shift exponent are exact zeros
+    (kept, not pruned): the pairs that reach Gamma's outermost diagonals add
+    only zeros there, so its band storage must be trimmed to match."""
+    f, model, psi_n, axes = random_gamma_input(model, band, m)
+    blocks = {k: 0 * b if k[-1] == band else b for k, b in f.coeffs.items()}
+    return NCPoly(f.twist, m, blocks, prune=False), model, psi_n, axes
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        random_gamma_input(clock_shift(1024), 2, 2),
+        random_gamma_input(clock_shift(512), 2, 2),
+        random_gamma_input(fuzzy_generators(1, 2, 128), 2, 1),
+        random_gamma_input(fuzzy_generators(1, 2, 128), 2, 2),
+        # band 8 on n = 16: exponents 8 and -8 give the same word
+        random_gamma_input(clock_shift(16), 8, 1),
+        # a torus pattern: half-bandwidth far above N/8, dense eigvalsh
+        random_gamma_input(higher_dim_generators(16, 2), 1, 1),
+        # the word length's cocycle rows, on both block columns of m = 2
+        random_gamma_input(clock_shift(256), 2, 2, psi="word"),
+        zero_outer_block(clock_shift(1024), 2, 1),
+        zero_outer_block(fuzzy_generators(1, 2, 128), 2, 2),
+    ],
+    ids=("clock_shift-1024-m2", "clock_shift-512-m2", "fuzzy-m1", "fuzzy-m2",
+         "aliased-words", "torus-dense", "word-length", "trimmed-1024", "trimmed-fuzzy-m2"),
+)
+def test_band_gamma_is_the_dense_gamma_bitwise(args):
+    f, model, psi_n, axes = args
+    order = model.band_order(f.m)
+    dense = dense_model_gamma(f, model, psi_n, axes)[np.ix_(order, order)]
+    ab = _model_gamma(f, model, psi_n, axes)
+    # trimmed to the half-bandwidth of the dense matrix, so LAPACK's kd is the same
+    assert ab.shape == (_mats._half_bandwidth(dense) + 1, dense.shape[0])
+    assert np.array_equal(_mats.hermitian_from_band(ab), dense)
+    assert _sqrt_top(ab) == dense_sqrt_top(dense_model_gamma(f, model, psi_n, axes), order)
+
+
+def test_zero_outer_blocks_leave_zero_diagonals_to_trim():
+    f, model, psi_n, axes = zero_outer_block(clock_shift(1024), 2, 1)
+    full = random_gamma_input(clock_shift(1024), 2, 1)
+    assert _model_gamma(f, model, psi_n, axes).shape[0] < _model_gamma(*full).shape[0]
+
+
+def test_band_gamma_falls_back_to_the_dense_bits(band_calls, monkeypatch):
+    def too_low(ab):
+        band_calls.append(ab.shape[0] - 1)
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(_mats, "_band_max_eig", too_low)
+    f, model, psi_n, axes = random_gamma_input(clock_shift(512), 2, 1)
+    ref = dense_sqrt_top(dense_model_gamma(f, model, psi_n, axes), model.band_order())
+    assert _sqrt_top(_model_gamma(f, model, psi_n, axes)) == ref
+    assert band_calls == [8, 8]
+
+
+def test_model_lip_allocates_no_dense_gamma():
+    model = clock_shift(1024)
+    rng = np.random.default_rng(9)
+    support = band_window(2, 2)
+    draw = [NCPoly(TwistMatrix.zero(2), 1, _draw_blocks(rng, support, 1)) for _ in range(2)]
+    lip_seminorm_on_model(draw[0], model, HEAT2)  # word stacks, scipy import
+    tracemalloc.start()
+    try:
+        lip_seminorm_on_model(draw[1], model, HEAT2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.dim**2 * 16  # one dense Gamma: 16 MB
 
 
 @pytest.mark.parametrize(

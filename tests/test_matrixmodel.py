@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -335,6 +336,45 @@ def test_power_iteration_path_matches_dense(monkeypatch):
     assert operator_norm(a) == pytest.approx(dense, rel=1e-8)
 
 
+def copy_power_norm(x):
+    """Reference: the power iteration of _mats.operator_norm applying x*
+    through a conjugate copy."""
+    n = x.shape[0]
+    v = np.ones(n, dtype=complex) + 1e-3 * np.arange(n) / n
+    v /= np.linalg.norm(v)
+    xh = x.conj().T
+    lam = 0.0
+    for _ in range(5000):
+        w = xh @ (x @ v)
+        new = float(np.linalg.norm(w))
+        if new == 0.0:
+            return 0.0
+        v = w / new
+        if abs(new - lam) <= 1e-10 * max(new, 1.0):
+            return float(np.sqrt(new))
+        lam = new
+    raise RuntimeError("no convergence")
+
+
+@pytest.mark.parametrize("kind", ("clock_shift", "dense"))
+def test_power_iteration_needs_no_conjugate_copy(kind):
+    n = 1024
+    rng = np.random.default_rng(0)
+    if kind == "dense":  # decaying columns: a clear top singular value
+        x = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / (1.0 + np.arange(n))
+    else:
+        cs = clock_shift(n)
+        x = embed(rand_poly(rng, cs.symbol_twist, 2), cs).matrix
+    tracemalloc.start()
+    try:
+        norm = _mats.operator_norm(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norm == copy_power_norm(x)
+    assert peak < x.nbytes / 16  # a conjugate copy of x would be x.nbytes
+
+
 def test_operator_norm_of_diagonal_input_is_exact():
     # two top singular values 1e-6 apart: the power iteration stops short of 2
     d = np.ones(1024, dtype=complex)
@@ -469,3 +509,33 @@ def test_word_cache_keeps_recent_stacks_under_its_byte_cap():
             ref_p, ref_ph = closed_form_word(model, support[i], (0, 1))
             assert np.array_equal(perm[i], ref_p) and np.array_equal(phase[i], ref_ph)
     assert all(np.array_equal(a, b) for a, b in zip(first, model.words(supports[0])))
+
+
+@pytest.mark.parametrize("model,band", [
+    (clock_shift(64), 8), (clock_shift(16), 8), (fuzzy_generators(1, 2, 128), 2),
+    (higher_dim_generators(4, 2), 2)], ids=lambda v: getattr(v, "provenance", ""))
+def test_word_groups_are_cached_in_first_occurrence_order(model, band):
+    support = band_window(band, model.n_generators)
+    members, inv = model.word_groups(support)
+    perms = model.words(support)[0]
+    ref: dict[bytes, list[int]] = {}
+    for a, perm in enumerate(perms):
+        ref.setdefault(perm.tobytes(), []).append(a)
+    assert [g.tolist() for g in members] == list(ref.values())
+    assert np.array_equal(inv, [np.argsort(perms[g[0]]) for g in members])
+    again = model.word_groups(support)
+    assert again[0] is members and again[1] is inv
+
+
+def test_word_cache_counts_and_evicts_groups_with_their_stacks():
+    model = clock_shift(1024)
+    supports = [[(a, b) for a in range(s, s + 17) for b in range(-8, 9)] for s in range(0, 80, 10)]
+    for support in supports:
+        model.word_groups(support)
+        stacks = sum(p.nbytes + ph.nbytes for p, ph in model._stacks.values())
+        groups = sum(inv.nbytes + sum(g.nbytes for g in members)
+                     for members, inv in model._groups.values())
+        assert stacks + groups <= WORD_CACHE_BYTES
+        assert set(model._groups) <= set(model._stacks)
+    assert ((0, 1), tuple(supports[-1])) in model._groups
+    assert ((0, 1), tuple(supports[0])) not in model._groups

@@ -628,3 +628,21 @@ def test_normal_form_uniqueness_roundtrip():
     for k in h.support():
         assert np.allclose(h.get(k), h2.get(k), atol=1e-12)
 
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("p,q", ((1, 2), (2, 5)))
+def test_fiber_lift_is_the_per_key_kron_bitwise(p, q, m):
+    rng = np.random.default_rng((p, q, m, 1))
+    support = band_window(2, 2)
+    grid = SymbolGrid(support, 8 * q, TwistMatrix.rational_2d(p, q))
+    # a partial support in another order, and real blocks cast on the way
+    blocks = {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+              for k in support[::-2]}
+    blocks[support[1]] = rng.standard_normal((m, m))
+    ref = np.zeros((len(support), m * q, m * q), dtype=complex)
+    for k, b in blocks.items():
+        ref[support.index(k)] = np.kron(b, grid.fiber_mats[support.index(k)])
+    assert np.array_equal(grid._lift(blocks, m).view(np.uint64), ref.view(np.uint64))
+    with pytest.raises(ValueError, match="outside the grid's support"):
+        grid._lift({(5, 0): np.eye(m)}, m)
