@@ -18,7 +18,6 @@ from .ncpoly import (
     l2_norm,
     apply_multiplier,
     gradient_form,
-    sup_norm_oracle,
 )
 from .matrixmodel import (
     MatrixModel,

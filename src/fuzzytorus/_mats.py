@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-BAND_MIN_DIM = 256  # smallest N for the band paths of both solvers
-DENSE_MAX_DIM = 512  # largest N for operator_norm's band solver or exact SVD
+BAND_MIN_DIM = 256  # smallest N for hermitian_max_eig's band solver and op_norm's band route
+DENSE_MAX_DIM = 512  # largest N for operator_norm's exact SVD and op_norm's band route
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -47,19 +47,11 @@ def batched_sigma_max(mats: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(x: np.ndarray) -> float:
-    """Largest singular value.  Up to DENSE_MAX_DIM: the band solver on x*x
-    when x is at least BAND_MIN_DIM wide and, as given, of half-bandwidth w
-    with 2w <= N/8 (callers order the basis to make it so), an exact SVD
-    otherwise.  Above it: max |x_ii| for a diagonal x and deterministic
-    shifted power iteration on x*x (start vector fixed, rtol 1e-10) otherwise."""
+    """Largest singular value: an exact SVD up to DENSE_MAX_DIM; above it
+    max |x_ii| for a diagonal x and deterministic shifted power iteration on
+    x*x (start vector fixed, rtol 1e-10) otherwise."""
     n = x.shape[0]
     if n <= DENSE_MAX_DIM:
-        w = _half_bandwidth(x) if n >= BAND_MIN_DIM else -1
-        if 0 <= 2 * w <= n // 8:
-            try:
-                return math.sqrt(max(_band_max_eig(_gram_band(x, w)), 0.0))
-            except np.linalg.LinAlgError:  # the estimate was too low to polish
-                pass
         return float(np.linalg.svd(x, compute_uv=False)[0])
     diag = np.diagonal(x)
     if np.count_nonzero(x) == np.count_nonzero(diag):
@@ -105,25 +97,6 @@ def hermitian_from_band(ab: np.ndarray) -> np.ndarray:
         if d:
             h[j, j + d] = ab[d, :n - d].conj()
     return h
-
-
-def _half_bandwidth(x: np.ndarray) -> int:
-    """max |i - j| over the nonzeros of x; -1 for x = 0."""
-    return int(np.abs(np.subtract(*np.nonzero(x))).max(initial=-1))
-
-
-def _gram_band(x: np.ndarray, w: int) -> np.ndarray:
-    """x*x in lower band storage, ab[d, j] = (x*x)[j + d, j] for d <= 2w, from
-    the 2w + 1 diagonals of x of half-bandwidth w in O(N w^2): with
-    B[r, j] = x[j + r - w, j], (x*x)[j + d, j] = sum_r conj(B[r, j + d]) B[r + d, j]."""
-    n = x.shape[0]
-    rows = np.arange(n) + np.arange(-w, w + 1)[:, None]
-    inside = (rows >= 0) & (rows < n)
-    band = np.where(inside, x[rows.clip(0, n - 1), np.arange(n)], 0.0)
-    ab = np.zeros((2 * w + 1, n), dtype=complex)
-    for d in range(2 * w + 1):
-        ab[d, :n - d] = np.einsum("rj,rj->j", band[:2 * w + 1 - d, d:].conj(), band[d:, :n - d])
-    return ab
 
 
 def _band_max_eig(ab: np.ndarray) -> float:

@@ -28,7 +28,6 @@ from .lipnorm import _draw_blocks, _model_gamma, lip_ball_sample, lip_seminorm_o
 from .matrixmodel import (
     DIMENSION_CAP,
     MatrixModel,
-    ModelElement,
     admissible_sizes,
     clock_shift,
     embed,
@@ -97,6 +96,8 @@ class ReportRow:
                    row_passes(metric, float(value), float(bound)))
 
 
+# rate's default oracle grid (points on the circle)
+RATE_GRID = 2048
 # Experiments that sweep their whole n_schedule; the others fall back to a default.
 NEEDS_SCHEDULE = ("intertwining", "rate", "isometry", "bridge-reach")
 # Experiments that draw elements at every amplification in `amplifications`.
@@ -147,6 +148,19 @@ class ExperimentConfig:
         if self.sample_band < 0:
             raise ValueError("sample_band: need sample_band >= 0")
         n = ns[-1] if ns else 64  # the one model of smoothing-tail and covering-net
+        if self.experiment == "intertwining" and 2 * self.band > ns[0]:
+            raise ValueError(f"band: intertwining needs band <= n/2 at every n; "
+                             f"2 band = {2 * self.band} > n = {ns[0]}")
+        if self.experiment == "bridge-reach" and 2 * self.band >= ns[0]:
+            raise ValueError(f"band: bridge-reach pulls model elements back on the band "
+                             f"window, which needs 2 band < n; 2 band = {2 * self.band} "
+                             f">= n = {ns[0]}")
+        if self.experiment == "rate":
+            G = self.grid or RATE_GRID
+            bad = [n for n in ns if G % n]
+            if bad:
+                raise ValueError(f"n_schedule: rate's oracle grid G = {G} must contain every "
+                                 f"n-grid as a subgrid; {bad} do not divide it")
         if self.experiment == "smoothing-tail" and 2 * self.band >= n:
             raise ValueError(f"band: sample band exceeds the model window; need 2 band < n = {n}")
         if self.experiment == "covering-net" and 2 * self.sample_band >= n:
@@ -173,6 +187,8 @@ class ExperimentConfig:
             raise ValueError("grid: need a positive grid size")
         if self.lip_grid < 1:
             raise ValueError("lip_grid: need a positive grid size")
+        if self.theta is None and self.experiment == "bridge-reach":
+            raise ValueError("theta: bridge-reach needs a rational twist [p, m]")
         if self.theta is not None:
             if len(self.theta) != 2 or self.theta[1] < 1:
                 raise ValueError("theta: expected [p, m] with m >= 1")
@@ -220,8 +236,6 @@ def run_intertwining(cfg: ExperimentConfig) -> list[ReportRow]:
     tw = TwistMatrix.zero(1)
     rows = []
     for n in cfg.n_schedule:
-        if 2 * cfg.band > n:
-            raise ValueError("band exceeds n/2; intertwining needs band <= n/2")
         model = clock_shift(n)
         psi_n = psi_inf.with_moduli((n,))
         order = model.band_order()  # Gamma's basis; the max over entries ignores it
@@ -252,10 +266,7 @@ def _scalar_grid_values(coeffs: dict[tuple[int, ...], complex], G: int) -> np.nd
 def run_rate(cfg: ExperimentConfig) -> list[ReportRow]:
     """Norm and gradient-norm defects of the n-point restriction of a fixed
     trig polynomial, with the O(1/n) constant fitted from the sweep."""
-    G = cfg.grid or 2048
-    for n in cfg.n_schedule:
-        if G % n != 0:
-            raise ValueError("oracle grid must contain every n-grid as a subgrid")
+    G = cfg.grid or RATE_GRID
     c = 1.0 / math.sqrt(2.0)
     fc = {(1,): np.exp(-2j * np.pi * c), (-1,): np.exp(2j * np.pi * c)}
     psi_inf = LengthFunction(cfg.psi, (None,))
@@ -343,7 +354,7 @@ def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
     for n, model in zip(cfg.n_schedule, models):
         worst = 0.0
         for amp, i, f, ref in draws:
-            worst = max(worst, abs(op_norm(embed(f, model)) / ref - 1.0))
+            worst = max(worst, abs(op_norm(f, model) / ref - 1.0))
         norm_defects.append(worst)
         worst_lip = 0.0
         for amp, f, ref in lip_draws:
@@ -603,8 +614,6 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
     """Two-direction transfer of unit-Lip elements between the symbol algebra
     and the fuzzy models; reach is the norm-mismatch surrogate plus the
     smoothing residual, and the block derivation is checked on a = b."""
-    if cfg.theta is None:
-        raise ValueError("bridge reach needs a rational twist")
     models = [_model_for(cfg, n) for n in cfg.n_schedule]
     tw = models[0].symbol_twist
     psi_inf = LengthFunction(cfg.psi, (None, None))
@@ -644,10 +653,9 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
         psi_n = psi_inf.with_moduli((n, n))
         worst = 0.0
         for amp, a_phi, norm_aphi, resid in a_side:
-            bp = embed(a_phi, model)
             ln = lip_seminorm_on_model(a_phi, model, psi_n).lip
             scale = max(1.0, ln)
-            mismatch = abs(norm_aphi - op_norm(bp) / scale)
+            mismatch = abs(norm_aphi - op_norm(a_phi, model) / scale)
             worst = max(worst, mismatch + resid)
             delta_norm_max = max(
                 delta_norm_max, max(1.0, ln / scale, (mismatch + resid) / cfg.eps)
@@ -661,11 +669,11 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
                     continue
                 b = (1.0 / ln) * f
                 b_phi = apply_multiplier(b, phi)
-                resid = op_norm(embed(b - b_phi, model))
+                resid = op_norm(b - b_phi, model)
                 lam = max(oracle.lip_column_row(b_phi, psi_inf))
                 scale = max(1.0, lam)
                 mismatch = abs(oracle.norm(b_phi.coeffs, amp) / scale
-                               - op_norm(embed(b_phi, model)))
+                               - op_norm(b_phi, model))
                 worst = max(worst, mismatch + resid)
         reaches.append(worst)
         bound = cfg.eps if n == final_n else math.inf
@@ -678,7 +686,7 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
         b = embed((1.0 / ln) * f, model)
         pulled = fourier_coefficients(b, cfg.band)
         b2 = embed(pulled, model)
-        third = op_norm(ModelElement(model, b.matrix - b2.matrix, m=1)) / cfg.eps
+        third = _mats.operator_norm(b.matrix - b2.matrix) / cfg.eps
         l1 = lip_seminorm_on_model((1.0 / ln) * f, model, psi_n).lip
         l2_ = lip_seminorm_on_model(pulled, model, psi_n).lip
         delta_third = max(delta_third, third)

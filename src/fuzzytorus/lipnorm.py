@@ -19,17 +19,15 @@ import numpy as np
 
 from . import _mats
 from .lattice import LengthFunction, band_window, cocycle_rows_for_coords
-from .matrixmodel import ModelElement, embed, op_norm, _embed_axes
+from .matrixmodel import ModelElement, _band_gram, _embed_axes, _sqrt_top, embed, op_norm
 from .ncpoly import (
     NCPoly,
     SymbolGrid,
     TwistMatrix,
     _adjoint_coeffs,
-    _sorted_stack,
     adjoint,
     gradient_form,
     l2_norm,
-    oracle_grid,
 )
 
 __all__ = [
@@ -65,61 +63,25 @@ def _cocycle_rows(psi: LengthFunction, support: tuple) -> np.ndarray:
 
 
 def _model_gamma(f: NCPoly, model, psi_n: LengthFunction, axes) -> np.ndarray:
-    """Gamma(x, x) for x = embed(f, model) from f's coefficients, in lower band
-    storage ab[d, j] = Gamma[j + d, j] over the basis model.band_order(f.m),
-    trimmed to its last nonzero diagonal.  PSD by construction, exactly
-    Hermitian and homogeneous (no absolute cut).
-
-    With G the cocycle factor of the Gromov form over x's support and
-    X_a = xhat(a) (x) W^a, the rows D_i = sum_a G[i,a] X_a satisfy
-    Gamma = sum_i D_i* D_i.  The words of permutation P_g (group g) put in
-    row r of D_i the block Lam[i,g,r] = sum_{a in g} G[i,a] xhat(a)
-    phase_a[P_g^-1 r], at column P_g^-1 r; pair (g, h) adds sum_i
-    Lam[i,g,r]* Lam[i,h,r] at block (P_g^-1 r, P_h^-1 r), O(R L^2 m^3 N) for
-    L groups.  Pairs g < h and half of each g = h make A, summed entrywise
-    in g <= h order into A's full band storage; Gamma = A + A* is folded from
-    it, never formed as an mN x mN matrix.
-    """
-    support, coef = _sorted_stack(f)
-    rows = _cocycle_rows(psi_n, tuple(support)) if support else np.zeros((0, 0))
-    N, m = model.dim, f.m
-    size = m * N
-    if not rows.size:
-        return np.zeros((0, size), dtype=complex)
-    members, inv = model.word_groups(support, axes)
-    phase = model.words(support, axes)[1]
-    lam = np.array([np.einsum("ia,acd,ar->ircd", rows[:, g], coef[g], phase[g][:, p])
-                    for g, p in zip(members, inv)])
-    # pairs (g, h >= g) in g <= h order as (pair, r, a, b), each entry at
-    # (pos[g, r, a], pos[h, r, b]), pos[g, r, a] the band position of a N + inv[g, r]
-    L = len(lam)
-    gs = np.repeat(np.arange(L), np.arange(L, 0, -1))
-    hs = np.concatenate([np.arange(g, L) for g in range(L)])
-    vals = np.concatenate([np.einsum("irca,hircb->hrab", lam[g].conj(), lam[g:]) for g in range(L)])
-    vals[gs == hs] *= 0.5
-    pos = np.empty(size, dtype=np.intp)
-    pos[model.band_order(m)] = np.arange(size)
-    pos = pos[inv[:, :, None] + N * np.arange(m)]
-    col = pos[hs][:, :, None, :]
-    off = pos[gs][..., None] - col
-    w = int(np.abs(off).max())
-    full = np.zeros((2 * w + 1) * size, dtype=complex)  # A[i, j] at [i - j + w, j]
-    np.add.at(full, ((off + w) * size + col).ravel(), vals.ravel())
-    full = full.reshape(2 * w + 1, size)
-    ab = np.zeros((w + 1, size), dtype=complex)
-    for d in range(w + 1):
-        ab[d, :size - d] = full[w + d, :size - d] + full[w - d, d:].conj()
-    return ab[:np.flatnonzero(ab.any(axis=1)).max(initial=-1) + 1]
-
-
-def _sqrt_top(ab: np.ndarray) -> float:
-    return math.sqrt(max(_mats.hermitian_max_eig(ab), 0.0))
+    """Gamma(x, x) for x = embed(f, model) from f's coefficients, in
+    _band_gram's lower band storage over model.band_order(f.m): with G the
+    cocycle factor of the Gromov form over x's support and X_a = xhat(a) (x)
+    W^a, the rows D_i = sum_a G[i,a] X_a satisfy Gamma = sum_i D_i* D_i.
+    PSD by construction."""
+    support = tuple(f.support())
+    rows = _cocycle_rows(psi_n, support) if support else np.zeros((0, 0))
+    return _band_gram(f, model, rows, axes)
 
 
 def lip_seminorm(x: NCPoly, psi: LengthFunction, grid: Optional[int] = None) -> LipReport:
     """Symbol-side max of the column and row gradient norms of x, through the
-    grid oracle of its twist."""
-    oracle = SymbolGrid(band_window(2 * x.band, x.d), oracle_grid(x, grid), x.twist)
+    grid oracle of its twist on G = grid points per axis (default
+    max(64, 16 band); at least 8 band)."""
+    band = x.band
+    G = max(64, 16 * max(band, 1)) if grid is None else int(grid)
+    if G < 8 * band:
+        raise ValueError(f"grid {G} too coarse for band {band}; need G >= 8*band")
+    oracle = SymbolGrid(band_window(2 * band, x.d), G, x.twist)
     col, row = oracle.lip_column_row(x, psi)
     return LipReport(column=col, row=row, lip=max(col, row))
 
@@ -231,7 +193,7 @@ def lip_ball_sample(
             rng = np.random.default_rng((seed, i, attempt))
             f = NCPoly(twist, 1, _draw_blocks(rng, coords, 1))
             f = 0.5 * (f + adjoint(f))
-            s = max(lip_seminorm_on_model(f, model, psi).lip, op_norm(embed(f, model)) / R)
+            s = max(lip_seminorm_on_model(f, model, psi).lip, op_norm(f, model) / R)
             if s > 1e-12:
                 out.append((1.0 / s) * f)
                 break

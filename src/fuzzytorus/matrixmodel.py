@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _mats
 from .lattice import band_window
-from .ncpoly import NCPoly, TwistMatrix
+from .ncpoly import NCPoly, TwistMatrix, _sorted_stack
 
 __all__ = [
     "Generator",
@@ -384,20 +384,74 @@ def fourier_coefficients(
     return NCPoly(twist, x.m, (coords, gathered / model.dim))
 
 
-def op_norm(x: ModelElement) -> float:
-    """Operator norm of x.  Where _mats.operator_norm has a band solver
-    (BAND_MIN_DIM <= N <= DENSE_MAX_DIM), x goes in its model's band order;
-    every other size passes x.matrix itself."""
-    if _mats.BAND_MIN_DIM <= x.matrix.shape[0] <= _mats.DENSE_MAX_DIM:
-        order = x.model.band_order(x.m)
-        return _mats.operator_norm(x.matrix[np.ix_(order, order)])
-    return _mats.operator_norm(x.matrix)
+def _band_gram(f: NCPoly, model: MatrixModel, rows: np.ndarray, axes) -> np.ndarray:
+    """sum_i D_i* D_i for D_i = sum_a rows[i, a] xhat(a) (x) W^a, a over f's
+    sorted support, in lower band storage ab[d, j] = H[j + d, j] over the
+    basis model.band_order(f.m), trimmed to its last nonzero diagonal; never
+    formed as an mN x mN matrix.  Exactly Hermitian and homogeneous (no
+    absolute cut).  The cocycle rows of a length give Gamma(x, x); the one
+    row of ones gives x*x.
+
+    The words of permutation P_g (group g) put in row r of D_i the block
+    Lam[i,g,r] = sum_{a in g} rows[i,a] xhat(a) phase_a[P_g^-1 r], at column
+    P_g^-1 r; pair (g, h) adds sum_i Lam[i,g,r]* Lam[i,h,r] at block
+    (P_g^-1 r, P_h^-1 r), O(R L^2 m^3 N) for L groups.  Pairs g < h and half
+    of each g = h make A, summed entrywise in g <= h order into A's full band
+    storage; H = A + A* is folded from it.
+    """
+    support, coef = _sorted_stack(f)
+    N, m = model.dim, f.m
+    size = m * N
+    if not rows.size:
+        return np.zeros((0, size), dtype=complex)
+    members, inv = model.word_groups(support, axes)
+    phase = model.words(support, axes)[1]
+    lam = np.array([np.einsum("ia,acd,ar->ircd", rows[:, g], coef[g], phase[g][:, p])
+                    for g, p in zip(members, inv)])
+    # pairs (g, h >= g) in g <= h order as (pair, r, a, b), each entry at
+    # (pos[g, r, a], pos[h, r, b]), pos[g, r, a] the band position of a N + inv[g, r]
+    L = len(lam)
+    gs = np.repeat(np.arange(L), np.arange(L, 0, -1))
+    hs = np.concatenate([np.arange(g, L) for g in range(L)])
+    vals = np.concatenate([np.einsum("irca,hircb->hrab", lam[g].conj(), lam[g:]) for g in range(L)])
+    vals[gs == hs] *= 0.5
+    pos = np.empty(size, dtype=np.intp)
+    pos[model.band_order(m)] = np.arange(size)
+    pos = pos[inv[:, :, None] + N * np.arange(m)]
+    col = pos[hs][:, :, None, :]
+    off = pos[gs][..., None] - col
+    w = int(np.abs(off).max())
+    full = np.zeros((2 * w + 1) * size, dtype=complex)  # A[i, j] at [i - j + w, j]
+    np.add.at(full, ((off + w) * size + col).ravel(), vals.ravel())
+    full = full.reshape(2 * w + 1, size)
+    ab = np.zeros((w + 1, size), dtype=complex)
+    for d in range(w + 1):
+        ab[d, :size - d] = full[w + d, :size - d] + full[w - d, d:].conj()
+    return ab[:np.flatnonzero(ab.any(axis=1)).max(initial=-1) + 1]
+
+
+def _sqrt_top(ab: np.ndarray) -> float:
+    """sqrt of the top eigenvalue of a PSD matrix in lower band storage."""
+    return math.sqrt(max(_mats.hermitian_max_eig(ab), 0.0))
+
+
+def op_norm(f: NCPoly, model: MatrixModel) -> float:
+    """Operator norm of embed(f, model).  For BAND_MIN_DIM <= mN <=
+    DENSE_MAX_DIM, sqrt of the top eigenvalue of x*x, which _band_gram
+    assembles from f's coefficients with the one row of ones, by the
+    top-eigenvalue route of the model-side Lip; every other size
+    _mats.operator_norm of the embedded matrix."""
+    if not f.keys:
+        return 0.0
+    if _mats.BAND_MIN_DIM <= f.m * model.dim <= _mats.DENSE_MAX_DIM:
+        return _sqrt_top(_band_gram(f, model, np.ones((1, len(f.keys))), _embed_axes(f, model)))
+    return _mats.operator_norm(embed(f, model).matrix)
 
 
 def schatten_norm(x: ModelElement, p: float) -> float:
     """Normalized-trace Schatten norm, so identity has norm 1 for every p."""
     if p == np.inf:
-        return op_norm(x)
+        return _mats.operator_norm(x.matrix)
     if p < 1:
         raise ValueError("need p >= 1")
     sv = np.linalg.svd(x.matrix, compute_uv=False)

@@ -32,8 +32,6 @@ __all__ = [
     "gradient_form",
     "gradient_coeffs",
     "SymbolGrid",
-    "sup_norm_oracle",
-    "oracle_error_bound",
 ]
 
 
@@ -431,35 +429,3 @@ class SymbolGrid:
         fs = adjoint(f)
         return (self.lip_column(gradient_form(f, f, psi).coeffs),
                 self.lip_column(gradient_form(fs, fs, psi).coeffs))
-
-
-def _default_grid(band: int) -> int:
-    return max(64, 16 * max(band, 1))
-
-
-def oracle_grid(f: NCPoly, grid: Optional[int] = None) -> int:
-    """Grid size G of the oracle for f: the default for f's band, or grid
-    checked against it."""
-    band = f.band
-    G = _default_grid(band) if grid is None else int(grid)
-    if G < 8 * band:
-        raise ValueError(f"grid {G} too coarse for band {band}; need G >= 8*band")
-    return G
-
-
-def sup_norm_oracle(f: NCPoly, grid: Optional[int] = None) -> float:
-    """Certified lower bound of the operator norm via grid evaluation.
-
-    A zero twist evaluates the m x m symbol on a uniform G^d grid; a rational
-    twist (d=2, theta = p/q) evaluates the M_m (x) M_q fiber symbol on a G^2
-    grid.  The relative truncation error is bounded by
-    ``oracle_error_bound(band, G, d)``.
-    """
-    oracle = SymbolGrid(f.support(), oracle_grid(f, grid), f.twist)
-    return oracle.norm(f.coeffs, f.m) if f.coeffs else 0.0
-
-
-def oracle_error_bound(band: int, G: int, d: int) -> float:
-    """Relative defect bound of the grid oracle, O((band/G)^2) per dimension."""
-    return d * 0.5 * (math.pi * band / G) ** 2
-

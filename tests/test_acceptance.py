@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from fuzzytorus import _mats
 from fuzzytorus import experiments as ex
 from fuzzytorus.lattice import (
     LengthFunction,
@@ -18,9 +19,7 @@ from fuzzytorus.lattice import (
 )
 from fuzzytorus.lipnorm import lip_seminorm_on_model, riesz_check
 from fuzzytorus.matrixmodel import (
-    ModelElement,
     clock_shift,
-    embed,
     fuzzy_generators,
     higher_dim_generators,
     op_norm,
@@ -119,7 +118,7 @@ def test_criterion_05_rational_fiber_limit():
         + [adjoint(NCPoly.generator(t, i)) for i in (0, 1)],
         NCPoly.zero(t),
     )
-    val = op_norm(embed(f, fuzzy_generators(1, 2, 128)))
+    val = op_norm(f, fuzzy_generators(1, 2, 128))
     target = 2 * math.sqrt(2)
     ok = abs(val - target) <= 0.05
     _report(
@@ -188,7 +187,7 @@ def test_criterion_07_multiplier_contracts():
         g = apply_multiplier(f, phi)
         worst_norm = max(
             worst_norm,
-            op_norm(embed(g, model)) - (1 + eps) * op_norm(embed(f, model)),
+            op_norm(g, model) - (1 + eps) * op_norm(f, model),
         )
         worst_lip = max(
             worst_lip,
@@ -255,7 +254,7 @@ def test_criterion_11_model_sanity():
     for n in range(4, 257):
         cs = clock_shift(n)
         u, v = cs.generators()
-        defect = op_norm(ModelElement(cs, u @ v - v @ u))
+        defect = _mats.operator_norm(u @ v - v @ u)
         worst_comm = max(worst_comm, abs(defect - 2 * math.sin(math.pi / n)))
 
     worst_tr = 0.0

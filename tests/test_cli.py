@@ -216,6 +216,14 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
      "experiments[0]: amplifications: amplification 1 of the 8192-dimensional model"),
     ({"id": "smoothing-tail", "amplifications": [65], "samples": 1},
      "experiments[0]: amplifications: amplification 65 of the 64-dimensional model"),
+    ({"id": "rate", "n_schedule": [16, 24]},
+     "experiments[0]: n_schedule: rate's oracle grid G = 16384 must contain every n-grid"),
+    ({"id": "intertwining", "n_schedule": [4, 16], "band": 4, "samples": 1},
+     "experiments[0]: band: intertwining needs band <= n/2 at every n"),
+    ({"id": "bridge-reach", "theta": None, "n_schedule": [8], "samples": 1},
+     "experiments[0]: theta: bridge-reach needs a rational twist"),
+    ({"id": "bridge-reach", "n_schedule": [8], "band": 4, "samples": 1},
+     "experiments[0]: band: bridge-reach pulls model elements back on the band window"),
 ], ids=["n-zero", "n-over-cap", "samples-zero", "samples-negative",
         "amplifications-empty", "amplifications-zero", "theta-triple", "theta-m-zero",
         "theta-gcd", "cutoffs-empty", "grid-zero", "lip-grid-zero", "eps-zero",
@@ -227,7 +235,9 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
         "band-zero-hp-ratio", "tol-unknown", "band-smoothing-tail-window",
         "band-smoothing-tail-default-n", "sample-band-covering-net-alias",
         "amplification-over-cap", "amplification-over-cap-fuzzy", "fuzzy-model-over-cap",
-        "amplification-over-cap-default-n"])
+        "amplification-over-cap-default-n", "rate-grid-not-a-multiple",
+        "band-intertwining-above-half-n", "theta-null-bridge-reach",
+        "band-bridge-reach-aliases"])
 def test_cli_rejects_out_of_range_config_with_key_path(tmp_path, capsys, entry, prefix):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [entry]})

@@ -196,13 +196,19 @@ def dense_model_gamma(f, model, psi_n, axes):
     return gamma + gamma.conj().T
 
 
+def half_bandwidth(x):
+    """max |i - j| over the nonzeros of a dense x; -1 for x = 0."""
+    i, j = np.nonzero(x)
+    return int(np.abs(i - j).max(initial=-1))
+
+
 def dense_hermitian_max_eig(x):
     """Reference top eigenvalue of a dense Hermitian x given in band order:
     its diagonals up to the last nonzero one to the band solver, as the
     dense entry point did, or eigvalsh."""
     n = x.shape[0]
     if n >= _mats.BAND_MIN_DIM:
-        w = _mats._half_bandwidth(x)
+        w = half_bandwidth(x)
         if 0 <= w <= n // 8:
             ab = np.array([np.pad(x.diagonal(-d), (0, d)) for d in range(w + 1)])
             try:
@@ -373,7 +379,7 @@ def test_band_gamma_is_the_dense_gamma_bitwise(args):
     dense = dense_model_gamma(f, model, psi_n, axes)[np.ix_(order, order)]
     ab = _model_gamma(f, model, psi_n, axes)
     # trimmed to the half-bandwidth of the dense matrix, so LAPACK's kd is the same
-    assert ab.shape == (_mats._half_bandwidth(dense) + 1, dense.shape[0])
+    assert ab.shape == (half_bandwidth(dense) + 1, dense.shape[0])
     assert np.array_equal(_mats.hermitian_from_band(ab), dense)
     assert _sqrt_top(ab) == dense_sqrt_top(dense_model_gamma(f, model, psi_n, axes), order)
 
@@ -414,39 +420,57 @@ def test_model_lip_allocates_no_dense_gamma():
 @pytest.mark.parametrize(
     "model,m,width",
     [
-        # x has half-bandwidth m(2 band + 1) - 1 in band order, x*x twice that
+        # x*x in band order, trimmed to its last nonzero diagonal as Gamma is
         (clock_shift(256), 1, 8),
-        (clock_shift(256), 2, 18),
+        (clock_shift(256), 2, 17),
         (clock_shift(512), 1, 8),
         (fuzzy_generators(1, 2, 128), 1, 8),
-        (fuzzy_generators(1, 2, 128), 2, 18),
+        (fuzzy_generators(1, 2, 128), 2, 17),
     ],
     ids=("clock_shift-256-m1", "clock_shift-256-m2", "clock_shift-512-m1",
          "fuzzy-m1", "fuzzy-m2"),
 )
 def test_band_operator_norm_matches_svd(model, m, width, band_calls):
-    x = embed(rand_poly(np.random.default_rng((model.dim, m)), model.symbol_twist, 2, m), model)
-    ref = np.linalg.svd(x.matrix, compute_uv=False)[0]
-    assert abs(op_norm(x) - ref) <= 1e-14 * ref
+    f = rand_poly(np.random.default_rng((model.dim, m)), model.symbol_twist, 2, m)
+    ref = np.linalg.svd(embed(f, model).matrix, compute_uv=False)[0]
+    assert abs(op_norm(f, model) - ref) <= 1e-14 * ref
     assert band_calls == [width]
 
 
 def test_band_operator_norm_falls_back_to_svd(band_calls, monkeypatch):
-    assert _mats.operator_norm(np.zeros((256, 256), dtype=complex)) == 0.0
     cs = clock_shift(256)
-    x = embed(rand_poly(np.random.default_rng(5), cs.symbol_twist, 2), cs)
-    # in the natural basis the shift wraps around: half-bandwidth N - 1
-    svd = np.linalg.svd(x.matrix, compute_uv=False)[0]
-    assert _mats.operator_norm(x.matrix) == svd
+    assert op_norm(NCPoly.zero(cs.symbol_twist), cs) == 0.0
+    # higher_dim's words move along a 2-torus: x*x has no narrow band, so
+    # dense eigvalsh answers
+    hd = higher_dim_generators(16, 2)
+    f = rand_poly(np.random.default_rng(5), hd.symbol_twist, 1)
+    svd = np.linalg.svd(embed(f, hd).matrix, compute_uv=False)[0]
+    assert abs(op_norm(f, hd) - svd) <= 1e-14 * svd
     assert band_calls == []
 
     def too_low(ab):
+        band_calls.append(ab.shape[0] - 1)
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(_mats, "_band_max_eig", too_low)
-    order = cs.band_order()
-    banded = x.matrix[np.ix_(order, order)]
-    assert op_norm(x) == np.linalg.svd(banded, compute_uv=False)[0]
+    f = rand_poly(np.random.default_rng(5), cs.symbol_twist, 2)
+    svd = np.linalg.svd(embed(f, cs).matrix, compute_uv=False)[0]
+    assert abs(op_norm(f, cs) - svd) <= 1e-14 * svd
+    assert band_calls == [8]
+
+
+def test_band_operator_norm_allocates_no_dense_matrix():
+    model = fuzzy_generators(1, 2, 128)
+    rng = np.random.default_rng(11)
+    f, g = (rand_poly(rng, model.symbol_twist, 2, m=2) for _ in range(2))
+    op_norm(f, model)  # word stacks, scipy import
+    tracemalloc.start()
+    try:
+        op_norm(g, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * model.dim) ** 2 * 16  # one dense 512 x 512 x: 4 MB
 
 
 def run_python(code: str, threads: int = 1) -> str:
@@ -515,8 +539,8 @@ def test_leibniz_on_model():
         g = rand_poly(rng, tw, 1, sa=True)
         lf = lip_seminorm_on_model(f, model, HEAT2).lip
         lg = lip_seminorm_on_model(g, model, HEAT2).lip
-        nf = op_norm(embed(f, model))
-        ng = op_norm(embed(g, model))
+        nf = op_norm(f, model)
+        ng = op_norm(g, model)
         lfg = lip_seminorm_on_model(multiply(f, g), model, HEAT2).lip
         assert lfg <= nf * lg + lf * ng + 1e-9
 
@@ -574,8 +598,7 @@ def test_sobolev_examples():
     model = clock_shift(n)
     z1 = TwistMatrix.zero(1)
     u = NCPoly.generator(z1, 0)
-    e = embed(u, model)
-    got = op_norm(e) / lip_seminorm_on_model(u, model, HEAT1).lip
+    got = op_norm(u, model) / lip_seminorm_on_model(u, model, HEAT1).lip
     assert got == pytest.approx(u_ratio, rel=2e-2)
 
 
@@ -589,7 +612,7 @@ def test_lip_ball_membership():
         # measured on the coefficients extracted from the matrix
         back = fourier_coefficients(e, 1, axes=(0,))
         assert lip_seminorm_on_model(back, model, LengthFunction.heat((32,))).lip <= 1 + 1e-12
-        assert op_norm(e) <= 2.0 + 1e-12
+        assert _mats.operator_norm(e.matrix) <= 2.0 + 1e-12
 
 
 def test_lip_ball_rejects_r_zero():

@@ -15,6 +15,7 @@ from fuzzytorus.lattice import (
     gromov_entries_for_coords,
     product_multiplier,
 )
+from fuzzytorus.lipnorm import lip_seminorm
 from fuzzytorus.ncpoly import (
     PRUNE_REL,
     NCPoly,
@@ -28,9 +29,7 @@ from fuzzytorus.ncpoly import (
     mean_zero,
     multiply,
     normal_order_phase,
-    oracle_error_bound,
     project,
-    sup_norm_oracle,
 )
 
 
@@ -250,10 +249,15 @@ def test_l2_examples():
 # -- oracles ------------------------------------------------------------------
 
 
+def grid_norm(f, G=64):
+    """The grid oracle's norm of f on G points per axis."""
+    return SymbolGrid(f.support(), G, f.twist).norm(f.coeffs, f.m)
+
+
 def test_oracle_examples():
     z1 = TwistMatrix.zero(1)
     u = NCPoly.generator(z1, 0)
-    assert sup_norm_oracle(u + adjoint(u)) == pytest.approx(2.0)
+    assert grid_norm(u + adjoint(u)) == pytest.approx(2.0)
 
     z2 = TwistMatrix.zero(2)
     f = sum(
@@ -261,7 +265,7 @@ def test_oracle_examples():
         + [adjoint(NCPoly.generator(z2, i)) for i in (0, 1)],
         NCPoly.zero(z2),
     )
-    assert sup_norm_oracle(f) == pytest.approx(4.0)
+    assert grid_norm(f) == pytest.approx(4.0)
 
     t = TwistMatrix.rational_2d(1, 2)
     g = sum(
@@ -269,17 +273,17 @@ def test_oracle_examples():
         + [adjoint(NCPoly.generator(t, i)) for i in (0, 1)],
         NCPoly.zero(t),
     )
-    assert sup_norm_oracle(g) == pytest.approx(2 * math.sqrt(2))
+    assert grid_norm(g) == pytest.approx(2 * math.sqrt(2))
 
 
 def test_oracle_rejects_coarse_grid_and_bad_twist():
     z1 = TwistMatrix.zero(1)
     f = NCPoly.monomial(z1, (10,))
-    with pytest.raises(ValueError):
-        sup_norm_oracle(f, grid=16)
+    with pytest.raises(ValueError, match="too coarse"):
+        lip_seminorm(f, LengthFunction.heat((None,)), grid=16)
     irr = TwistMatrix.two_dim(1 / math.sqrt(2))
     with pytest.raises(ValueError):
-        sup_norm_oracle(NCPoly.generator(irr, 0))
+        grid_norm(NCPoly.generator(irr, 0))
     with pytest.raises(ValueError, match="no norm oracle"):
         SymbolGrid(band_window(1, 2), 64, irr)
 
@@ -409,18 +413,15 @@ def test_two_by_two_max_eig_at_a_double_eigenvalue():
     assert np.abs(_mats.batched_max_eig(herm) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def test_oracle_error_bound_decreases():
-    assert oracle_error_bound(2, 512, 2) < oracle_error_bound(2, 64, 2)
-
-
 def test_oracle_is_lower_bound():
     # grid values never exceed the true sup; here compare against a finer grid
     rng = np.random.default_rng(3)
     f = rand_poly(rng, TwistMatrix.zero(1), 3)
-    coarse = sup_norm_oracle(f, grid=32)
-    fine = sup_norm_oracle(f, grid=1024)
+    coarse = grid_norm(f, 32)
+    fine = grid_norm(f, 1024)
     assert coarse <= fine + 1e-12
-    assert fine <= coarse * (1 + oracle_error_bound(3, 32, 1)) + 1e-9
+    # the O((band/G)^2) truncation bound of one axis at band 3, G = 32
+    assert fine <= coarse * (1 + 0.5 * (math.pi * 3 / 32) ** 2) + 1e-9
 
 
 # -- multipliers ----------------------------------------------------------------
@@ -477,7 +478,7 @@ def test_gradient_examples():
     assert g.get((0,))[0, 0] == pytest.approx(2.0)
     assert g.get((2,))[0, 0] == pytest.approx(-1.0)
     assert g.get((-2,))[0, 0] == pytest.approx(-1.0)
-    assert sup_norm_oracle(g) == pytest.approx(4.0)
+    assert grid_norm(g) == pytest.approx(4.0)
 
     f = rand_poly(np.random.default_rng(0), z1, 2)
     assert gradient_form(NCPoly.one(z1), f, heat).support() == []
@@ -527,9 +528,9 @@ def test_gradient_matches_derivative_rule():
         rng = np.random.default_rng((23, trial))
         f = rand_poly(rng, TwistMatrix.zero(1), 8)
         g = gradient_form(f, f, heat)
-        lhs = sup_norm_oracle(g, grid=2048)
+        lhs = grid_norm(g, 2048)
         deriv = f.scale_coeffs(lambda k: 2j * math.pi * k[0])
-        sup_d = sup_norm_oracle(deriv, grid=2048)
+        sup_d = grid_norm(deriv, 2048)
         assert lhs == pytest.approx(sup_d**2 / (2 * math.pi) ** 2, rel=1e-3)
 
 
@@ -556,7 +557,7 @@ def test_gradient_psd_assembly_matches_gagro():
     gam = gradient_form(f, f, heat)
     assert SymbolGrid(band_window(8, 1), 256, f.twist).lip_column(gam.coeffs) == pytest.approx(
         via_rows, rel=1e-13)
-    assert math.sqrt(sup_norm_oracle(gam, grid=256)) == pytest.approx(via_rows, rel=1e-10)
+    assert math.sqrt(grid_norm(gam, 256)) == pytest.approx(via_rows, rel=1e-10)
 
 
 def _gradient_form_loop(f, g, psi):
