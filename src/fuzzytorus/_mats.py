@@ -76,10 +76,13 @@ def operator_norm(x: np.ndarray) -> float:
 def hermitian_max_eig(ab: np.ndarray) -> float:
     """Largest eigenvalue of the Hermitian matrix H held in lower band storage
     ab[d, j] = H[j + d, j], d <= w (callers order the basis to make w small
-    and trim ab to its last nonzero diagonal): the band solver when H is at
-    least BAND_MIN_DIM wide and w <= N/8, dense eigvalsh of H otherwise."""
+    and trim ab to its last nonzero diagonal): 0.0 for no diagonals (H = 0),
+    the band solver when H is at least BAND_MIN_DIM wide and w <= N/8, dense
+    eigvalsh of H otherwise."""
     w, n = ab.shape[0] - 1, ab.shape[1]
-    if n >= BAND_MIN_DIM and 0 <= w <= n // 8:
+    if w < 0:
+        return 0.0
+    if n >= BAND_MIN_DIM and w <= n // 8:
         try:
             return _band_max_eig(ab)
         except np.linalg.LinAlgError:  # the estimate was too low to polish

@@ -255,10 +255,12 @@ def run_intertwining(cfg: ExperimentConfig) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_grid_values(coeffs: dict[tuple[int, ...], complex], G: int) -> np.ndarray:
+def _scalar_grid_values(f: NCPoly, G: int) -> np.ndarray:
+    """The scalar symbol of f (d = 1) at the G points j/G, one key at a time
+    in key order."""
     t = np.arange(G) / G
     out = np.zeros(G, dtype=complex)
-    for (k,), c in coeffs.items():
+    for (k,), c in zip(f.keys, f.blocks[:, 0, 0]):
         out += c * np.exp(2j * np.pi * k * t)
     return out
 
@@ -268,14 +270,12 @@ def run_rate(cfg: ExperimentConfig) -> list[ReportRow]:
     trig polynomial, with the O(1/n) constant fitted from the sweep."""
     G = cfg.grid or RATE_GRID
     c = 1.0 / math.sqrt(2.0)
-    fc = {(1,): np.exp(-2j * np.pi * c), (-1,): np.exp(2j * np.pi * c)}
     psi_inf = LengthFunction(cfg.psi, (None,))
-    tw = TwistMatrix.zero(1)
-    f = NCPoly(tw, 1, {k: np.array([[v]]) for k, v in fc.items()})
-    fvals = np.abs(_scalar_grid_values(fc, G))
+    f = NCPoly(TwistMatrix.zero(1), 1,
+               ([(1,), (-1,)], [np.exp(-2j * np.pi * c), np.exp(2j * np.pi * c)]))
+    fvals = np.abs(_scalar_grid_values(f, G))
     ref_norm = float(fvals.max())
-    gpoly = gradient_form(f, f, psi_inf)
-    gvals = _scalar_grid_values({k: g[0, 0] for k, g in gpoly.coeffs.items()}, G).real
+    gvals = _scalar_grid_values(gradient_form(f, f, psi_inf), G).real
     ref_gamma = float(gvals.max())
 
     rows = []
@@ -284,10 +284,7 @@ def run_rate(cfg: ExperimentConfig) -> list[ReportRow]:
     for n in cfg.n_schedule:
         step = G // n
         d_norm = ref_norm - float(fvals[::step].max())
-        gn = gradient_form(f, f, psi_inf.with_moduli((n,)))
-        gn_vals = _scalar_grid_values(
-            {k: g[0, 0] for k, g in gn.coeffs.items()}, n
-        ).real
+        gn_vals = _scalar_grid_values(gradient_form(f, f, psi_inf.with_moduli((n,))), n).real
         d_gamma = ref_gamma - float(gn_vals.max())
         scaled.append(d_norm * n)
         scaled_gamma.append(d_gamma * n)
@@ -331,15 +328,15 @@ def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
     tw = models[0].symbol_twist
     psi_inf = LengthFunction(cfg.psi, (None, None))
     support = band_window(cfg.band, 2)
-    oracle = SymbolGrid(support, cfg.grid or 512, tw)
-    lip_oracle = SymbolGrid(band_window(2 * cfg.band, 2), cfg.lip_grid, tw)
+    oracle = SymbolGrid(cfg.grid or 512, tw)
+    lip_oracle = SymbolGrid(cfg.lip_grid, tw)
 
     draws = []
     for amp in cfg.amplifications:
         for i in range(cfg.samples):
             rng = np.random.default_rng((cfg.seed, amp, i))
             f = NCPoly(tw, amp, _draw_blocks(rng, support, amp))
-            draws.append((amp, i, f, oracle.norm(f.coeffs, amp)))
+            draws.append((amp, i, f, oracle.norm(f)))
 
     lip_draws = []
     for amp, i, f, _ in draws:
@@ -472,12 +469,12 @@ def _net_axis(limit: float, pitch: float) -> np.ndarray:
     return pitch * np.arange(-m, m + 1)
 
 
-def _net_sup_distance(C: np.ndarray, grid: SymbolGrid, yc: np.ndarray,
+def _net_sup_distance(C: np.ndarray, grid: SymbolGrid, keys, yc: np.ndarray,
                       y_vals: np.ndarray) -> float:
-    """min_i max_j |grid.values(C[i])[j] - y_vals[j]|, evaluating only the rows
-    that can attain it.
+    """min_i max_j |grid.values(keys, C[i])[j] - y_vals[j]|, evaluating only
+    the rows that can attain it.
 
-    The sample has coefficients yc and values y_vals, equal to grid.values(yc)
+    The sample has coefficients yc and values y_vals, equal to grid.values(keys, yc)
     up to a roundoff err.  With the grid's keys distinct mod its size, discrete
     Plancherel gives ||c||_2 <= ||grid.values(c)||_inf for every coefficient
     gap c.  So a row no farther than dj, the sup distance of the l2-nearest
@@ -488,13 +485,13 @@ def _net_sup_distance(C: np.ndarray, grid: SymbolGrid, yc: np.ndarray,
     """
     diff = C.view(np.float64) - yc.view(np.float64)
     gap2 = np.einsum("ij,ij->i", diff, diff)
-    near = grid.values(C[[int(gap2.argmin())]].T)[:, 0]
+    near = grid.values(keys, C[[int(gap2.argmin())]].T)[:, 0]
     dj = np.abs(near - y_vals).max()
-    err = np.abs(y_vals - grid.values(yc)).max()
+    err = np.abs(y_vals - grid.values(keys, yc)).max()
     cut = (dj + err) * (1 + 1e-9) + 1e-12 * (1.0 + np.abs(yc).sum())
     (cand,) = np.nonzero(gap2 <= cut * cut)
     step = max(1, NET_BLOCK_CELLS // grid.G)
-    return min(float(np.abs(grid.values(C[cand[lo:lo + step]].T) - y_vals[:, None])
+    return min(float(np.abs(grid.values(keys, C[cand[lo:lo + step]].T) - y_vals[:, None])
                      .max(axis=0).min())
                for lo in range(0, len(cand), step))
 
@@ -546,23 +543,15 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     del mesh, flat  # 8 B per net point and axis, not needed past C
 
     Gf = max(64, 16 * b, n)
-    grid_f = SymbolGrid(coords, Gf, tw)
-    grid_n = SymbolGrid(coords, n, tw)
+    grid_f = SymbolGrid(Gf, tw)
+    grid_n = SymbolGrid(n, tw)
 
-    def batch_lip(psi: LengthFunction, G: int) -> Callable[[np.ndarray], np.ndarray]:
+    def lips(Cm: np.ndarray, psi: LengthFunction, grid: SymbolGrid) -> np.ndarray:
         # ||Gamma(f, f)||^(1/2) of every row f of a block, by gradient_form's rule
-        empty = np.zeros((s, 0, 1, 1), dtype=complex)
-        g_grid = SymbolGrid(gradient_coeffs(coords, empty, coords, empty, psi, tw)[0], G, tw)
+        stack = Cm.T[:, :, None, None]
+        keys, gam = gradient_coeffs(coords, stack, coords, stack, psi, tw)
+        return np.sqrt(np.maximum(grid.values(keys, gam[..., 0, 0]).real.max(axis=0), 0.0))
 
-        def lips(Cm: np.ndarray) -> np.ndarray:
-            stack = Cm.T[:, :, None, None]
-            gam = gradient_coeffs(coords, stack, coords, stack, psi, tw)[1]
-            g_vals = g_grid.values(gam[..., 0, 0]).real
-            return np.sqrt(np.maximum(g_vals.max(axis=0), 0.0))
-
-        return lips
-
-    lip_f, lip_n = batch_lip(psi_sym, Gf), batch_lip(psi_n, n)
     # rescale each net point into D_R at Gf, then measure direction 2 (the
     # embedded net point against membership in D_R(M_n)); Gf >= n, so a block
     # of NET_BLOCK_CELLS // Gf rows bounds both grids' values
@@ -570,10 +559,10 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     d2 = 0.0
     for lo in range(0, count, step):
         Cb = C[lo:lo + step]
-        norms = np.abs(grid_f.values(Cb.T)).max(axis=0)
-        Cb /= np.maximum(1.0, np.maximum(lip_f(Cb), norms / R))[:, None]
-        norms_n = np.abs(grid_n.values(Cb.T)).max(axis=0)
-        sig2 = np.maximum(1.0, np.maximum(lip_n(Cb), norms_n / R))
+        norms = np.abs(grid_f.values(coords, Cb.T)).max(axis=0)
+        Cb /= np.maximum(1.0, np.maximum(lips(Cb, psi_sym, grid_f), norms / R))[:, None]
+        norms_n = np.abs(grid_n.values(coords, Cb.T)).max(axis=0)
+        sig2 = np.maximum(1.0, np.maximum(lips(Cb, psi_n, grid_n), norms_n / R))
         d2 = max(d2, float(((1.0 - 1.0 / sig2) * norms_n).max()))
 
     k_val = psi_n.coord_value(1)
@@ -582,11 +571,11 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     radius = 0.0
     covered = 0
     resid = 0.0
-    zero = np.zeros((1, 1))
     for f in samples:
         e = embed(f, model)
-        yc = np.array([f.coeffs.get(c, zero)[0, 0] for c in coords], dtype=complex)
-        dist = _net_sup_distance(C, grid_n, yc, np.diag(e.matrix))
+        yc = np.zeros(s, dtype=complex)
+        yc[[coords.index(k) for k in f.keys]] = f.blocks[:, 0, 0]
+        dist = _net_sup_distance(C, grid_n, coords, yc, np.diag(e.matrix))
         radius = max(radius, dist)
         if dist <= (4 * R + 2) * eps:
             covered += 1
@@ -619,8 +608,8 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
     psi_inf = LengthFunction(cfg.psi, (None, None))
     psi_coord_inf = LengthFunction(cfg.psi, (None,))
     support_nz = [c for c in band_window(cfg.band, 2) if any(c)]
-    # one grid for the norms of f and for Gamma(f, f), whose keys reach 2 band
-    oracle = SymbolGrid(band_window(2 * cfg.band, 2), cfg.grid or 128, tw)
+    # one grid for the norms of f and for Gamma(f, f)
+    oracle = SymbolGrid(cfg.grid or 128, tw)
 
     eps_part = cfg.eps_multiplier if cfg.eps_multiplier is not None else 0.01
     k_val = psi_coord_inf.coord_value(cfg.band)
@@ -639,8 +628,8 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
             a_phi = apply_multiplier(a, phi)
             a_side.append(
                 (amp, a_phi,
-                 oracle.norm(a_phi.coeffs, amp),
-                 oracle.norm((a - a_phi).coeffs, amp))
+                 oracle.norm(a_phi),
+                 oracle.norm(a - a_phi))
             )
 
     rows = []
@@ -672,7 +661,7 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
                 resid = op_norm(b - b_phi, model)
                 lam = max(oracle.lip_column_row(b_phi, psi_inf))
                 scale = max(1.0, lam)
-                mismatch = abs(oracle.norm(b_phi.coeffs, amp) / scale
+                mismatch = abs(oracle.norm(b_phi) / scale
                                - op_norm(b_phi, model))
                 worst = max(worst, mismatch + resid)
         reaches.append(worst)

@@ -112,10 +112,7 @@ class LengthFunction:
     def coord_values(self, ks: np.ndarray, axis: int = 0) -> np.ndarray:
         """Vectorized per-coordinate values on an integer array."""
         n = self.moduli[axis]
-        ks = np.asarray(ks, dtype=np.int64)
-        if n is not None:
-            lo = -((n - 1) // 2)
-            ks = (ks - lo) % n + lo
+        ks = canonical_rep(np.asarray(ks, dtype=np.int64), n)
         if self.kind == WORD:
             if n is None:
                 return np.abs(ks).astype(float)

@@ -81,8 +81,7 @@ def lip_seminorm(x: NCPoly, psi: LengthFunction, grid: Optional[int] = None) -> 
     G = max(64, 16 * max(band, 1)) if grid is None else int(grid)
     if G < 8 * band:
         raise ValueError(f"grid {G} too coarse for band {band}; need G >= 8*band")
-    oracle = SymbolGrid(band_window(2 * band, x.d), G, x.twist)
-    col, row = oracle.lip_column_row(x, psi)
+    col, row = SymbolGrid(G, x.twist).lip_column_row(x, psi)
     return LipReport(column=col, row=row, lip=max(col, row))
 
 

@@ -279,7 +279,8 @@ def apply_multiplier(f: NCPoly, phi: MultiplierSpec) -> NCPoly:
     """Coefficient-wise scaling by phi (reduced into phi's moduli)."""
     if len(phi.moduli) != f.d:
         raise ValueError("multiplier dimension does not match the polynomial")
-    return f.scale_coeffs(dict(zip(f.keys, phi.values_at(f.keys))).__getitem__)
+    scale = np.array(phi.values_at(f.keys), dtype=complex).reshape(-1, 1, 1)
+    return NCPoly(f.twist, f.m, (f.keys, scale * f.blocks))
 
 
 def gradient_coeffs(
@@ -343,61 +344,55 @@ def gradient_form(f: NCPoly, g: NCPoly, psi: LengthFunction) -> NCPoly:
 
 
 class SymbolGrid:
-    """Grid evaluation of symbols of a twist over a fixed support by inverse FFT.
+    """Grid evaluation of the symbols of a twist by inverse FFT.
 
     A zero twist evaluates the m x m symbol on a uniform G^d grid; a rational
     twist theta = p/q (d = 2) lifts each coefficient to fhat(k) (x)
-    u^{k0} v^{p k1} on C^m (x) C^q first.  Any other twist has no oracle and
-    raises ValueError, as does a coefficient key outside the support.
+    u^{k0} v^{p k1} on C^m (x) C^q first.  Keys are reduced mod G, which is
+    exact: u^k and u^(k mod G) agree on the grid points.  Any other twist has
+    no oracle and raises ValueError.
     """
 
-    def __init__(self, support: Sequence[tuple[int, ...]], G: int, twist: TwistMatrix):
+    def __init__(self, G: int, twist: TwistMatrix):
         if not twist.is_zero and (twist.rational is None or twist.d != 2):
             raise ValueError("no norm oracle available for this twist")
-        self.support = list(support)
-        self._slot = {k: i for i, k in enumerate(self.support)}
         self.G = G
-        self.d = d = twist.d
-        keys = np.array(self.support, dtype=np.intp).reshape(-1, d) % G
-        self._cells = np.ravel_multi_index(tuple(keys.T), (G,) * d)
-        self.fiber_mats = None
+        self.d = twist.d
+        self._fiber = None
         self._corner = None
         if not twist.is_zero:
             from .matrixmodel import clock_shift  # matrixmodel imports this module
 
             p, q = twist.rational
-            model = clock_shift(q)
-            self.fiber_mats = np.array([model.monomial((k[0], p * k[1])) for k in self.support])
+            self._fiber = p, clock_shift(q)
             if G % q == 0:
                 self._corner = G // q
 
-    def values(self, X: np.ndarray) -> np.ndarray:
+    def values(self, keys, X: np.ndarray) -> np.ndarray:
         """sum_a X[a] exp(2 pi i k_a . t) at the G^d grid points t, shape
-        (G^d, ...) for X of shape (S, ...) in support order.  Keys equal
-        mod G add, as in the direct sum."""
+        (G^d, ...) for S keys k_a and X of shape (S, ...).  Keys equal mod G
+        add in key order, as in the direct sum."""
         X = np.asarray(X)
+        keys = np.array(keys, dtype=np.intp).reshape(-1, self.d) % self.G
         A = np.zeros((self.G**self.d,) + X.shape[1:], dtype=complex)
-        np.add.at(A, self._cells, X)  # one flat index: far faster than a tuple
+        # one flat index: far faster than a tuple
+        np.add.at(A, np.ravel_multi_index(tuple(keys.T), (self.G,) * self.d), X)
         grid = A.reshape((self.G,) * self.d + X.shape[1:])
         np.fft.ifftn(grid, axes=tuple(range(self.d)), norm="forward", out=grid)
         return A
 
-    def _lift(self, blocks: dict[tuple[int, ...], np.ndarray], m: int) -> np.ndarray:
-        """The (S, mq, mq) stack of blocks in support order, each block b lifted
-        to kron(b, fiber_mats[k]) on a rational fiber (q = 1 otherwise) by one
-        broadcast product, entry by entry np.kron's b[a, c] * F[s, t]."""
-        slots = [self._slot.get(k) for k in blocks]
-        if None in slots:
-            k = list(blocks)[slots.index(None)]
-            raise ValueError(f"coefficient key {k} is outside the grid's support")
-        B = np.array([np.atleast_2d(b) for b in blocks.values()]).reshape(-1, m, m)
-        if self.fiber_mats is not None:
-            q = self.fiber_mats.shape[1]
-            F = self.fiber_mats[slots]
-            B = (B[:, :, None, :, None] * F[:, None, :, None, :]).reshape(-1, m * q, m * q)
-        X = np.zeros((len(self.support),) + B.shape[1:], dtype=complex)
-        X[slots] = B
-        return X
+    def _lift(self, f: NCPoly) -> np.ndarray:
+        """f's block stack, each block b at key k lifted to kron(b, u^{k0}
+        v^{p k1}) on a rational fiber p/q by one broadcast product, entry by
+        entry np.kron's b[a, c] * F[s, t]; the stack itself otherwise."""
+        if self._fiber is None:
+            return f.blocks
+        p, model = self._fiber
+        m, q, S = f.m, model.dim, len(f.keys)
+        perm, phase = model.words([(k[0], p * k[1]) for k in f.keys])
+        F = np.zeros((S, q, q), dtype=complex)
+        F[np.arange(S)[:, None], perm, np.arange(q)] = phase
+        return (f.blocks[:, :, None, :, None] * F[:, None, :, None, :]).reshape(S, m * q, m * q)
 
     def _domain(self, A: np.ndarray) -> np.ndarray:
         """The grid values a maximum over the grid needs.  For a rational
@@ -410,22 +405,21 @@ class SymbolGrid:
         c = self._corner
         return A.reshape((self.G, self.G) + A.shape[1:])[:c, :c]
 
-    def norm(self, blocks: dict[tuple[int, ...], np.ndarray], m: int = 1) -> float:
-        S = self._domain(self.values(self._lift(blocks, m)))
+    def norm(self, f: NCPoly) -> float:
+        """sup over the grid of the largest singular value of f's symbol."""
+        S = self._domain(self.values(f.keys, self._lift(f)))
         return float(_mats.batched_sigma_max(S).max())
 
-    def lip_column(self, gam: dict[tuple[int, ...], np.ndarray]) -> float:
-        """||Gamma^(1/2)|| from the coefficients of Gamma = Gamma(f, f): the top
-        eigenvalue of its symbol, pointwise on the grid."""
-        if not gam:
+    def lip_column(self, gam: NCPoly) -> float:
+        """||Gamma^(1/2)|| for Gamma = Gamma(f, f): the top eigenvalue of its
+        symbol, pointwise on the grid."""
+        if not gam.keys:
             return 0.0
-        H = self._domain(self.values(self._lift(gam, len(next(iter(gam.values()))))))
+        H = self._domain(self.values(gam.keys, self._lift(gam)))
         return float(np.sqrt(max(_mats.batched_max_eig(H).max(), 0.0)))
 
     def lip_column_row(self, f: NCPoly, psi: LengthFunction) -> tuple[float, float]:
-        """Column and row gradient norms of f, from Gamma(f, f) and Gamma(f*, f*),
-        whose keys must lie in this grid's support (band_window(2 band, d) for
-        f of that band)."""
+        """Column and row gradient norms of f, from Gamma(f, f) and Gamma(f*, f*)."""
         fs = adjoint(f)
-        return (self.lip_column(gradient_form(f, f, psi).coeffs),
-                self.lip_column(gradient_form(fs, fs, psi).coeffs))
+        return (self.lip_column(gradient_form(f, f, psi)),
+                self.lip_column(gradient_form(fs, fs, psi)))

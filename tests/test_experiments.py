@@ -95,7 +95,8 @@ def test_rate_examples():
     from fuzzytorus.ncpoly import NCPoly, TwistMatrix
     from fuzzytorus.experiments import _scalar_grid_values
 
-    vals = np.abs(_scalar_grid_values({(1,): 1.0, (-1,): 1.0}, 16384))
+    cosine = NCPoly(TwistMatrix.zero(1), 1, {(1,): 1.0, (-1,): 1.0})
+    vals = np.abs(_scalar_grid_values(cosine, 16384))
     assert vals.max() == pytest.approx(2.0)
     assert vals[::16384 // 16].max() == pytest.approx(2.0)  # n = 16 hits the max
 
@@ -184,7 +185,7 @@ def test_net_sup_distance_equals_full_scan(n, b, monkeypatch):
     s = 2 * b + 1
     model = clock_shift(n)
     ks = np.arange(-b, b + 1)
-    grid = SymbolGrid(band_window(b, 1), n, TwistMatrix.zero(1))
+    grid = SymbolGrid(n, TwistMatrix.zero(1))
     axis = 0.2 * np.arange(-3, 4)
     mesh = [m.reshape(-1) for m in np.meshgrid(*[axis] * s, indexing="ij")]
     C = np.zeros((len(mesh[0]), s), dtype=complex)
@@ -194,7 +195,7 @@ def test_net_sup_distance_equals_full_scan(n, b, monkeypatch):
         C[:, b - k] = C[:, b + k].conj()
     C = C / rng.uniform(1.0, 1.5, size=(len(C), 1))
     C = np.concatenate([C, C[::-7]])  # duplicated net points: tied distances
-    net_vals = grid.values(C.T).T
+    net_vals = grid.values(band_window(b, 1), C.T).T
     samples = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for _ in range(20)]
     samples = [0.5 * (y + y[::-1].conj()) for y in samples]
     samples += [3.0 * y for y in samples[:5]]  # outside the net's box
@@ -205,7 +206,7 @@ def test_net_sup_distance_equals_full_scan(n, b, monkeypatch):
         yc = np.array([f.coeffs.get((int(k),), np.zeros((1, 1)))[0, 0] for k in ks])
         for cells in (ex.NET_BLOCK_CELLS, 3 * n):
             monkeypatch.setattr(ex, "NET_BLOCK_CELLS", cells)
-            assert ex._net_sup_distance(C, grid, yc, y_vals) == _full_scan(net_vals, y_vals)
+            assert ex._net_sup_distance(C, grid, band_window(b, 1), yc, y_vals) == _full_scan(net_vals, y_vals)
 
 
 @pytest.mark.parametrize("d, b, G", [(1, 3, 64), (2, 2, 16)])
@@ -213,13 +214,13 @@ def test_symbol_grid_values_column_by_column(d, b, G):
     # covering-net evaluates its net a block of rows at a time and a sample's
     # candidate rows alone: each column's values must not depend on the others
     rng = np.random.default_rng((d, b, G))
-    grid = SymbolGrid(band_window(b, d), G, TwistMatrix.zero(d))
-    S = len(grid.support)
-    X = rng.standard_normal((S, 300)) + 1j * rng.standard_normal((S, 300))
-    full = grid.values(X)
+    grid = SymbolGrid(G, TwistMatrix.zero(d))
+    keys = band_window(b, d)
+    X = rng.standard_normal((len(keys), 300)) + 1j * rng.standard_normal((len(keys), 300))
+    full = grid.values(keys, X)
     for cols in (rng.choice(300, size=37, replace=False), rng.integers(300, size=1),
                  np.arange(128, 300)):
-        assert np.array_equal(grid.values(X[:, cols]), full[:, cols])
+        assert np.array_equal(grid.values(keys, X[:, cols]), full[:, cols])
 
 
 def test_covering_net_rows_independent_of_block_size(monkeypatch):

@@ -417,6 +417,19 @@ def test_model_lip_allocates_no_dense_gamma():
     assert peak < model.dim**2 * 16  # one dense Gamma: 16 MB
 
 
+def test_model_lip_of_a_constant_is_zero_without_a_dense_matrix():
+    # Gamma(1, 1) = 0 is a band with no diagonals: +0.0 with no N x N zeros
+    tracemalloc.start()
+    try:
+        rep = lip_seminorm_on_model(NCPoly.one(TwistMatrix.zero(2)), clock_shift(1024), HEAT2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.column, rep.row, rep.lip) == (0.0, 0.0, 0.0)
+    assert math.copysign(1.0, rep.lip) == 1.0
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize(
     "model,m,width",
     [

@@ -16,6 +16,7 @@ from fuzzytorus.lattice import (
     product_multiplier,
 )
 from fuzzytorus.lipnorm import lip_seminorm
+from fuzzytorus.matrixmodel import clock_shift
 from fuzzytorus.ncpoly import (
     PRUNE_REL,
     NCPoly,
@@ -251,7 +252,7 @@ def test_l2_examples():
 
 def grid_norm(f, G=64):
     """The grid oracle's norm of f on G points per axis."""
-    return SymbolGrid(f.support(), G, f.twist).norm(f.coeffs, f.m)
+    return SymbolGrid(G, f.twist).norm(f)
 
 
 def test_oracle_examples():
@@ -285,17 +286,27 @@ def test_oracle_rejects_coarse_grid_and_bad_twist():
     with pytest.raises(ValueError):
         grid_norm(NCPoly.generator(irr, 0))
     with pytest.raises(ValueError, match="no norm oracle"):
-        SymbolGrid(band_window(1, 2), 64, irr)
+        SymbolGrid(64, irr)
 
 
-def test_symbol_grid_rejects_keys_outside_support():
-    grid = SymbolGrid(band_window(1, 2), 64, TwistMatrix.zero(2))
-    for blocks in ({(2, 0): np.eye(1)}, {(0, 0): np.eye(1), (0, -2): np.eye(1)}):
-        with pytest.raises(ValueError, match="outside the grid's support"):
-            grid.norm(blocks)
-        with pytest.raises(ValueError, match="outside the grid's support"):
-            grid.lip_column(blocks)
-    assert grid.norm({(1, -1): 3.0 * np.eye(1)}) == pytest.approx(3.0)
+@pytest.mark.parametrize("twist, G", [(TwistMatrix.zero(2), 12),
+                                      (TwistMatrix.rational_2d(2, 5), 10)],
+                         ids=("zero", "p2-q5"))
+def test_symbol_grid_reduces_keys_mod_G(twist, G):
+    # u^k and u^(k mod G) agree on the grid points (and, with q | G, so do the
+    # fiber words): keys beyond +-G evaluate bitwise as their residues
+    rng = np.random.default_rng(G)
+    grid = SymbolGrid(G, twist)
+    f = rand_poly(rng, twist, 2, m=2)
+    gam = gradient_form(f, f, LengthFunction.heat((None, None)))
+    for x, measure in ((f, grid.norm), (gam, grid.lip_column)):
+        keys = np.array(x.keys)
+        far = NCPoly(twist, 2, (keys + G * rng.choice([-3, -2, 2, 3], size=keys.shape), x.blocks))
+        res = NCPoly(twist, 2, (keys % G, x.blocks))
+        assert np.abs(np.array(far.keys)).min() > G
+        assert np.array_equal(grid.values(far.keys, grid._lift(far)),
+                              grid.values(res.keys, grid._lift(res)))
+        assert measure(far) == measure(res)
 
 
 def _direct_sum_grid(support, G, d, fiber, blocks, m):
@@ -350,20 +361,19 @@ def test_symbol_grid_matches_direct_sum(d, m, fiber, band, G):
     blocks = {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
               for k in support}
     twist = TwistMatrix.zero(d) if fiber is None else TwistMatrix.rational_2d(*fiber)
-    grid = SymbolGrid(support, G, twist)
+    grid = SymbolGrid(G, twist)
     P, X = _direct_sum_grid(support, G, d, fiber, blocks, m)
 
     S = np.tensordot(P, X, axes=(1, 0))
-    assert np.abs(grid.values(X) - S).max() <= 1e-13 * np.abs(S).max()
+    assert np.abs(grid.values(support, X) - S).max() <= 1e-13 * np.abs(S).max()
     norm = float(_mats.batched_sigma_max(S).max())
-    assert grid.norm(blocks, m) == pytest.approx(norm, rel=1e-13, abs=0)
+    f = NCPoly(twist, m, blocks)
+    assert grid.norm(f) == pytest.approx(norm, rel=1e-13, abs=0)
 
     psi = LengthFunction.heat((None,) * d)
-    f = NCPoly(twist, m, blocks)
     gam = gradient_form(f, f, psi)
     lip = _cocycle_lip_column(support, G, d, fiber, blocks, m, psi)
-    lip_grid = SymbolGrid(band_window(2 * band, d), G, twist)
-    assert lip_grid.lip_column(gam.coeffs) == pytest.approx(lip, rel=1e-13, abs=0)
+    assert grid.lip_column(gam) == pytest.approx(lip, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("m", (1, 2))
@@ -373,19 +383,18 @@ def test_fiber_oracle_on_fundamental_domain(p, q, m):
     twist = TwistMatrix.rational_2d(p, q)
     f = NCPoly(twist, m, {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
                           for k in band_window(2, 2)})
-    gam = gradient_form(f, f, LengthFunction.heat((None, None))).coeffs
+    gam = gradient_form(f, f, LengthFunction.heat((None, None)))
     for G, divides in ((8 * q, True), (8 * q + 1, False)):
-        grid = SymbolGrid(band_window(2, 2), G, twist)
-        lip_grid = SymbolGrid(band_window(4, 2), G, twist)
-        norm = _mats.batched_sigma_max(grid.values(grid._lift(f.coeffs, m))).max()
-        top = _mats.batched_max_eig(lip_grid.values(lip_grid._lift(gam, m))).max()
+        grid = SymbolGrid(G, twist)
+        norm = _mats.batched_sigma_max(grid.values(f.keys, grid._lift(f))).max()
+        top = _mats.batched_max_eig(grid.values(gam.keys, grid._lift(gam))).max()
         lip = np.sqrt(max(top, 0.0))
         if divides:  # the corner's maximum: at most the full grid's, and 2e-15 close
-            assert norm * (1 - 2e-15) <= grid.norm(f.coeffs, m) <= norm
-            assert lip * (1 - 2e-15) <= lip_grid.lip_column(gam) <= lip
+            assert norm * (1 - 2e-15) <= grid.norm(f) <= norm
+            assert lip * (1 - 2e-15) <= grid.lip_column(gam) <= lip
         else:
-            assert grid.norm(f.coeffs, m) == norm
-            assert lip_grid.lip_column(gam) == lip
+            assert grid.norm(f) == norm
+            assert grid.lip_column(gam) == lip
 
 
 def test_two_by_two_sigma_max_closed_form():
@@ -555,7 +564,7 @@ def test_gradient_psd_assembly_matches_gagro():
     f = rand_poly(rng, TwistMatrix.zero(1), 4, m=2)
     via_rows = _cocycle_lip_column(f.support(), 256, 1, None, f.coeffs, f.m, heat)
     gam = gradient_form(f, f, heat)
-    assert SymbolGrid(band_window(8, 1), 256, f.twist).lip_column(gam.coeffs) == pytest.approx(
+    assert SymbolGrid(256, f.twist).lip_column(gam) == pytest.approx(
         via_rows, rel=1e-13)
     assert math.sqrt(grid_norm(gam, 256)) == pytest.approx(via_rows, rel=1e-10)
 
@@ -636,14 +645,14 @@ def test_normal_form_uniqueness_roundtrip():
 def test_fiber_lift_is_the_per_key_kron_bitwise(p, q, m):
     rng = np.random.default_rng((p, q, m, 1))
     support = band_window(2, 2)
-    grid = SymbolGrid(support, 8 * q, TwistMatrix.rational_2d(p, q))
-    # a partial support in another order, and real blocks cast on the way
+    twist = TwistMatrix.rational_2d(p, q)
+    grid = SymbolGrid(8 * q, twist)
+    # keys in another order, one beyond the grid, and real blocks cast on the way
     blocks = {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-              for k in support[::-2]}
+              for k in support[::-2] + [(8 * q + 3, -17)]}
     blocks[support[1]] = rng.standard_normal((m, m))
-    ref = np.zeros((len(support), m * q, m * q), dtype=complex)
-    for k, b in blocks.items():
-        ref[support.index(k)] = np.kron(b, grid.fiber_mats[support.index(k)])
-    assert np.array_equal(grid._lift(blocks, m).view(np.uint64), ref.view(np.uint64))
-    with pytest.raises(ValueError, match="outside the grid's support"):
-        grid._lift({(5, 0): np.eye(m)}, m)
+    f = NCPoly(twist, m, blocks)
+    assert list(f.keys) == list(blocks)
+    ref = np.array([np.kron(b, clock_shift(q).monomial((k[0], p * k[1])))
+                    for k, b in blocks.items()])
+    assert np.array_equal(grid._lift(f).view(np.uint64), ref.view(np.uint64))
