@@ -12,7 +12,7 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .experiments import EXPERIMENTS, default_config, run_experiment
-from .manifest import ManifestError, RunManifest, emit_report, parse_config
+from .manifest import ManifestError, RunManifest, check_seed, emit_report, parse_config
 
 DEFAULT_SEED = 20240901
 
@@ -44,6 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _manifest_for(args) -> RunManifest:
     ids = SUBCOMMANDS[args.command]
+    if args.seed is not None:
+        check_seed(args.seed)
     if args.manifest:
         man = parse_config(args.manifest)
         configs = tuple(c for c in man.experiments if c.experiment in ids)

@@ -34,6 +34,7 @@ from .matrixmodel import (
     fourier_coefficients,
     fuzzy_generators,
     op_norm,
+    schatten_norm,
 )
 from .ncpoly import (
     NCPoly,
@@ -96,8 +97,10 @@ class ReportRow:
                    row_passes(metric, float(value), float(bound)))
 
 
-# rate's default oracle grid (points on the circle)
-RATE_GRID = 2048
+# Points per axis of each grid-reading experiment's oracle when `grid` is None.
+DEFAULT_GRID = {"isometry": 512, "bridge-reach": 128, "rate": 16384}
+# Largest oracle array, G^d (m q)^2 entries at amplification m, fiber size q.
+GRID_CAP = 2**24
 # Experiments that sweep their whole n_schedule; the others fall back to a default.
 NEEDS_SCHEDULE = ("intertwining", "rate", "isometry", "bridge-reach")
 # Experiments that draw elements at every amplification in `amplifications`.
@@ -123,7 +126,7 @@ class ExperimentConfig:
     cutoffs: tuple[int, ...] = (2, 4, 8)
     sample_band: int = 1
     net_cap: int = 500_000
-    grid: Optional[int] = None
+    grid: Optional[int] = None  # None: DEFAULT_GRID's size, for the experiments that read it
     lip_grid: int = 128
 
     def __post_init__(self):
@@ -142,9 +145,9 @@ class ExperimentConfig:
             raise ValueError(f"psi: unknown length kind {self.psi!r}; expected one of {_KINDS}")
         if self.band < 0:
             raise ValueError("band: need band >= 0")
-        if self.band < 1 and self.experiment in ("smoothing-tail", "hp-ratio"):
-            raise ValueError(f"band: {self.experiment} draws mean-zero elements, "
-                             "which are 0 at band 0; need band >= 1")
+        if self.band < 1 and self.experiment in (*AMPLIFIED, "hp-ratio"):
+            raise ValueError(f"band: {self.experiment} divides by norms or Lipschitz seminorms "
+                             "of its draws, which are 0 at band 0; need band >= 1")
         if self.sample_band < 0:
             raise ValueError("sample_band: need sample_band >= 0")
         n = ns[-1] if ns else 64  # the one model of smoothing-tail and covering-net
@@ -155,12 +158,15 @@ class ExperimentConfig:
             raise ValueError(f"band: bridge-reach pulls model elements back on the band "
                              f"window, which needs 2 band < n; 2 band = {2 * self.band} "
                              f">= n = {ns[0]}")
+        if self.grid is not None and self.grid < 1:
+            raise ValueError("grid: need a positive grid size")
+        if self.grid is None and self.experiment in DEFAULT_GRID:
+            object.__setattr__(self, "grid", DEFAULT_GRID[self.experiment])
         if self.experiment == "rate":
-            G = self.grid or RATE_GRID
-            bad = [n for n in ns if G % n]
+            bad = [n for n in ns if self.grid % n]
             if bad:
-                raise ValueError(f"n_schedule: rate's oracle grid G = {G} must contain every "
-                                 f"n-grid as a subgrid; {bad} do not divide it")
+                raise ValueError(f"n_schedule: rate's oracle grid G = {self.grid} must contain "
+                                 f"every n-grid as a subgrid; {bad} do not divide it")
         if self.experiment == "smoothing-tail" and 2 * self.band >= n:
             raise ValueError(f"band: sample band exceeds the model window; need 2 band < n = {n}")
         if self.experiment == "covering-net" and 2 * self.sample_band >= n:
@@ -183,8 +189,6 @@ class ExperimentConfig:
             raise ValueError("amplifications: need at least one, each >= 1")
         if not self.cutoffs:
             raise ValueError("cutoffs: need at least one cutoff")
-        if self.grid is not None and self.grid < 1:
-            raise ValueError("grid: need a positive grid size")
         if self.lip_grid < 1:
             raise ValueError("lip_grid: need a positive grid size")
         if self.theta is None and self.experiment == "bridge-reach":
@@ -211,6 +215,14 @@ class ExperimentConfig:
                 raise ValueError(f"amplifications: amplification {amp} of the {q * n}-dimensional "
                                  f"model at n = {n} gives dimension {amp * q * n}, "
                                  f"above DIMENSION_CAP = {DIMENSION_CAP}")
+        if self.experiment in DEFAULT_GRID:
+            # rate fills G scalars; isometry and bridge-reach (AMPLIFIED) G^2 blocks of size amp q
+            d, mq = (1, 1) if self.experiment == "rate" else (2, amp * q)
+            lip = {"lip_grid": self.lip_grid} if self.experiment == "isometry" else {}
+            for key, G in {"grid": self.grid, **lip}.items():
+                if G**d * mq * mq > GRID_CAP:
+                    raise ValueError(f"{key}: {G}^{d} grid points with {mq} x {mq} values each "
+                                     f"give {G**d * mq * mq} entries, above GRID_CAP = {GRID_CAP}")
 
 
 def kendall_decreasing(vals: Sequence[float]) -> float:
@@ -268,7 +280,7 @@ def _scalar_grid_values(f: NCPoly, G: int) -> np.ndarray:
 def run_rate(cfg: ExperimentConfig) -> list[ReportRow]:
     """Norm and gradient-norm defects of the n-point restriction of a fixed
     trig polynomial, with the O(1/n) constant fitted from the sweep."""
-    G = cfg.grid or RATE_GRID
+    G = cfg.grid
     c = 1.0 / math.sqrt(2.0)
     psi_inf = LengthFunction(cfg.psi, (None,))
     f = NCPoly(TwistMatrix.zero(1), 1,
@@ -328,7 +340,7 @@ def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
     tw = models[0].symbol_twist
     psi_inf = LengthFunction(cfg.psi, (None, None))
     support = band_window(cfg.band, 2)
-    oracle = SymbolGrid(cfg.grid or 512, tw)
+    oracle = SymbolGrid(cfg.grid, tw)
     lip_oracle = SymbolGrid(cfg.lip_grid, tw)
 
     draws = []
@@ -395,20 +407,15 @@ def run_smoothing_tail(cfg: ExperimentConfig) -> list[ReportRow]:
         for i in range(cfg.samples):
             rng = np.random.default_rng((cfg.seed, amp, i))
             f = mean_zero(NCPoly(tw, amp, _draw_blocks(rng, band_window(cfg.band, 2), amp)))
-            e = embed(f, model)
-            l2 = l2_norm(f)
-            lip = lip_seminorm_on_model(f, model, psi_n).lip
-            sample_list.append((f, e, l2, lip))
+            sample_list.append((f, l2_norm(f), lip_seminorm_on_model(f, model, psi_n).lip))
 
     rows = []
     prev1 = prev2 = None
     for k_freq in cfg.cutoffs:
         phi = _product_smoother(psi_coord, k_freq, eps_part)
-        sup1 = 0.0
-        sup2 = 0.0
-        for f, e, l2, lip in sample_list:
-            diff = e.matrix - embed(apply_multiplier(f, phi), model).matrix
-            num = _mats.operator_norm(diff)
+        sup1 = sup2 = 0.0
+        for f, l2, lip in sample_list:
+            num = op_norm(f - apply_multiplier(f, phi), model)
             sup1 = max(sup1, num / (l2 + lip))
             sup2 = max(sup2, num / lip if lip > 0 else math.inf)
         rows.append(ReportRow.make(cfg.experiment, k_freq, "tail_ratio_l2lip", sup1, math.inf))
@@ -469,26 +476,25 @@ def _net_axis(limit: float, pitch: float) -> np.ndarray:
     return pitch * np.arange(-m, m + 1)
 
 
-def _net_sup_distance(C: np.ndarray, grid: SymbolGrid, keys, yc: np.ndarray,
-                      y_vals: np.ndarray) -> float:
-    """min_i max_j |grid.values(keys, C[i])[j] - y_vals[j]|, evaluating only
-    the rows that can attain it.
+def _net_sup_distance(C: np.ndarray, grid: SymbolGrid, keys, yc: np.ndarray) -> float:
+    """min_i max_j |grid.values(keys, C[i])[j] - grid.values(keys, yc)[j]|,
+    the sup distance of the sample with coefficients yc to the net,
+    evaluating only the rows that can attain it.
 
-    The sample has coefficients yc and values y_vals, equal to grid.values(keys, yc)
-    up to a roundoff err.  With the grid's keys distinct mod its size, discrete
-    Plancherel gives ||c||_2 <= ||grid.values(c)||_inf for every coefficient
-    gap c.  So a row no farther than dj, the sup distance of the l2-nearest
-    row, has an l2 gap of at most dj + err; the relative and absolute margins
-    cover the rounding of the gaps and of the grid values.  The FFT transforms
-    each column on its own, so the evaluated rows' distances are the floats a
-    full scan computes, and the minimum is the same.
+    With the grid's keys distinct mod its size, discrete Plancherel gives
+    ||c||_2 <= ||grid.values(c)||_inf for every coefficient gap c.  So a row
+    no farther than dj, the sup distance of the l2-nearest row, has an l2 gap
+    of at most dj; the relative and absolute margins cover the rounding of
+    the gaps and of the grid values.  The FFT transforms each column on its
+    own, so the evaluated rows' distances are the floats a full scan
+    computes, and the minimum is the same.
     """
+    y_vals = grid.values(keys, yc)
     diff = C.view(np.float64) - yc.view(np.float64)
     gap2 = np.einsum("ij,ij->i", diff, diff)
     near = grid.values(keys, C[[int(gap2.argmin())]].T)[:, 0]
     dj = np.abs(near - y_vals).max()
-    err = np.abs(y_vals - grid.values(keys, yc)).max()
-    cut = (dj + err) * (1 + 1e-9) + 1e-12 * (1.0 + np.abs(yc).sum())
+    cut = dj * (1 + 1e-9) + 1e-12 * (1.0 + np.abs(yc).sum())
     (cand,) = np.nonzero(gap2 <= cut * cut)
     step = max(1, NET_BLOCK_CELLS // grid.G)
     return min(float(np.abs(grid.values(keys, C[cand[lo:lo + step]].T) - y_vals[:, None])
@@ -568,21 +574,18 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     k_val = psi_n.coord_value(1)
     phi = build_smoothing_multiplier(psi_n, k_val, eps)
     samples = lip_ball_sample(R, b, cfg.samples, cfg.seed, psi_n, tw, model)
-    radius = 0.0
+    radius = resid = 0.0
     covered = 0
-    resid = 0.0
     for f in samples:
-        e = embed(f, model)
         yc = np.zeros(s, dtype=complex)
         yc[[coords.index(k) for k in f.keys]] = f.blocks[:, 0, 0]
-        dist = _net_sup_distance(C, grid_n, coords, yc, np.diag(e.matrix))
+        dist = _net_sup_distance(C, grid_n, coords, yc)
         radius = max(radius, dist)
         if dist <= (4 * R + 2) * eps:
             covered += 1
-        y_phi = embed(apply_multiplier(f, phi), model)
-        resid = max(resid, _mats.operator_norm(e.matrix - y_phi.matrix))
+        resid = max(resid, op_norm(f - apply_multiplier(f, phi), model))
 
-    rows = [
+    return [
         ReportRow.make(cfg.experiment, n, "coverage_fraction",
                        covered / len(samples), 1.0),
         ReportRow.make(cfg.experiment, n, "covering_radius", radius, (4 * R + 2) * eps),
@@ -591,7 +594,6 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
         ReportRow.make(cfg.experiment, n, "net_size", count, cfg.net_cap),
         ReportRow.make(cfg.experiment, n, "smoothing_residual_max", resid, math.inf),
     ]
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +611,10 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
     psi_coord_inf = LengthFunction(cfg.psi, (None,))
     support_nz = [c for c in band_window(cfg.band, 2) if any(c)]
     # one grid for the norms of f and for Gamma(f, f)
-    oracle = SymbolGrid(cfg.grid or 128, tw)
+    oracle = SymbolGrid(cfg.grid, tw)
 
     eps_part = cfg.eps_multiplier if cfg.eps_multiplier is not None else 0.01
-    k_val = psi_coord_inf.coord_value(cfg.band)
-    phi = product_multiplier([build_smoothing_multiplier(psi_coord_inf, k_val, eps_part)] * 2)
+    phi = _product_smoother(psi_coord_inf, cfg.band, eps_part)
 
     # symbol-side unit-Lip samples, shared across n
     a_side = []
@@ -632,12 +633,9 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
                  oracle.norm(a - a_phi))
             )
 
-    rows = []
-    reaches = []
+    rows, reaches = [], []
     final_n = cfg.n_schedule[-1]
-    delta_third = 0.0
-    delta_consistency = 0.0
-    delta_norm_max = 0.0
+    delta_third = delta_consistency = delta_norm_max = 0.0
     for n, model in zip(cfg.n_schedule, models):
         psi_n = psi_inf.with_moduli((n, n))
         worst = 0.0
@@ -672,11 +670,10 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
         rng = np.random.default_rng((cfg.seed, 3, n))
         f = NCPoly(tw, 1, _draw_blocks(rng, support_nz, 1))
         ln = lip_seminorm_on_model(f, model, psi_n).lip
-        b = embed((1.0 / ln) * f, model)
-        pulled = fourier_coefficients(b, cfg.band)
-        b2 = embed(pulled, model)
-        third = _mats.operator_norm(b.matrix - b2.matrix) / cfg.eps
-        l1 = lip_seminorm_on_model((1.0 / ln) * f, model, psi_n).lip
+        b = (1.0 / ln) * f
+        pulled = fourier_coefficients(embed(b, model), cfg.band)
+        third = op_norm(b - pulled, model) / cfg.eps
+        l1 = lip_seminorm_on_model(b, model, psi_n).lip
         l2_ = lip_seminorm_on_model(pulled, model, psi_n).lip
         delta_third = max(delta_third, third)
         delta_consistency = max(
@@ -702,8 +699,6 @@ def run_hp_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
     """Empirical range of ||A^(beta/2) x||_p / ||B^beta x||_p with A the heat
     and B the word generator, p in {2, 4}.  The equivalence constants are not
     pinned anywhere, so the rows are informational."""
-    from .matrixmodel import schatten_norm
-
     n = cfg.n_schedule[-1] if cfg.n_schedule else 64
     model = clock_shift(n)
     heat = LengthFunction("heat", (n, n))
@@ -745,10 +740,10 @@ EXPERIMENTS: dict[str, Callable[[ExperimentConfig], list[ReportRow]]] = {
 
 _DEFAULTS: dict[str, dict] = {
     "intertwining": dict(psi="word", band=4, n_schedule=(16, 32), samples=50),
-    "rate": dict(psi="heat", n_schedule=(16, 32, 64, 128, 256, 512, 1024), grid=16384),
+    "rate": dict(psi="heat", n_schedule=(16, 32, 64, 128, 256, 512, 1024)),
     "isometry": dict(psi="heat", band=2, amplifications=(1, 2),
                      n_schedule=(16, 32, 64, 128, 256), samples=100,
-                     lip_samples=25, grid=512, eps=0.05),
+                     lip_samples=25, eps=0.05),
     "smoothing-tail": dict(psi="heat", band=8, n_schedule=(64,), samples=200,
                            cutoffs=(2, 4, 8), eps=0.25),
     "psd-audit": dict(n_schedule=tuple(range(4, 65))),
@@ -756,8 +751,7 @@ _DEFAULTS: dict[str, dict] = {
                          eps=0.25, sample_band=1),
     "bridge-reach": dict(psi="heat", theta=(1, 2), band=2,
                          n_schedule=(8, 16, 32, 64, 128), samples=8,
-                         amplifications=(1, 2), eps=0.1, eps_multiplier=0.01,
-                         grid=128),
+                         amplifications=(1, 2), eps=0.1, eps_multiplier=0.01),
     "hp-ratio": dict(psi="heat", band=4, n_schedule=(64,), samples=40),
 }
 

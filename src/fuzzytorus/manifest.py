@@ -28,9 +28,9 @@ import typing
 from dataclasses import dataclass
 from typing import Sequence
 
-from .experiments import EXPERIMENTS, ExperimentConfig, ReportRow
+from .experiments import _DEFAULTS, EXPERIMENTS, ExperimentConfig, ReportRow
 
-__all__ = ["RunManifest", "parse_config", "manifest_from_dict", "emit_report"]
+__all__ = ["RunManifest", "check_seed", "parse_config", "manifest_from_dict", "emit_report"]
 
 _TOP_KEYS = {"seed", "out", "format", "experiments"}
 _TUPLE_FIELDS = {"amplifications", "n_schedule", "cutoffs", "theta"}
@@ -61,6 +61,13 @@ def _is_a(value, kind: type) -> bool:
     )
 
 
+def check_seed(seed) -> int:
+    """The seed itself, if it is a non-negative integer (not a bool)."""
+    if not _is_a(seed, int) or seed < 0:
+        raise ManifestError(f"seed: expected a non-negative integer, got {seed!r}")
+    return seed
+
+
 def _coerce(name: str, value, path: str):
     kinds = typing.get_args(_HINTS[name]) or (_HINTS[name],)  # Optional[X] -> (X, None)
     if value is None and type(None) in kinds:
@@ -84,10 +91,7 @@ def manifest_from_dict(doc: dict) -> RunManifest:
         raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
     if "seed" not in doc:
         raise ManifestError("seed required")
-    try:
-        seed = int(doc["seed"])
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"seed: {exc}") from exc
+    seed = check_seed(doc["seed"])
     out = doc.get("out", "reports")
     if not isinstance(out, str):
         raise ManifestError(f"out: expected a string, got {type(out).__name__}")
@@ -107,8 +111,6 @@ def manifest_from_dict(doc: dict) -> RunManifest:
         exp_id = entry["id"]
         if exp_id not in EXPERIMENTS:
             raise ManifestError(f"{path}.id: unknown experiment id {exp_id!r}")
-        from .experiments import _DEFAULTS
-
         kwargs = dict(_DEFAULTS[exp_id])
         kwargs["seed"] = seed
         for key, value in entry.items():

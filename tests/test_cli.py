@@ -200,6 +200,11 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
     ({"id": "smoothing-tail", "n_schedule": [64], "band": 0, "samples": 1},
      "experiments[0]: band: "),
     ({"id": "hp-ratio", "n_schedule": [64], "band": 0, "samples": 1}, "experiments[0]: band: "),
+    ({"id": "isometry", "n_schedule": [8], "band": 0, "samples": 1}, "experiments[0]: band: "),
+    ({"id": "bridge-reach", "n_schedule": [8], "band": 0, "samples": 1},
+     "experiments[0]: band: "),
+    ({"id": "isometry", "n_schedule": [8], "grid": 65536},
+     "experiments[0]: grid: 65536^2 grid points with 2 x 2 values each"),
     ({"id": "intertwining", "n_schedule": [16], "samples": 2, "tol": 5},
      "experiments[0].tol: unknown configuration key"),
     ({"id": "smoothing-tail", "n_schedule": [16], "band": 8, "samples": 1},
@@ -232,7 +237,8 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
         "net-cap-above-max",
         "eps-covering-net-above-one", "eps-smoothing-tail-half-above-one",
         "eps-multiplier-above-one", "eps-multiplier-zero", "band-zero-smoothing-tail",
-        "band-zero-hp-ratio", "tol-unknown", "band-smoothing-tail-window",
+        "band-zero-hp-ratio", "band-zero-isometry", "band-zero-bridge-reach",
+        "grid-over-cap", "tol-unknown", "band-smoothing-tail-window",
         "band-smoothing-tail-default-n", "sample-band-covering-net-alias",
         "amplification-over-cap", "amplification-over-cap-fuzzy", "fuzzy-model-over-cap",
         "amplification-over-cap-default-n", "rate-grid-not-a-multiple",
@@ -262,6 +268,31 @@ def test_cli_rejects_non_integer_seed(tmp_path, capsys):
     })
     assert main(["audit", "--manifest", man]) == 2
     assert "error: seed:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed, flag", [
+    (1.5, None), (True, None), ("12", None), (-3, None), (5, "-3"),
+], ids=["float", "bool", "string", "negative", "negative-flag"])
+def test_cli_rejects_bad_seed_before_any_experiment(tmp_path, capsys, seed, flag):
+    out = tmp_path / "rep"
+    man = _write_manifest(tmp_path, {
+        "seed": seed,
+        "out": str(out),
+        "experiments": [{"id": "psd-audit", "n_schedule": [4, 5]}],
+    })
+    argv = ["audit", "--manifest", man] + (["--seed", flag] if flag else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: seed: expected a non-negative integer" in captured.err
+    assert "running" not in captured.out
+    assert not out.exists()
+
+
+def test_cli_rejects_negative_seed_flag_without_manifest(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["audit", "--seed", "-3", "--out", str(out)]) == 2
+    assert "error: seed: expected a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_failing_experiment_keeps_earlier_rows(tmp_path, capsys):

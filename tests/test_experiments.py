@@ -1,12 +1,14 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fuzzytorus import _mats
 from fuzzytorus import experiments as ex
 from fuzzytorus.lattice import band_window
-from fuzzytorus.matrixmodel import clock_shift, embed
-from fuzzytorus.ncpoly import NCPoly, SymbolGrid, TwistMatrix
+from fuzzytorus.matrixmodel import op_norm
+from fuzzytorus.ncpoly import SymbolGrid, TwistMatrix
 
 SEED = 424242
 
@@ -178,13 +180,12 @@ def _full_scan(net_vals, y_vals):
 @pytest.mark.parametrize("n", [8, 64])
 @pytest.mark.parametrize("b", [1, 2])
 def test_net_sup_distance_equals_full_scan(n, b, monkeypatch):
-    # rescaled lattice nets as covering-net builds them, samples embedded in
-    # the clock/shift model so their values carry the model's roundoff; the
-    # candidate rows are evaluated in one block and in blocks of three rows
+    # rescaled lattice nets as covering-net builds them, and samples with
+    # real symbols as covering-net draws them; the candidate rows are
+    # evaluated in one block and in blocks of three rows
     rng = np.random.default_rng((n, b))
     s = 2 * b + 1
-    model = clock_shift(n)
-    ks = np.arange(-b, b + 1)
+    keys = band_window(b, 1)
     grid = SymbolGrid(n, TwistMatrix.zero(1))
     axis = 0.2 * np.arange(-3, 4)
     mesh = [m.reshape(-1) for m in np.meshgrid(*[axis] * s, indexing="ij")]
@@ -195,18 +196,16 @@ def test_net_sup_distance_equals_full_scan(n, b, monkeypatch):
         C[:, b - k] = C[:, b + k].conj()
     C = C / rng.uniform(1.0, 1.5, size=(len(C), 1))
     C = np.concatenate([C, C[::-7]])  # duplicated net points: tied distances
-    net_vals = grid.values(band_window(b, 1), C.T).T
+    net_vals = grid.values(keys, C.T).T
     samples = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for _ in range(20)]
     samples = [0.5 * (y + y[::-1].conj()) for y in samples]
     samples += [3.0 * y for y in samples[:5]]  # outside the net's box
     samples += [C[i] for i in rng.integers(len(C), size=5)]  # on a net point
     for yc in samples:
-        f = NCPoly(TwistMatrix.zero(1), 1, {(int(k),): c for k, c in zip(ks, yc)})
-        y_vals = np.diag(embed(f, model).matrix)
-        yc = np.array([f.coeffs.get((int(k),), np.zeros((1, 1)))[0, 0] for k in ks])
+        full = _full_scan(net_vals, grid.values(keys, yc))
         for cells in (ex.NET_BLOCK_CELLS, 3 * n):
             monkeypatch.setattr(ex, "NET_BLOCK_CELLS", cells)
-            assert ex._net_sup_distance(C, grid, band_window(b, 1), yc, y_vals) == _full_scan(net_vals, y_vals)
+            assert ex._net_sup_distance(C, grid, keys, yc) == full
 
 
 @pytest.mark.parametrize("d, b, G", [(1, 3, 64), (2, 2, 16)])
@@ -259,6 +258,28 @@ def test_bridge_reach_small():
     assert diag and diag[0].value <= 1e-10
     cons = [r for r in rows if r.metric == "delta_norm_consistency"]
     assert cons and cons[0].value <= 1e-10
+
+
+def test_model_norms_enter_operator_norm_only_through_op_norm(monkeypatch):
+    # every matrix-level norm of the experiments is op_norm of a coefficient
+    # difference; at these sizes (mN < 256) op_norm hands an embedded matrix
+    # to _mats.operator_norm, which must see no other caller
+    norm, callers = _mats.operator_norm, []
+
+    def traced(x):
+        callers.append(sys._getframe(1).f_code)
+        return norm(x)
+
+    monkeypatch.setattr(_mats, "operator_norm", traced)
+    for experiment in ("smoothing-tail", "covering-net", "bridge-reach"):
+        ex.run_experiment(small(experiment))
+    assert callers and set(callers) == {op_norm.__code__}
+
+
+def test_rate_grid_default_is_written_once():
+    schedule = ex.default_config("rate").n_schedule
+    direct = ex.ExperimentConfig("rate", 20240901, n_schedule=schedule)
+    assert ex.run_experiment(direct) == ex.run_experiment(ex.default_config("rate"))
 
 
 def test_bridge_reach_needs_theta():

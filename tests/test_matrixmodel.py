@@ -326,6 +326,15 @@ def test_norm_examples():
         schatten_norm(eye, 0.5)
 
 
+def test_schatten_inf_is_the_top_singular_value_of_its_svd():
+    # N = 520 lies above DENSE_MAX_DIM, where _mats.operator_norm would
+    # answer by power iteration
+    rng = np.random.default_rng(520)
+    cs = clock_shift(520)
+    x = embed(rand_poly(rng, cs.symbol_twist, 2), cs)
+    assert schatten_norm(x, np.inf) == np.linalg.svd(x.matrix, compute_uv=False)[0]
+
+
 def test_power_iteration_path_matches_dense(monkeypatch):
     rng = np.random.default_rng(3)
     a = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
