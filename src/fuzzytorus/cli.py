@@ -44,8 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _manifest_for(args) -> RunManifest:
     ids = SUBCOMMANDS[args.command]
-    if args.seed is not None:
-        check_seed(args.seed)
     if args.manifest:
         man = parse_config(args.manifest)
         configs = tuple(c for c in man.experiments if c.experiment in ids)
@@ -63,6 +61,7 @@ def _manifest_for(args) -> RunManifest:
             experiments=tuple(default_config(i, seed) for i in ids),
         )
     if args.seed is not None:
+        check_seed(args.seed)
         man = replace(
             man,
             seed=args.seed,

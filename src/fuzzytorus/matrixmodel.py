@@ -436,12 +436,11 @@ def _sqrt_top(ab: np.ndarray) -> float:
 
 
 def op_norm(f: NCPoly, model: MatrixModel) -> float:
-    """Operator norm of embed(f, model), the one entry point for the norm of
-    a model element (a difference of elements is taken on coefficients).
-    For BAND_MIN_DIM <= mN <= DENSE_MAX_DIM, sqrt of the top eigenvalue of
-    x*x, which _band_gram assembles from f's coefficients with the one row
-    of ones, by the top-eigenvalue route of the model-side Lip; every other
-    size _mats.operator_norm of the embedded matrix."""
+    """Operator norm of embed(f, model), the one entry point for model-element
+    norms.  For BAND_MIN_DIM <= mN <= DENSE_MAX_DIM, sqrt of the top
+    eigenvalue of x*x, which _band_gram assembles from f's coefficients with
+    the one row of ones, by the top-eigenvalue route of the model-side Lip;
+    every other size _mats.operator_norm of the embedded matrix."""
     if not f.keys:
         return 0.0
     if _mats.BAND_MIN_DIM <= f.m * model.dim <= _mats.DENSE_MAX_DIM:
@@ -450,8 +449,7 @@ def op_norm(f: NCPoly, model: MatrixModel) -> float:
 
 
 def schatten_norm(x: ModelElement, p: float) -> float:
-    """Normalized-trace Schatten norm, so identity has norm 1 for every p;
-    p = inf is the top singular value of the same SVD."""
+    """Normalized-trace Schatten norm, so identity has norm 1 for every p."""
     if p < 1:
         raise ValueError("need p >= 1")
     sv = np.linalg.svd(x.matrix, compute_uv=False)

@@ -213,22 +213,18 @@ class NCPoly:
             raise ValueError("twist/amplification mismatch")
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
-        return self._combine(other, np.add)
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self._combine(other, np.subtract)
-
-    def _combine(self, other: "NCPoly", op) -> "NCPoly":
-        """op of the two block stacks over the union of the keys, self's first."""
         self._require_compatible(other)
-        if self.keys == other.keys:
-            return NCPoly(self.twist, self.m, (self.keys, op(self.blocks, other.blocks)))
         pos = {k: i for i, k in enumerate(dict.fromkeys(self.keys + other.keys))}
         out = np.zeros((len(pos), self.m, self.m), dtype=complex)
         out[:len(self.keys)] = self.blocks
-        idx = [pos[k] for k in other.keys]
-        out[idx] = op(out[idx], other.blocks)
+        out[[pos[k] for k in other.keys]] += other.blocks
         return NCPoly(self.twist, self.m, (list(pos), out))
+
+    def __sub__(self, other: "NCPoly") -> "NCPoly":
+        if self.keys != other.keys:
+            return self + (-1.0) * other
+        self._require_compatible(other)  # one construction; a - b is a + (-b) bitwise
+        return NCPoly(self.twist, self.m, (self.keys, self.blocks - other.blocks))
 
     def __rmul__(self, c) -> "NCPoly":
         if np.isscalar(c):
