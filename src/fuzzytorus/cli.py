@@ -11,8 +11,10 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .experiments import EXPERIMENTS, default_config, run_experiment
-from .manifest import ManifestError, RunManifest, check_seed, emit_report, parse_config
+from .experiments import EXPERIMENTS, run_experiment
+from .manifest import (
+    ManifestError, RunManifest, check_seed, emit_report, manifest_from_dict, parse_config,
+)
 
 DEFAULT_SEED = 20240901
 
@@ -44,6 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _manifest_for(args) -> RunManifest:
     ids = SUBCOMMANDS[args.command]
+    if args.seed is not None:
+        check_seed(args.seed)
     if args.manifest:
         man = parse_config(args.manifest)
         configs = tuple(c for c in man.experiments if c.experiment in ids)
@@ -53,15 +57,8 @@ def _manifest_for(args) -> RunManifest:
             )
         man = replace(man, experiments=configs)
     else:
-        seed = args.seed if args.seed is not None else DEFAULT_SEED
-        man = RunManifest(
-            seed=seed,
-            out="reports",
-            fmt="csv",
-            experiments=tuple(default_config(i, seed) for i in ids),
-        )
+        man = manifest_from_dict({"seed": DEFAULT_SEED, "experiments": [{"id": i} for i in ids]})
     if args.seed is not None:
-        check_seed(args.seed)
         man = replace(
             man,
             seed=args.seed,

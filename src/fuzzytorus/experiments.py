@@ -34,7 +34,6 @@ from .matrixmodel import (
     fourier_coefficients,
     fuzzy_generators,
     op_norm,
-    schatten_norm,
 )
 from .ncpoly import (
     NCPoly,
@@ -413,7 +412,8 @@ def run_smoothing_tail(cfg: ExperimentConfig) -> list[ReportRow]:
     prev1 = prev2 = None
     for k_freq in cfg.cutoffs:
         phi = _product_smoother(psi_coord, k_freq, eps_part)
-        sup1 = sup2 = 0.0
+        sup1 = 0.0
+        sup2 = 0.0
         for f, l2, lip in sample_list:
             num = op_norm(f - apply_multiplier(f, phi), model)
             sup1 = max(sup1, num / (l2 + lip))
@@ -574,8 +574,9 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     k_val = psi_n.coord_value(1)
     phi = build_smoothing_multiplier(psi_n, k_val, eps)
     samples = lip_ball_sample(R, b, cfg.samples, cfg.seed, psi_n, tw, model)
-    radius = resid = 0.0
+    radius = 0.0
     covered = 0
+    resid = 0.0
     for f in samples:
         yc = np.zeros(s, dtype=complex)
         yc[[coords.index(k) for k in f.keys]] = f.blocks[:, 0, 0]
@@ -585,7 +586,7 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
             covered += 1
         resid = max(resid, op_norm(f - apply_multiplier(f, phi), model))
 
-    return [
+    rows = [
         ReportRow.make(cfg.experiment, n, "coverage_fraction",
                        covered / len(samples), 1.0),
         ReportRow.make(cfg.experiment, n, "covering_radius", radius, (4 * R + 2) * eps),
@@ -594,6 +595,7 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
         ReportRow.make(cfg.experiment, n, "net_size", count, cfg.net_cap),
         ReportRow.make(cfg.experiment, n, "smoothing_residual_max", resid, math.inf),
     ]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +635,12 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
                  oracle.norm(a - a_phi))
             )
 
-    rows, reaches = [], []
+    rows = []
+    reaches = []
     final_n = cfg.n_schedule[-1]
-    delta_third = delta_consistency = delta_norm_max = 0.0
+    delta_third = 0.0
+    delta_consistency = 0.0
+    delta_norm_max = 0.0
     for n, model in zip(cfg.n_schedule, models):
         psi_n = psi_inf.with_moduli((n, n))
         worst = 0.0
@@ -699,6 +704,8 @@ def run_hp_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
     """Empirical range of ||A^(beta/2) x||_p / ||B^beta x||_p with A the heat
     and B the word generator, p in {2, 4}.  The equivalence constants are not
     pinned anywhere, so the rows are informational."""
+    from .matrixmodel import schatten_norm
+
     n = cfg.n_schedule[-1] if cfg.n_schedule else 64
     model = clock_shift(n)
     heat = LengthFunction("heat", (n, n))

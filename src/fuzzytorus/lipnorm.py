@@ -19,9 +19,7 @@ import numpy as np
 
 from . import _mats
 from .lattice import LengthFunction, band_window, cocycle_rows_for_coords
-from .matrixmodel import (
-    ModelElement, _band_gram, _embed_axes, _sqrt_top, embed, op_norm, schatten_norm,
-)
+from .matrixmodel import ModelElement, _band_gram, _embed_axes, _sqrt_top, embed, op_norm
 from .ncpoly import (
     NCPoly,
     SymbolGrid,
@@ -139,6 +137,8 @@ def riesz_check(
     else:
         if model is None:
             raise ValueError("p != 2 needs a matrix model for Schatten norms")
+        from .matrixmodel import schatten_norm
+
         lhs = schatten_norm(embed(half, model), p)
         rhs_c = _psd_sqrt_schatten(embed(gamma_c, model), p)
         rhs_r = _psd_sqrt_schatten(embed(gamma_r, model), p)

@@ -25,10 +25,10 @@ import json
 import math
 import os
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .experiments import _DEFAULTS, EXPERIMENTS, ExperimentConfig, ReportRow
+from .experiments import EXPERIMENTS, ExperimentConfig, ReportRow, default_config
 
 __all__ = ["RunManifest", "check_seed", "parse_config", "manifest_from_dict", "emit_report"]
 
@@ -111,8 +111,7 @@ def manifest_from_dict(doc: dict) -> RunManifest:
         exp_id = entry["id"]
         if exp_id not in EXPERIMENTS:
             raise ManifestError(f"{path}.id: unknown experiment id {exp_id!r}")
-        kwargs = dict(_DEFAULTS[exp_id])
-        kwargs["seed"] = seed
+        kwargs = {}
         for key, value in entry.items():
             if key == "id":
                 continue
@@ -120,7 +119,7 @@ def manifest_from_dict(doc: dict) -> RunManifest:
                 raise ManifestError(f"{path}.{key}: unknown configuration key")
             kwargs[key] = _coerce(key, value, path)
         try:
-            configs.append(ExperimentConfig(experiment=exp_id, **kwargs))
+            configs.append(replace(default_config(exp_id, seed), **kwargs))
         except ValueError as exc:
             raise ManifestError(f"{path}: {exc}") from exc
     return RunManifest(seed=seed, out=out, fmt=fmt, experiments=tuple(configs))
@@ -155,9 +154,7 @@ def emit_report(rows: Sequence[ReportRow], manifest: RunManifest) -> list[str]:
     if not rows:
         raise ValueError("no report rows to emit")
     os.makedirs(manifest.out, exist_ok=True)
-    paths = []
     if manifest.fmt == "csv":
-        path = os.path.join(manifest.out, "report.csv")
         lines = ["experiment,n,metric,value,bound,pass"]
         for r in rows:
             n = "" if r.n is None else str(r.n)
@@ -165,11 +162,8 @@ def emit_report(rows: Sequence[ReportRow], manifest: RunManifest) -> list[str]:
                 f"{r.experiment},{n},{r.metric},{_fmt_float(r.value)},"
                 f"{_fmt_float(r.bound)},{str(r.passed).lower()}"
             )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        paths.append(path)
+        text = "\n".join(lines) + "\n"
     else:
-        path = os.path.join(manifest.out, "report.json")
         records = []
         for r in rows:
             records.append(
@@ -186,9 +180,10 @@ def emit_report(rows: Sequence[ReportRow], manifest: RunManifest) -> list[str]:
                 )
                 + "}"
             )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("[\n" + ",\n".join(records) + "\n]\n")
-        paths.append(path)
+        text = "[\n" + ",\n".join(records) + "\n]\n"
+    path = os.path.join(manifest.out, f"report.{manifest.fmt}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
     summary = os.path.join(manifest.out, "summary.txt")
     by_exp: dict[str, list[ReportRow]] = {}
@@ -202,5 +197,4 @@ def emit_report(rows: Sequence[ReportRow], manifest: RunManifest) -> list[str]:
             fh.write(
                 f"{exp}: {'PASS' if ok else 'FAIL'} ({n_pass}/{len(group)} rows)\n"
             )
-    paths.append(summary)
-    return paths
+    return [path, summary]

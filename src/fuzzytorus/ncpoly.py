@@ -8,6 +8,7 @@ multipliers, gradient forms and sup-norm oracles all live here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -86,7 +87,7 @@ class TwistMatrix:
         return bool(np.all(np.abs(self.theta) < 1e-14))
 
     def same(self, other: "TwistMatrix") -> bool:
-        return self.d == other.d and np.allclose(
+        return self is other or self.d == other.d and np.allclose(
             self.theta, other.theta, atol=1e-12
         )
 
@@ -150,7 +151,8 @@ class NCPoly:
         for k in keys:
             if len(k) != d:
                 raise ValueError(f"index {tuple(k)} has wrong dimension for the twist")
-        keys = np.array(keys, dtype=np.intp).reshape(len(stack), d)
+        keys = np.fromiter(itertools.chain.from_iterable(keys), np.intp, len(stack) * d)
+        keys = keys.reshape(len(stack), d)
         if prune and len(stack):
             tops = np.abs(stack).max(axis=(1, 2))
             live = tops > PRUNE_REL * tops.max()
@@ -212,19 +214,21 @@ class NCPoly:
         if not self.twist.same(other.twist) or self.m != other.m:
             raise ValueError("twist/amplification mismatch")
 
-    def __add__(self, other: "NCPoly") -> "NCPoly":
+    def _merge(self, other: "NCPoly", op) -> "NCPoly":
+        """op(self, other) coefficientwise, for op = np.add or np.subtract."""
         self._require_compatible(other)
-        pos = {k: i for i, k in enumerate(dict.fromkeys(self.keys + other.keys))}
+        pos = dict(zip(self.keys, itertools.count()))
+        rows = [pos.setdefault(k, len(pos)) for k in other.keys]
         out = np.zeros((len(pos), self.m, self.m), dtype=complex)
         out[:len(self.keys)] = self.blocks
-        out[[pos[k] for k in other.keys]] += other.blocks
+        out[rows] = op(out[rows], other.blocks)
         return NCPoly(self.twist, self.m, (list(pos), out))
 
+    def __add__(self, other: "NCPoly") -> "NCPoly":
+        return self._merge(other, np.add)
+
     def __sub__(self, other: "NCPoly") -> "NCPoly":
-        if self.keys != other.keys:
-            return self + (-1.0) * other
-        self._require_compatible(other)  # one construction; a - b is a + (-b) bitwise
-        return NCPoly(self.twist, self.m, (self.keys, self.blocks - other.blocks))
+        return self._merge(other, np.subtract)
 
     def __rmul__(self, c) -> "NCPoly":
         if np.isscalar(c):

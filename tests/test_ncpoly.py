@@ -63,6 +63,21 @@ def test_prune_boundary_is_strict(m):
     assert sorted(kept.coeffs) == [(0,), (1,)]
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_difference_is_sum_with_negation_bitwise(m):
+    # equal key sets, disjoint ones, and keys that cancel exactly
+    rng = np.random.default_rng(m)
+    tw = TwistMatrix.zero(2)
+    a, b = rand_poly(rng, tw, 2, m), rand_poly(rng, tw, 2, m)
+    shifted = NCPoly(tw, m, ([(k1 + 5, k2) for k1, k2 in b.keys], b.blocks))
+    for x, y in ((a, b), (a, shifted), (shifted, a), (a, a)):
+        diff, ref = x - y, x + (-1.0) * y
+        assert diff.keys == ref.keys
+        assert np.array_equal(diff.blocks.view(np.uint64), ref.blocks.view(np.uint64))
+    with pytest.raises(ValueError, match="mismatch"):
+        a - rand_poly(rng, tw, 1, 3 - m)
+
+
 def test_block_stack_validation():
     z2 = TwistMatrix.zero(2)
     with pytest.raises(ValueError, match=r"coefficient block at \(1, 0\) has shape \(3, 3\)"):
