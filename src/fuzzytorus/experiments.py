@@ -24,7 +24,7 @@ from .lattice import (
     build_smoothing_multiplier,
     product_multiplier,
 )
-from .lipnorm import _draw_blocks, _model_gamma, lip_ball_sample, lip_seminorm_on_model
+from .lipnorm import _model_gamma, draw, lip_ball_sample, lip_seminorm_on_model
 from .matrixmodel import (
     DIMENSION_CAP,
     MatrixModel,
@@ -100,8 +100,6 @@ class ReportRow:
 DEFAULT_GRID = {"isometry": 512, "bridge-reach": 128, "rate": 16384}
 # Largest oracle array, G^d (m q)^2 entries at amplification m, fiber size q.
 GRID_CAP = 2**24
-# Experiments that sweep their whole n_schedule; the others fall back to a default.
-NEEDS_SCHEDULE = ("intertwining", "rate", "isometry", "bridge-reach")
 # Experiments that draw elements at every amplification in `amplifications`.
 AMPLIFIED = ("isometry", "smoothing-tail", "bridge-reach")
 
@@ -130,7 +128,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         ns = tuple(self.n_schedule)
-        if not ns and self.experiment in NEEDS_SCHEDULE:
+        if not ns:
             raise ValueError(f"n_schedule: {self.experiment} needs at least one n")
         if any(not 2 <= n <= DIMENSION_CAP for n in ns):
             raise ValueError(f"n_schedule: every n must lie in 2..{DIMENSION_CAP}")
@@ -149,7 +147,7 @@ class ExperimentConfig:
                              "of its draws, which are 0 at band 0; need band >= 1")
         if self.sample_band < 0:
             raise ValueError("sample_band: need sample_band >= 0")
-        n = ns[-1] if ns else 64  # the one model of smoothing-tail and covering-net
+        n = ns[-1]  # the one model of smoothing-tail and covering-net
         if self.experiment == "intertwining" and 2 * self.band > ns[0]:
             raise ValueError(f"band: intertwining needs band <= n/2 at every n; "
                              f"2 band = {2 * self.band} > n = {ns[0]}")
@@ -171,8 +169,8 @@ class ExperimentConfig:
         if self.experiment == "covering-net" and 2 * self.sample_band >= n:
             raise ValueError(f"sample_band: frequencies -{self.sample_band}..{self.sample_band} "
                              f"alias mod n = {n}; covering-net needs 2 * sample_band < n")
-        if self.R < 0:
-            raise ValueError("R: need R >= 0")
+        if self.R <= 0:
+            raise ValueError("R: need R > 0")
         if not self.eps > 0:
             raise ValueError("eps: need eps > 0")
         # isometry and bridge-reach read eps as a row bound; these two smooth with it
@@ -199,8 +197,7 @@ class ExperimentConfig:
             if math.gcd(p, m) != 1:
                 raise ValueError("theta: need gcd(p, m) = 1")
             if m > 1:
-                top = max(ns, default=0)
-                allowed = set(itertools.takewhile(lambda k: k <= top, admissible_sizes(m)))
+                allowed = set(itertools.takewhile(lambda k: k <= n, admissible_sizes(m)))
                 bad = [n for n in ns if n not in allowed]
                 if bad:
                     raise ValueError(
@@ -252,8 +249,7 @@ def run_intertwining(cfg: ExperimentConfig) -> list[ReportRow]:
         order = model.band_order()  # Gamma's basis; the max over entries ignores it
         worst = 0.0
         for i in range(cfg.samples):
-            rng = np.random.default_rng((cfg.seed, n, i))
-            f = NCPoly(tw, 1, _draw_blocks(rng, band_window(cfg.band, 1), 1))
+            f = draw((cfg.seed, n, i), tw, band_window(cfg.band, 1), 1)
             lhs = _mats.hermitian_from_band(_model_gamma(f, model, psi_n, (0,)))
             rhs = embed(gradient_form(f, f, psi_inf), model).matrix[np.ix_(order, order)]
             worst = max(worst, _mats.max_abs(lhs - rhs))
@@ -345,8 +341,7 @@ def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
     draws = []
     for amp in cfg.amplifications:
         for i in range(cfg.samples):
-            rng = np.random.default_rng((cfg.seed, amp, i))
-            f = NCPoly(tw, amp, _draw_blocks(rng, support, amp))
+            f = draw((cfg.seed, amp, i), tw, support, amp)
             draws.append((amp, i, f, oracle.norm(f)))
 
     lip_draws = []
@@ -394,7 +389,7 @@ def _product_smoother(psi_coord: LengthFunction, k_freq: int, eps: float) -> Mul
 def run_smoothing_tail(cfg: ExperimentConfig) -> list[ReportRow]:
     """sup over samples of ||x - T_phi x|| / (||x||_2 + L(x)) and the pure-Lip
     variant, per frequency cutoff; the sup is reported, monotone in the cutoff."""
-    n = cfg.n_schedule[-1] if cfg.n_schedule else 64
+    n = cfg.n_schedule[-1]
     model = clock_shift(n)
     tw = TwistMatrix.zero(2)
     psi_n = LengthFunction(cfg.psi, (n, n))
@@ -404,8 +399,7 @@ def run_smoothing_tail(cfg: ExperimentConfig) -> list[ReportRow]:
     sample_list = []
     for amp in cfg.amplifications:
         for i in range(cfg.samples):
-            rng = np.random.default_rng((cfg.seed, amp, i))
-            f = mean_zero(NCPoly(tw, amp, _draw_blocks(rng, band_window(cfg.band, 2), amp)))
+            f = mean_zero(draw((cfg.seed, amp, i), tw, band_window(cfg.band, 2), amp))
             sample_list.append((f, l2_norm(f), lip_seminorm_on_model(f, model, psi_n).lip))
 
     rows = []
@@ -442,9 +436,8 @@ def run_psd_audit(cfg: ExperimentConfig) -> list[ReportRow]:
     from .lattice import check_conditionally_negative
 
     rows = []
-    ns = cfg.n_schedule or tuple(range(4, 65))
     for kind in ("heat", "word"):
-        for n in ns:
+        for n in cfg.n_schedule:
             ok, witness = check_conditionally_negative(
                 LengthFunction(kind, (n,)), tol=EXACT_TOL
             )
@@ -505,18 +498,10 @@ def _net_sup_distance(C: np.ndarray, grid: SymbolGrid, keys, yc: np.ndarray) -> 
 def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     """Coefficient-lattice eps-net of the band-limited D_R ball, checked to
     cover model-side samples within (4R+2) eps (d = 1)."""
-    n = cfg.n_schedule[-1] if cfg.n_schedule else 64
+    n = cfg.n_schedule[-1]
     b = cfg.sample_band
     R = cfg.R
     eps = cfg.eps
-    if R == 0:
-        # D_0 = {0}: the one-point net covers it at distance zero
-        return [
-            ReportRow.make(cfg.experiment, n, "coverage_fraction", 1.0, 1.0),
-            ReportRow.make(cfg.experiment, n, "covering_radius", 0.0, 2 * eps),
-            ReportRow.make(cfg.experiment, n, "hausdorff_bound", 0.0, 2 * eps),
-            ReportRow.make(cfg.experiment, n, "net_size", 1, cfg.net_cap),
-        ]
     model = clock_shift(n)
     tw = TwistMatrix.zero(1)
     psi_sym = LengthFunction(cfg.psi, (None,))
@@ -622,8 +607,7 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
     a_side = []
     for amp in cfg.amplifications:
         for i in range(cfg.samples):
-            rng = np.random.default_rng((cfg.seed, 1, amp, i))
-            f = NCPoly(tw, amp, _draw_blocks(rng, support_nz, amp))
+            f = draw((cfg.seed, 1, amp, i), tw, support_nz, amp)
             lam = max(oracle.lip_column_row(f, psi_inf))
             if lam <= 1e-9:
                 continue
@@ -654,8 +638,7 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
             )
         for amp in cfg.amplifications:
             for i in range(cfg.samples):
-                rng = np.random.default_rng((cfg.seed, 2, n, amp, i))
-                f = NCPoly(tw, amp, _draw_blocks(rng, support_nz, amp))
+                f = draw((cfg.seed, 2, n, amp, i), tw, support_nz, amp)
                 ln = lip_seminorm_on_model(f, model, psi_n).lip
                 if ln <= 1e-9:
                     continue
@@ -672,8 +655,7 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
         rows.append(ReportRow.make(cfg.experiment, n, "reach", worst, bound))
 
         # diagonal delta-block checks: transfer of a model element onto itself
-        rng = np.random.default_rng((cfg.seed, 3, n))
-        f = NCPoly(tw, 1, _draw_blocks(rng, support_nz, 1))
+        f = draw((cfg.seed, 3, n), tw, support_nz, 1)
         ln = lip_seminorm_on_model(f, model, psi_n).lip
         b = (1.0 / ln) * f
         pulled = fourier_coefficients(embed(b, model), cfg.band)
@@ -706,7 +688,7 @@ def run_hp_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
     pinned anywhere, so the rows are informational."""
     from .matrixmodel import schatten_norm
 
-    n = cfg.n_schedule[-1] if cfg.n_schedule else 64
+    n = cfg.n_schedule[-1]
     model = clock_shift(n)
     heat = LengthFunction("heat", (n, n))
     word = LengthFunction("word", (n, n))
@@ -719,8 +701,7 @@ def run_hp_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
     for p in (2, 4):
         lo, hi = math.inf, 0.0
         for i in range(cfg.samples):
-            rng = np.random.default_rng((cfg.seed, p, i))
-            f = mean_zero(NCPoly(tw, 1, _draw_blocks(rng, window, 1)))
+            f = mean_zero(draw((cfg.seed, p, i), tw, window, 1))
             a = f.scale_coeffs(heat_w.__getitem__)
             b = f.scale_coeffs(word_w.__getitem__)
             ratio = schatten_norm(embed(a, model), p) / schatten_norm(embed(b, model), p)

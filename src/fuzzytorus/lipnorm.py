@@ -36,6 +36,7 @@ __all__ = [
     "lip_seminorm_on_model",
     "riesz_check",
     "lip_ball_sample",
+    "draw",
 ]
 
 
@@ -155,11 +156,12 @@ def _psd_sqrt_schatten(g: ModelElement, p: float) -> float:
     return float((np.mean(sv**p)) ** (1.0 / p))
 
 
-def _draw_blocks(rng, coords, m: int) -> tuple[list, np.ndarray]:
-    """NCPoly's (keys, blocks) pair of i.i.d. complex Gaussian m x m blocks on
-    coords, one draw: per key in coords order, a real then an imaginary block."""
-    z = rng.standard_normal((len(coords), 2, m, m))
-    return coords, z[:, 0] + 1j * z[:, 1]
+def draw(key, twist: TwistMatrix, coords, m: int) -> NCPoly:
+    """i.i.d. complex Gaussian m x m blocks on coords from one draw of
+    np.random.default_rng(key) (a seed, or a Generator that it returns as is):
+    per key in coords order, a real then an imaginary block."""
+    z = np.random.default_rng(key).standard_normal((len(coords), 2, m, m))
+    return NCPoly(twist, m, (coords, z[:, 0] + 1j * z[:, 1]))
 
 
 MAX_RETRIES = 8  # fresh draws per sample before a degenerate one is an error
@@ -189,8 +191,7 @@ def lip_ball_sample(
     out = []
     for i in range(count):
         for attempt in range(MAX_RETRIES):
-            rng = np.random.default_rng((seed, i, attempt))
-            f = NCPoly(twist, 1, _draw_blocks(rng, coords, 1))
+            f = draw((seed, i, attempt), twist, coords, 1)
             f = 0.5 * (f + adjoint(f))
             s = max(lip_seminorm_on_model(f, model, psi).lip, op_norm(f, model) / R)
             if s > 1e-12:

@@ -30,12 +30,13 @@ from typing import Sequence
 
 from .experiments import EXPERIMENTS, ExperimentConfig, ReportRow, default_config
 
-__all__ = ["RunManifest", "check_seed", "parse_config", "manifest_from_dict", "emit_report"]
+__all__ = ["RunManifest", "read_document", "parse_config", "manifest_from_dict", "emit_report"]
 
 _TOP_KEYS = {"seed", "out", "format", "experiments"}
 _TUPLE_FIELDS = {"amplifications", "n_schedule", "cutoffs", "theta"}
-_CFG_FIELDS = {
-    f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"
+_CFG_FIELDS = {  # the manifest's top-level seed is the only seed
+    f.name for f in dataclasses.fields(ExperimentConfig)
+    if f.name not in ("experiment", "seed")
 }
 
 
@@ -61,13 +62,6 @@ def _is_a(value, kind: type) -> bool:
     )
 
 
-def check_seed(seed) -> int:
-    """The seed itself, if it is a non-negative integer (not a bool)."""
-    if not _is_a(seed, int) or seed < 0:
-        raise ManifestError(f"seed: expected a non-negative integer, got {seed!r}")
-    return seed
-
-
 def _coerce(name: str, value, path: str):
     kinds = typing.get_args(_HINTS[name]) or (_HINTS[name],)  # Optional[X] -> (X, None)
     if value is None and type(None) in kinds:
@@ -91,7 +85,9 @@ def manifest_from_dict(doc: dict) -> RunManifest:
         raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
     if "seed" not in doc:
         raise ManifestError("seed required")
-    seed = check_seed(doc["seed"])
+    seed = doc["seed"]
+    if not _is_a(seed, int) or seed < 0:
+        raise ManifestError(f"seed: expected a non-negative integer, got {seed!r}")
     out = doc.get("out", "reports")
     if not isinstance(out, str):
         raise ManifestError(f"out: expected a string, got {type(out).__name__}")
@@ -125,17 +121,21 @@ def manifest_from_dict(doc: dict) -> RunManifest:
     return RunManifest(seed=seed, out=out, fmt=fmt, experiments=tuple(configs))
 
 
-def parse_config(path: str) -> RunManifest:
-    """Read and validate a manifest file; parse errors carry line numbers."""
+def read_document(path: str):
+    """The JSON document of a manifest file; parse errors carry line numbers."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestError(
             f"{path}:{exc.lineno}:{exc.colno}: parse error: {exc.msg}"
         ) from exc
-    return manifest_from_dict(doc)
+
+
+def parse_config(path: str) -> RunManifest:
+    """Read and validate a manifest file."""
+    return manifest_from_dict(read_document(path))
 
 
 def _fmt_float(v: float) -> str:
@@ -164,23 +164,13 @@ def emit_report(rows: Sequence[ReportRow], manifest: RunManifest) -> list[str]:
             )
         text = "\n".join(lines) + "\n"
     else:
-        records = []
-        for r in rows:
-            records.append(
-                "  {"
-                + ", ".join(
-                    [
-                        f'"experiment": {json.dumps(r.experiment)}',
-                        f'"n": {"null" if r.n is None else r.n}',
-                        f'"metric": {json.dumps(r.metric)}',
-                        f'"value": "{_fmt_float(r.value)}"',
-                        f'"bound": "{_fmt_float(r.bound)}"',
-                        f'"pass": {str(r.passed).lower()}',
-                    ]
-                )
-                + "}"
-            )
-        text = "[\n" + ",\n".join(records) + "\n]\n"
+        records = [
+            json.dumps({"experiment": r.experiment, "n": r.n, "metric": r.metric,
+                        "value": _fmt_float(r.value), "bound": _fmt_float(r.bound),
+                        "pass": r.passed})
+            for r in rows
+        ]
+        text = "[\n  " + ",\n  ".join(records) + "\n]\n"
     path = os.path.join(manifest.out, f"report.{manifest.fmt}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

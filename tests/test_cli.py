@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -86,16 +87,67 @@ def test_emit_report_json_mirrors(tmp_path):
     assert doc[0]["pass"] is True
 
 
+GOLDEN_ROWS = [
+    ReportRow.make("psd-audit", 4, "psd_min_eig/heat", -1.5e-15, -1e-10),
+    ReportRow.make("rate", None, "rate_constant", 0.1, math.inf),
+    ReportRow.make("rate", 16, "norm_defect", -math.inf, 1e-12),
+    ReportRow.make("isometry", 64, "isometry_norm_defect", math.nan, 0.05),
+    ReportRow.make("isometry", None, "isometry_norm_trend_kendall", 1 / 3, 0.5),
+]
+
+GOLDEN_SUMMARY = (
+    "isometry: FAIL (0/2 rows)\n"
+    "psd-audit: PASS (1/1 rows)\n"
+    "rate: FAIL (1/2 rows)\n"
+)
+
+
+def test_emit_report_csv_golden_bytes(tmp_path):
+    report, summary = emit_report(GOLDEN_ROWS, _tiny_manifest(tmp_path))
+    assert open(report, "rb").read() == (
+        b"experiment,n,metric,value,bound,pass\n"
+        b"psd-audit,4,psd_min_eig/heat,-1.4999999999999999e-15,-1e-10,true\n"
+        b"rate,,rate_constant,0.10000000000000001,inf,true\n"
+        b"rate,16,norm_defect,-inf,9.9999999999999998e-13,false\n"
+        b"isometry,64,isometry_norm_defect,nan,0.050000000000000003,false\n"
+        b"isometry,,isometry_norm_trend_kendall,0.33333333333333331,0.5,false\n"
+    )
+    assert open(summary, encoding="utf-8").read() == GOLDEN_SUMMARY
+
+
+def test_emit_report_json_golden_bytes(tmp_path):
+    report, summary = emit_report(GOLDEN_ROWS, _tiny_manifest(tmp_path, fmt="json"))
+    assert open(report, "rb").read() == (
+        b'[\n'
+        b'  {"experiment": "psd-audit", "n": 4, "metric": "psd_min_eig/heat", '
+        b'"value": "-1.4999999999999999e-15", "bound": "-1e-10", "pass": true},\n'
+        b'  {"experiment": "rate", "n": null, "metric": "rate_constant", '
+        b'"value": "0.10000000000000001", "bound": "inf", "pass": true},\n'
+        b'  {"experiment": "rate", "n": 16, "metric": "norm_defect", '
+        b'"value": "-inf", "bound": "9.9999999999999998e-13", "pass": false},\n'
+        b'  {"experiment": "isometry", "n": 64, "metric": "isometry_norm_defect", '
+        b'"value": "nan", "bound": "0.050000000000000003", "pass": false},\n'
+        b'  {"experiment": "isometry", "n": null, "metric": "isometry_norm_trend_kendall", '
+        b'"value": "0.33333333333333331", "bound": "0.5", "pass": false}\n'
+        b']\n'
+    )
+    assert open(summary, encoding="utf-8").read() == GOLDEN_SUMMARY
+
+
 def test_emit_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         emit_report([], _tiny_manifest(tmp_path))
 
 
-def test_cli_audit_roundtrip(tmp_path):
+def test_cli_audit_roundtrip(tmp_path, capsys):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
     code = main(["audit", "--out", str(out1), "--seed", "11"])
     assert code == 0
+    # stdout repeats the summary file's verdict lines
+    summary = (out1 / "summary.txt").read_text()
+    assert summary == "psd-audit: PASS (136/136 rows)\n"
+    assert summary in capsys.readouterr().out
     code = main(["audit", "--out", str(out2), "--seed", "11"])
     assert code == 0
     b1 = open(out1 / "report.csv", "rb").read()
@@ -271,8 +323,8 @@ def test_cli_rejects_non_integer_seed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("seed, flag", [
-    (1.5, None), (True, None), ("12", None), (-3, None), (5, "-3"),
-], ids=["float", "bool", "string", "negative", "negative-flag"])
+    (1.5, None), (True, None), ("12", None), (-3, None), (5, "-3"), ("tomorrow", "-1"),
+], ids=["float", "bool", "string", "negative", "negative-flag", "string-and-flag-minus-one"])
 def test_cli_rejects_bad_seed_before_any_experiment(tmp_path, capsys, seed, flag):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {
@@ -295,6 +347,46 @@ def test_cli_rejects_negative_seed_flag_without_manifest(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_seed_flag_reaches_every_config_of_a_manifest(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def record(cfg):
+        seen.append((cfg.experiment, cfg.seed))
+        return [ReportRow.make(cfg.experiment, None, "norm_defect", 0.0, 1.0)]
+
+    monkeypatch.setattr("fuzzytorus.cli.run_experiment", record)
+    man = _write_manifest(tmp_path, {
+        "seed": 5,
+        "out": str(tmp_path / "rep"),
+        "experiments": [{"id": "rate"}, {"id": "psd-audit"}, {"id": "covering-net"}],
+    })
+    assert main(["all", "--manifest", man, "--seed", "9"]) == 0
+    assert seen == [("rate", 9), ("psd-audit", 9), ("covering-net", 9)]
+
+    # An entry's own seed would escape the flag, so entries carry none.
+    seen.clear()
+    man = _write_manifest(tmp_path, {
+        "seed": 5,
+        "out": str(tmp_path / "rep2"),
+        "experiments": [{"id": "rate"}, {"id": "psd-audit", "seed": -1}],
+    })
+    assert main(["all", "--manifest", man, "--seed", "9"]) == 2
+    err = capsys.readouterr().err
+    assert "experiments[1].seed: unknown configuration key" in err
+    assert "Traceback" not in err
+    assert seen == []
+
+
+@pytest.mark.parametrize("doc_seed", [None, "tomorrow"], ids=["missing", "invalid"])
+def test_cli_seed_flag_stands_in_for_the_manifest_seed(tmp_path, capsys, doc_seed):
+    doc = {"out": str(tmp_path / "rep"),
+           "experiments": [{"id": "psd-audit", "n_schedule": [4, 5]}]}
+    if doc_seed is not None:
+        doc["seed"] = doc_seed
+    assert main(["audit", "--manifest", _write_manifest(tmp_path, doc), "--seed", "3"]) == 0
+    assert "running psd-audit (seed 3) ..." in capsys.readouterr().out
+
+
 def test_cli_failing_experiment_keeps_earlier_rows(tmp_path, capsys):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {
@@ -313,7 +405,7 @@ def test_cli_failing_experiment_keeps_earlier_rows(tmp_path, capsys):
     assert all(line.startswith("rate,") for line in lines[1:])
 
 
-@pytest.mark.parametrize("exp_id", ["isometry", "bridge-reach", "rate", "intertwining"])
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
 def test_cli_rejects_empty_schedule_with_key_path(tmp_path, capsys, exp_id):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {

@@ -52,8 +52,8 @@ def test_config_validation():
         ex.ExperimentConfig("bridge-reach", 1, theta=(1, 2), n_schedule=(8, 12))
     cfg = ex.ExperimentConfig("bridge-reach", 1, theta=(1, 2), n_schedule=(8, 16))
     assert cfg.n_schedule == (8, 16)
-    with pytest.raises(ValueError):
-        ex.run_experiment(ex.ExperimentConfig("bogus", 1))
+    with pytest.raises(ValueError, match="unknown experiment id"):
+        ex.run_experiment(ex.ExperimentConfig("bogus", 1, n_schedule=(8,)))
     with pytest.raises(ValueError):
         ex.default_config("bogus")
 
@@ -147,12 +147,10 @@ def test_psd_audit_rows():
     assert len(agg) == 1 and agg[0].passed and agg[0].value < -1e-10
 
 
-def test_covering_r_zero_trivial():
-    rows = ex.run_experiment(small("covering-net", R=0.0))
-    by = {r.metric: r.value for r in rows}
-    assert by["covering_radius"] == 0.0
-    assert by["net_size"] == 1
-    assert by["coverage_fraction"] == 1.0
+def test_covering_rejects_r_zero():
+    # D_0 = {0} has no interior to net, as lip_ball_sample says too
+    with pytest.raises(ValueError, match="R: need R > 0"):
+        small("covering-net", R=0.0)
 
 
 def test_covering_small_run_covers():

@@ -18,12 +18,12 @@ from fuzzytorus.lattice import (
 )
 from fuzzytorus.lipnorm import (
     _cocycle_rows,
-    _draw_blocks,
     _model_gamma,
     _sqrt_top,
     lip_ball_sample,
     lip_seminorm,
     lip_seminorm_on_model,
+    draw,
     riesz_check,
 )
 from fuzzytorus.matrixmodel import (
@@ -110,12 +110,12 @@ def test_lip_homogeneity_and_adjoint_symmetry():
 @pytest.mark.parametrize("m", [1, 2])
 def test_draw_blocks_is_the_two_calls_per_key_stream(m):
     coords = band_window(3, 2)
-    keys, blocks = _draw_blocks(np.random.default_rng((4, m)), coords, m)
+    f = draw((4, m), TwistMatrix.zero(2), coords, m)
     rng = np.random.default_rng((4, m))
     ref = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in coords]
-    assert keys == coords
-    assert blocks.shape == (len(coords), m, m)
-    assert np.array_equal(blocks.view(np.uint64), np.array(ref).view(np.uint64))
+    assert list(f.keys) == coords
+    assert f.blocks.shape == (len(coords), m, m)
+    assert np.array_equal(f.blocks.view(np.uint64), np.array(ref).view(np.uint64))
 
 
 def test_model_mode_matches_symbol_for_word_transport():
@@ -449,11 +449,11 @@ def test_model_lip_allocates_no_dense_gamma():
     model = clock_shift(1024)
     rng = np.random.default_rng(9)
     support = band_window(2, 2)
-    draw = [NCPoly(TwistMatrix.zero(2), 1, _draw_blocks(rng, support, 1)) for _ in range(2)]
-    lip_seminorm_on_model(draw[0], model, HEAT2)  # word stacks, scipy import
+    draws = [draw(rng, TwistMatrix.zero(2), support, 1) for _ in range(2)]
+    lip_seminorm_on_model(draws[0], model, HEAT2)  # word stacks, scipy import
     tracemalloc.start()
     try:
-        lip_seminorm_on_model(draw[1], model, HEAT2)
+        lip_seminorm_on_model(draws[1], model, HEAT2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
