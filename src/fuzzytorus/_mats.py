@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
 BAND_MIN_DIM = 256  # smallest N for hermitian_max_eig's band solver and op_norm's band route
 DENSE_MAX_DIM = 512  # largest N for operator_norm's exact SVD and op_norm's band route
+BISECTION_STEPS = 100  # hard cap of _band_max_eig's bisection; it needs about 45
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -57,8 +59,6 @@ def operator_norm(x: np.ndarray) -> float:
     diag = np.diagonal(x)
     if np.count_nonzero(x) == np.count_nonzero(diag):
         return max_abs(diag)
-    from concurrent.futures import ThreadPoolExecutor  # not at module load: about 5 ms
-
     # each product in two halves of its output, the second on a helper
     # thread: x's rows for x v, x's columns for x^T u.  At a split h that is
     # a multiple of 16 every entry is the same BLAS dot product over x's own
@@ -69,12 +69,34 @@ def operator_norm(x: np.ndarray) -> float:
     v = np.ones(n, dtype=complex) + 1e-3 * np.arange(n) / n
     v /= np.linalg.norm(v)
     lam = 0.0
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        def product(halves, vec, out):
-            job = helper.submit(np.matmul, halves[1], vec, out=out[h:])
-            np.matmul(halves[0], vec, out=out[:h])
-            job.result()
+    # the helper waits on `go` for a job (a, vec, out), runs np.matmul on it
+    # and releases `done`; an empty job ends it
+    job, failed = [], []
+    go, done = threading.Lock(), threading.Lock()
+    go.acquire()
+    done.acquire()
 
+    def helper():
+        while go.acquire() and job:
+            try:
+                np.matmul(job[0], job[1], out=job[2])
+            except Exception as exc:  # raised again on the calling thread
+                failed.append(exc)
+            done.release()
+
+    def product(halves, vec, out):
+        job[:] = halves[1], vec, out[h:]
+        go.release()
+        try:
+            np.matmul(halves[0], vec, out=out[:h])
+        finally:
+            done.acquire()
+        if failed:
+            raise failed[0]
+
+    thread = threading.Thread(target=helper, daemon=True)
+    thread.start()
+    try:
         for _ in range(5000):
             # x* u as conj(x^T conj(u)): the same kernel over x's own memory
             # as a conjugate copy would get, and conjugation is exact
@@ -87,6 +109,10 @@ def operator_norm(x: np.ndarray) -> float:
             if abs(new - lam) <= 1e-10 * max(new, 1.0):
                 return float(np.sqrt(new))
             lam = new
+    finally:
+        job.clear()
+        go.release()
+        thread.join()
     raise RuntimeError("power iteration did not converge for the operator norm")
 
 
@@ -154,21 +180,49 @@ def _finite(a: np.ndarray) -> np.ndarray:
 
 def _band_max_eig(ab: np.ndarray) -> float:
     """Top eigenvalue of the Hermitian matrix H held in LAPACK lower band
-    storage ab[d, j] = H[j + d, j], d <= w, in O(N^2 w): zhbevx's band
-    estimate lam, polished by 4 zpbtrs solves with the zpbtrf Cholesky
-    factor of sigma I - H, sigma = lam + 1e-13 |lam|, into an fsum Rayleigh
-    quotient.  The LAPACK calls and checks are those of scipy.linalg's
-    eig_banded, cholesky_banded and cho_solve_banded."""
+    storage ab[d, j] = H[j + d, j], d <= w, in O(N w^2) per step: bisection
+    of sigma on "the zpbtrf Cholesky factor of sigma I - H exists" inside
+    [max H_jj, Gershgorin bound] down to a width of 1e-13 |hi|, then the
+    polish: 4 zpbtrs solves with the factor at sigma = lam + 1e-13 |lam|
+    (lam the upper end) into an fsum Rayleigh quotient.
+
+    A factor that succeeds is exact for sigma I - H + E with |E| of order
+    w eps |H| (banded Cholesky's backward error), so each test can misjudge
+    sigma only within about w eps |H| of lambda_max, 1e-14 |H| at w = 17.
+    The bracket therefore stops at an absolute floor of (w + 1) eps times
+    the Gershgorin bound on |H| (and after BISECTION_STEPS steps), or it
+    would never end when lambda_max = 0; and the polish shift's margin
+    1e-13 |lam| dominates that error whenever |lam| is of order |H|, as for
+    the Gram matrices the callers pass.  The LAPACK calls and checks are
+    those of scipy.linalg's cholesky_banded and cho_solve_banded."""
     lapack = _flapack()
     w, n = ab.shape[0] - 1, ab.shape[1]
-    top, _, found, _, info = lapack.zhbevx(
-        _finite(ab), 0.0, 1.0, n, n, compute_v=0, mmax=1, range=2, lower=1, overwrite_ab=0,
-        abstol=2 * lapack.dlamch("s"))
-    _check_lapack(info, "zhbevx")
-    lam = float(top[:found][0])
-    shifted = -ab
-    shifted[0] += lam + 1e-13 * abs(lam)
-    chol, info = lapack.zpbtrf(_finite(shifted), lower=1, overwrite_ab=0)
+    diag = _finite(ab)[0].real
+    radius = np.zeros(n)
+    for d in range(1, w + 1):
+        mag = np.abs(ab[d, :n - d])
+        radius[:n - d] += mag
+        radius[d:] += mag
+    lo, hi = diag.max(), (diag + radius).max()
+    floor = (w + 1) * np.finfo(float).eps * (np.abs(diag) + radius).max()
+    # one Fortran-ordered buffer that zpbtrf overwrites in place: f2py copies
+    # any other layout on every call
+    trial = np.empty((w + 1, n), dtype=complex, order="F")
+
+    def factor(sigma: float) -> tuple[np.ndarray, int]:
+        np.negative(ab, out=trial)
+        trial[0] += sigma
+        return lapack.zpbtrf(trial, lower=1, overwrite_ab=1)
+
+    for _ in range(BISECTION_STEPS):
+        if hi - lo <= max(1e-13 * abs(hi), floor):
+            break
+        mid = 0.5 * (lo + hi)
+        if factor(mid)[1] == 0:
+            hi = mid
+        else:
+            lo = mid
+    chol, info = factor(hi + 1e-13 * abs(hi))
     _check_lapack(info, "zpbtrf")  # info > 0: the estimate was too low to polish
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)

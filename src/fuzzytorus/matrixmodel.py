@@ -62,6 +62,15 @@ def _dense(a: Word) -> np.ndarray:
     return out
 
 
+def _nbytes(cache) -> int:
+    """Bytes of the arrays in a nest of dicts, tuples and lists."""
+    if isinstance(cache, np.ndarray):
+        return cache.nbytes
+    if isinstance(cache, dict):
+        cache = list(cache.values())
+    return sum(map(_nbytes, cache)) if isinstance(cache, (tuple, list)) else 0
+
+
 def _same_word(a: Word, b: Word) -> bool:
     """Permutations equal exactly, phases to RELATION_TOL."""
     return np.array_equal(a[0], b[0]) and _mats.max_abs(a[1] - b[1]) <= RELATION_TOL
@@ -93,6 +102,7 @@ class MatrixModel:
     def __post_init__(self):
         object.__setattr__(self, "_stacks", OrderedDict())
         object.__setattr__(self, "_groups", {})
+        object.__setattr__(self, "_plans", {})
         object.__setattr__(self, "_orders", {})
         ident = (np.arange(self.dim), np.ones(self.dim, dtype=complex))
         gens = [self.power(i, 1) for i in range(self.n_generators)]
@@ -177,18 +187,30 @@ class MatrixModel:
             self._evict()
         return self._groups[key]
 
+    def band_plan(self, support: Sequence[tuple[int, ...]], axes: Optional[Sequence[int]],
+                  m: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """_band_plan of the word groups of support at amplification m: the
+        index plan of _band_gram.  Cached with the word stacks."""
+        inv = self.word_groups(support, axes)[1]
+        plans = self._plans.setdefault(self._word_key(support, axes), {})
+        if m not in plans:
+            plans[m] = _band_plan(inv, self.band_order(m), m)
+            self._evict()
+        return plans[m]
+
     def _word_key(self, support, axes) -> tuple:
         axes = tuple(range(self.n_generators)) if axes is None else tuple(axes)
         return axes, tuple(support)
 
     def _evict(self) -> None:
-        """Drop the least recently used stacks, with their groups, until the
-        cache holds at most WORD_CACHE_BYTES (the newest stack always stays)."""
-        stacks, groups = self._stacks, self._groups
-        while len(stacks) > 1 and sum(p.nbytes + ph.nbytes for p, ph in stacks.values()) + sum(
-                inv.nbytes + sum(g.nbytes for g in members)
-                for members, inv in groups.values()) > WORD_CACHE_BYTES:
-            groups.pop(stacks.popitem(last=False)[0], None)
+        """Drop the least recently used stacks, with their groups and plans,
+        until the cache holds at most WORD_CACHE_BYTES (the newest stack
+        always stays)."""
+        stacks = self._stacks
+        while len(stacks) > 1 and _nbytes((stacks, self._groups, self._plans)) > WORD_CACHE_BYTES:
+            key = stacks.popitem(last=False)[0]
+            self._groups.pop(key, None)
+            self._plans.pop(key, None)
 
     def generators(self) -> list[np.ndarray]:
         return [_dense(self.power(i, 1)) for i in range(self.n_generators)]
@@ -400,34 +422,45 @@ def _band_gram(f: NCPoly, model: MatrixModel, rows: np.ndarray, axes) -> np.ndar
     storage; H = A + A* is folded from it.
     """
     support, coef = _sorted_stack(f)
-    N, m = model.dim, f.m
-    size = m * N
+    m = f.m
+    size = m * model.dim
     if not rows.size:
         return np.zeros((0, size), dtype=complex)
     members, inv = model.word_groups(support, axes)
     phase = model.words(support, axes)[1]
     lam = np.array([np.einsum("ia,acd,ar->ircd", rows[:, g], coef[g], phase[g][:, p])
                     for g, p in zip(members, inv)])
-    # pairs (g, h >= g) in g <= h order as (pair, r, a, b), each entry at
-    # (pos[g, r, a], pos[h, r, b]), pos[g, r, a] the band position of a N + inv[g, r]
-    L = len(lam)
-    gs = np.repeat(np.arange(L), np.arange(L, 0, -1))
-    hs = np.concatenate([np.arange(g, L) for g in range(L)])
-    vals = np.concatenate([np.einsum("irca,hircb->hrab", lam[g].conj(), lam[g:]) for g in range(L)])
-    vals[gs == hs] *= 0.5
-    pos = np.empty(size, dtype=np.intp)
-    pos[model.band_order(m)] = np.arange(size)
-    pos = pos[inv[:, :, None] + N * np.arange(m)]
-    col = pos[hs][:, :, None, :]
-    off = pos[gs][..., None] - col
-    w = int(np.abs(off).max())
+    same, flat, w = model.band_plan(support, axes, m)
+    vals = np.concatenate([np.einsum("irca,hircb->hrab", lam[g].conj(), lam[g:])
+                           for g in range(len(lam))])
+    vals[same] *= 0.5
     full = np.zeros((2 * w + 1) * size, dtype=complex)  # A[i, j] at [i - j + w, j]
-    np.add.at(full, ((off + w) * size + col).ravel(), vals.ravel())
+    np.add.at(full, flat, vals.ravel())
     full = full.reshape(2 * w + 1, size)
     ab = np.zeros((w + 1, size), dtype=complex)
     for d in range(w + 1):
         ab[d, :size - d] = full[w + d, :size - d] + full[w - d, d:].conj()
     return ab[:np.flatnonzero(ab.any(axis=1)).max(initial=-1) + 1]
+
+
+def _band_plan(inv: np.ndarray, order: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Where _band_gram's products land, for the inverse group permutations
+    inv (L, N) and the basis order of C^m (x) C^N: over the group pairs
+    (g, h >= g) in g <= h order, the mask of the pairs g = h, the flat index
+    into the (2w + 1, mN) full band storage of each (pair, r, a, b) entry,
+    which sits at (pos[g, r, a], pos[h, r, b]) with pos[g, r, a] the band
+    position of a N + inv[g, r], and w."""
+    L, N = inv.shape
+    size = m * N
+    gs = np.repeat(np.arange(L), np.arange(L, 0, -1))
+    hs = np.concatenate([np.arange(g, L) for g in range(L)])
+    pos = np.empty(size, dtype=np.intp)
+    pos[order] = np.arange(size)
+    pos = pos[inv[:, :, None] + N * np.arange(m)]
+    col = pos[hs][:, :, None, :]
+    off = pos[gs][..., None] - col
+    w = int(np.abs(off).max())
+    return gs == hs, ((off + w) * size + col).ravel(), w
 
 
 def _sqrt_top(ab: np.ndarray) -> float:

@@ -298,28 +298,33 @@ def band_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "model,m,axes,width",
+    "args,width",
     [
-        (clock_shift(1024), 1, None, 8),
-        # theta = 1/2: the top four eigenvalues lie within 4e-11 (m = 1) and
-        # 7e-10 (m = 2) relative of each other
-        (fuzzy_generators(1, 2, 128), 1, None, 8),
-        (fuzzy_generators(1, 2, 128), 2, None, 17),
-        # a polynomial on generator 0 only: Gamma is diagonal
-        (clock_shift(1024), 1, (0,), 0),
+        (random_gamma_input(clock_shift(1024), 2, 1), 8),
+        # theta = 1/2: the top four eigenvalues of Gamma lie within 4e-11
+        # (m = 1) and 7e-10 (m = 2) relative of each other
+        (random_gamma_input(fuzzy_generators(1, 2, 128), 2, 1), 8),
+        (random_gamma_input(fuzzy_generators(1, 2, 128), 2, 2), 17),
+        # a polynomial on generator 0 only: Gamma and x*x are diagonal
+        (random_gamma_input(clock_shift(1024), 2, 1, axes=(0,)), 0),
+        *[(random_gamma_input(clock_shift(size // m), 2, m, seed=size + m), 9 * m - 1)
+          for size in (256, 512, 1024) for m in (1, 2)],
     ],
-    ids=("clock_shift-1024", "fuzzy-m1", "fuzzy-m2", "diagonal"),
+    ids=("clock_shift-1024", "fuzzy-m1", "fuzzy-m2", "diagonal",
+         *[f"clock_shift-{size}-m{m}" for size in (256, 512, 1024) for m in (1, 2)]),
 )
-def test_band_max_eig_matches_dense(model, m, axes, width, band_calls):
-    gam = band_ordered_gamma(model, 2, m, axes)
-    top = _mats.hermitian_max_eig(gam)
-    assert band_calls == [width]
-    ref = np.linalg.eigvalsh(_mats.hermitian_from_band(gam))[-1]
-    assert abs(top - ref) <= 1e-14 * ref
+def test_band_max_eig_matches_dense(args, width, band_calls):
+    f, model, psi_n, axes = args
+    gram = _band_gram(f, model, np.ones((1, len(f.keys))), axes)  # x*x
+    for ab in (_model_gamma(f, model, psi_n, axes), gram):
+        top = _mats.hermitian_max_eig(ab)
+        ref = np.linalg.eigvalsh(_mats.hermitian_from_band(ab))[-1]
+        assert abs(top - ref) <= 1e-14 * ref
+    assert band_calls == [width, width]
 
 
 def test_band_max_eig_is_polished():
-    # LAPACK's band estimate alone is 7e-15 relative off on this Gamma; the
+    # the bisection's bracket alone is up to 1e-13 relative wide; the
     # polished value must match a long-double Rayleigh quotient of its top
     # eigenvector (spectral gap 2%, so that quotient is exact to ~1e-19)
     if np.finfo(np.longdouble).eps > 1e-18:
@@ -346,39 +351,46 @@ def test_band_path_falls_back_when_polish_fails(band_calls):
     assert band_calls == [0]
 
 
-def scipy_band_max_eig(ab):
-    """Reference: the band route through scipy.linalg's eig_banded,
-    cholesky_banded and cho_solve_banded, which _mats._band_max_eig calls
-    the LAPACK wrappers of directly."""
-    from scipy import linalg
-
-    w, n = ab.shape[0] - 1, ab.shape[1]
-    lam = float(linalg.eig_banded(ab, lower=True, eigvals_only=True, select="i",
-                                  select_range=(n - 1, n - 1))[0])
-    shifted = -ab
-    shifted[0] += lam + 1e-13 * abs(lam)
-    chol = linalg.cholesky_banded(shifted, lower=True)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for _ in range(4):
-        v = linalg.cho_solve_banded((chol, True), v)
-        v /= np.abs(v).max()
-    hv = ab[0].real * v
-    for d in range(1, w + 1):
-        hv[d:] += ab[d, :n - d] * v[:n - d]
-        hv[:n - d] += ab[d, :n - d].conj() * v[d:]
-    return math.fsum((v.conj() * hv).real) / math.fsum(v.real**2 + v.imag**2)
+def path_laplacian(n):
+    """Lower band storage of the graph Laplacian of the path on n points:
+    PSD, with top eigenvalue 4 - O(1/n^2) and eigenvalue 0 on the ones."""
+    deg = np.full(n, 2.0)
+    deg[[0, -1]] = 1.0
+    return np.array([deg, np.append(-np.ones(n - 1), 0.0)], dtype=complex)
 
 
-@pytest.mark.parametrize("size", (256, 512, 1024))
-@pytest.mark.parametrize("m", (1, 2))
-def test_band_max_eig_is_the_scipy_route_bitwise(size, m):
-    f, model, psi_n, axes = random_gamma_input(clock_shift(size // m), 2, m, seed=size + m)
-    gamma = _model_gamma(f, model, psi_n, axes)
-    gram = _band_gram(f, model, np.ones((1, len(f.keys))), axes)  # x*x
-    for ab in (gamma, gram):
-        assert ab.shape[1] == size
-        assert _mats._band_max_eig(ab) == scipy_band_max_eig(ab)
+def double_top():
+    """Two copies of one random PSD band block, uncoupled: every eigenvalue,
+    the top one included, is double."""
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+    b = np.triu(np.tril(b, 4), -4)
+    block = _mats.hermitian_from_band(np.array([np.pad(b.diagonal(-d), (0, d)) for d in range(5)]))
+    block = block @ block.conj().T  # PSD, half-bandwidth 8
+    ab = np.array([np.pad(block.diagonal(-d), (0, d)) for d in range(9)])
+    return np.concatenate([ab, ab], axis=1)
+
+
+@pytest.mark.parametrize(
+    "ab,width",
+    [
+        # lambda_max = 0 under a negative diagonal: 1e-13 |hi| tends to 0
+        # with hi, so only the absolute floor ends the bracket [-1, 0]
+        (-path_laplacian(256), 1),
+        (-path_laplacian(256) - [[1.0], [0.0]], 1),  # negative definite, lambda_max = -1
+        (double_top(), 8),
+    ],
+    ids=("zero-top", "negative-definite", "double-top"),
+)
+def test_band_max_eig_edge_spectra_end_within_the_step_cap(ab, width, band_calls, monkeypatch):
+    lapack = _mats._flapack()
+    factor, steps = lapack.zpbtrf, []
+    monkeypatch.setattr(lapack, "zpbtrf", lambda *a, **k: steps.append(1) or factor(*a, **k))
+    top = _mats.hermitian_max_eig(ab)
+    eigs = np.linalg.eigvalsh(_mats.hermitian_from_band(ab))
+    assert abs(top - eigs[-1]) <= 1e-14 * np.abs(eigs).max()
+    assert band_calls == [width]
+    assert 0 < len(steps) <= _mats.BISECTION_STEPS  # the bisection and the polish
 
 
 def test_band_max_eig_rejects_a_non_finite_band():
@@ -431,6 +443,22 @@ def test_zero_outer_blocks_leave_zero_diagonals_to_trim():
     f, model, psi_n, axes = zero_outer_block(clock_shift(1024), 2, 1)
     full = random_gamma_input(clock_shift(1024), 2, 1)
     assert _model_gamma(f, model, psi_n, axes).shape[0] < _model_gamma(*full).shape[0]
+
+
+def test_band_plan_is_cached_with_the_word_groups(monkeypatch):
+    from fuzzytorus import matrixmodel
+
+    f, model, psi_n, axes = random_gamma_input(clock_shift(64), 8, 2)
+    g = NCPoly(f.twist, f.m, {k: 2j * b for k, b in f.coeffs.items()})  # f's support
+    cold = _model_gamma(g, clock_shift(64), psi_n, axes)
+    plan, built = matrixmodel._band_plan, []
+    monkeypatch.setattr(matrixmodel, "_band_plan", lambda *a: built.append(a[2]) or plan(*a))
+    first = _model_gamma(f, model, psi_n, axes)
+    assert built == [2]
+    assert np.array_equal(_model_gamma(f, model, psi_n, axes), first)
+    assert np.array_equal(_model_gamma(g, model, psi_n, axes), cold)
+    _band_gram(f, model, np.ones((1, len(f.keys))), axes)  # x*x reads the same plan
+    assert built == [2]
 
 
 def test_band_gamma_falls_back_to_the_dense_bits(band_calls, monkeypatch):

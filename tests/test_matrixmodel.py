@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -387,6 +388,33 @@ def test_power_iteration_needs_no_conjugate_copy(kind, n):
     assert peak < x.nbytes / 16  # a conjugate copy of x would be x.nbytes
 
 
+@pytest.mark.parametrize("n", (520, 1024))
+@pytest.mark.parametrize("path", ("return", "main-raises", "helper-raises"))
+def test_power_iteration_helper_thread_ends_on_every_path(path, n, monkeypatch):
+    rng = np.random.default_rng(1)
+    x = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / (1.0 + np.arange(n))
+    before = threading.active_count()
+    if path == "return":
+        assert _mats.operator_norm(x) == copy_power_norm(x)
+    else:
+        # fail the second step's norm (main) or its first helper product
+        name = "norm" if path == "main-raises" else "matmul"
+        owner = np.linalg if name == "norm" else np
+        call, calls = getattr(owner, name), []
+
+        def failing(*args, **kwargs):
+            if path == "main-raises" or threading.current_thread() is not threading.main_thread():
+                calls.append(1)
+                if len(calls) == 3:
+                    raise FloatingPointError("injected")
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, failing)
+        with pytest.raises(FloatingPointError, match="injected"):
+            _mats.operator_norm(x)
+    assert threading.active_count() == before
+
+
 def test_operator_norm_of_diagonal_input_is_exact():
     # two top singular values 1e-6 apart: the power iteration stops short of 2
     d = np.ones(1024, dtype=complex)
@@ -546,11 +574,14 @@ def test_word_cache_counts_and_evicts_groups_with_their_stacks():
     model = clock_shift(1024)
     supports = [[(a, b) for a in range(s, s + 17) for b in range(-8, 9)] for s in range(0, 80, 10)]
     for support in supports:
-        model.word_groups(support)
+        model.band_plan(support, None, 1)  # with the word groups
         stacks = sum(p.nbytes + ph.nbytes for p, ph in model._stacks.values())
         groups = sum(inv.nbytes + sum(g.nbytes for g in members)
                      for members, inv in model._groups.values())
-        assert stacks + groups <= WORD_CACHE_BYTES
-        assert set(model._groups) <= set(model._stacks)
-    assert ((0, 1), tuple(supports[-1])) in model._groups
+        plans = sum(same.nbytes + flat.nbytes
+                    for by_m in model._plans.values() for same, flat, _ in by_m.values())
+        assert plans and stacks + groups + plans <= WORD_CACHE_BYTES
+        assert set(model._plans) <= set(model._groups) <= set(model._stacks)
+    assert ((0, 1), tuple(supports[-1])) in model._plans
     assert ((0, 1), tuple(supports[0])) not in model._groups
+    assert ((0, 1), tuple(supports[0])) not in model._plans
