@@ -200,9 +200,8 @@ class ExperimentConfig:
                 allowed = set(itertools.takewhile(lambda k: k <= n, admissible_sizes(m)))
                 bad = [n for n in ns if n not in allowed]
                 if bad:
-                    raise ValueError(
-                        f"schedule entries {bad} are not admissible sizes m^(k+1) for m={m}"
-                    )
+                    raise ValueError(f"n_schedule: schedule entries {bad} are not "
+                                     f"admissible sizes m^(k+1) for m={m}")
         if self.experiment in AMPLIFIED:
             # the largest matrix built: amplification x model dimension at the last n
             q = self.theta[1] if self.theta is not None and self.experiment != "smoothing-tail" else 1
@@ -459,14 +458,31 @@ def run_psd_audit(cfg: ExperimentConfig) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
-# Grid cells per row block of the net: covering-net evaluates its net on a
-# symbol grid this many values at a time (2,048 rows at G = 64).
+# Grid cells per row block: covering-net evaluates the mean-zero sublattice of
+# its net and a sample's candidate rows on a symbol grid, and takes the net's
+# l2 gaps to a sample, this many values at a time (2,048 rows at G = 64).
 NET_BLOCK_CELLS = 2**17
 
 
 def _net_axis(limit: float, pitch: float) -> np.ndarray:
     m = int(math.floor(limit / pitch))
     return pitch * np.arange(-m, m + 1)
+
+
+def _net_points(axes: list[np.ndarray]) -> np.ndarray:
+    """The product lattice of self-adjoint net points, one row of coefficients
+    over band_window(b, 1) per point: the mean from axes[0], outermost, and
+    the real and imaginary parts of coefficient k from axes[2k - 1] and
+    axes[2k], written straight into the rows."""
+    b = len(axes) // 2
+    mesh = np.ix_(*axes)
+    C = np.zeros(tuple(len(a) for a in axes) + (2 * b + 1,), dtype=complex)
+    C[..., b] = mesh[0]
+    for k in range(1, b + 1):
+        C[..., b + k].real = mesh[2 * k - 1]
+        C[..., b + k].imag = mesh[2 * k]
+        np.conjugate(C[..., b + k], out=C[..., b - k])
+    return C.reshape(-1, 2 * b + 1)
 
 
 def _net_sup_distance(C: np.ndarray, grid: SymbolGrid, keys, yc: np.ndarray) -> float:
@@ -479,20 +495,72 @@ def _net_sup_distance(C: np.ndarray, grid: SymbolGrid, keys, yc: np.ndarray) -> 
     no farther than dj, the sup distance of the l2-nearest row, has an l2 gap
     of at most dj; the relative and absolute margins cover the rounding of
     the gaps and of the grid values.  The FFT transforms each column on its
-    own, so the evaluated rows' distances are the floats a full scan
-    computes, and the minimum is the same.
+    own, and the gaps are summed row by row, so the evaluated rows' distances
+    are the floats a full scan computes, and the minimum is the same.
     """
     y_vals = grid.values(keys, yc)
-    diff = C.view(np.float64) - yc.view(np.float64)
-    gap2 = np.einsum("ij,ij->i", diff, diff)
+    step = max(1, NET_BLOCK_CELLS // grid.G)
+    flat, y = C.view(np.float64), yc.view(np.float64)
+    gap2 = np.empty(len(C))
+    for lo in range(0, len(C), step):
+        diff = flat[lo:lo + step] - y
+        gap2[lo:lo + step] = np.einsum("ij,ij->i", diff, diff)
     near = grid.values(keys, C[[int(gap2.argmin())]].T)[:, 0]
     dj = np.abs(near - y_vals).max()
     cut = dj * (1 + 1e-9) + 1e-12 * (1.0 + np.abs(yc).sum())
     (cand,) = np.nonzero(gap2 <= cut * cut)
-    step = max(1, NET_BLOCK_CELLS // grid.G)
     return min(float(np.abs(grid.values(keys, C[cand[lo:lo + step]].T) - y_vals[:, None])
                      .max(axis=0).min())
                for lo in range(0, len(cand), step))
+
+
+def _net_extent(Z: np.ndarray, keys, grid: SymbolGrid, psi: LengthFunction) -> np.ndarray:
+    """Rows (top, low, lip) over the net points z = Z[j] of a self-adjoint
+    net: the largest and smallest real symbol value of z on the grid and
+    ||Gamma(z, z)||^(1/2) by gradient_form's rule, a block of rows at a time."""
+    step = max(1, NET_BLOCK_CELLS // grid.G)
+    out = np.empty((3, len(Z)))
+    for lo in range(0, len(Z), step):
+        Zb = Z[lo:lo + step]
+        w = grid.values(keys, Zb.T).real  # the imaginary parts are rounding
+        stack = Zb.T[:, :, None, None]
+        gkeys, gam = gradient_coeffs(keys, stack, keys, stack, psi, TwistMatrix.zero(1))
+        out[0, lo:lo + step] = w.max(axis=0)
+        out[1, lo:lo + step] = w.min(axis=0)
+        out[2, lo:lo + step] = np.sqrt(np.maximum(
+            grid.values(gkeys, gam[..., 0, 0]).real.max(axis=0), 0.0))
+    return out
+
+
+def _net_rescale(C: np.ndarray, means: np.ndarray, keys, R: float,
+                 grid_f: SymbolGrid, psi_f: LengthFunction,
+                 grid_n: SymbolGrid, psi_n: LengthFunction) -> float:
+    """Divide each net point x = C[i] in place by its D_R scale at grid_f,
+    max(1, ||Gamma(x, x)||^(1/2), ||x|| / R), and return direction 2's
+    d2 = max over x of (1 - 1/sigma) ||x||, with x rescaled and sigma its
+    scale at grid_n (the embedded point against membership in D_R(M_n)).
+
+    The net is the product of the mean axis `means`, outermost, with a
+    mean-zero sublattice of J points: row i J + j is means[i] + z_j.  Gamma
+    vanishes on constants (K(0, y) = K(x, 0) = 0, so the mean coefficient
+    enters no live pair), a real shift c0 moves the sup norm to
+    max(c0 + top, -(c0 + low)), and both scale as 1/sigma; so each grid
+    evaluates the J sublattice points once.
+    """
+    mean = keys.index((0,))
+    Cm = C.reshape(len(means), -1, C.shape[1])
+    Z = Cm[0].copy()
+    Z[:, mean] = 0.0
+    top_f, low_f, lip_f = _net_extent(Z, keys, grid_f, psi_f)
+    top_n, low_n, lip_n = _net_extent(Z, keys, grid_n, psi_n)
+    d2 = 0.0
+    for c0, Ci in zip(means, Cm):
+        sigma = np.maximum(1.0, np.maximum(lip_f, np.maximum(c0 + top_f, -(c0 + low_f)) / R))
+        Ci /= sigma[:, None]
+        norms_n = np.maximum(c0 + top_n, -(c0 + low_n)) / sigma
+        sig2 = np.maximum(1.0, np.maximum(lip_n / sigma, norms_n / R))
+        d2 = max(d2, float(((1.0 - 1.0 / sig2) * norms_n).max()))
+    return d2
 
 
 def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
@@ -515,8 +583,7 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
         lim = min(R, 1.0 / math.sqrt(2.0 * psi_sym.coord_value(k))) + pitch
         axes.append(_net_axis(lim, pitch))
         axes.append(_net_axis(lim, pitch))
-    sizes = [len(a) for a in axes]
-    count = int(np.prod([float(x) for x in sizes]))
+    count = int(np.prod([float(len(a)) for a in axes]))
     if count > cfg.net_cap:
         feasible = pitch * (count / cfg.net_cap) ** (1.0 / len(axes))
         raise ValueError(
@@ -524,37 +591,10 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
             f"a cap-sized net only achieves pitch {feasible:.4g} "
             f"(radius about {s * feasible / 2:.4g}) instead of {pitch:.4g}"
         )
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [m.reshape(-1) for m in mesh]
-    C = np.zeros((count, s), dtype=complex)
-    C[:, b] = flat[0]
-    for k in range(1, b + 1):
-        C[:, b + k] = flat[2 * k - 1] + 1j * flat[2 * k]
-        C[:, b - k] = C[:, b + k].conj()
-    del mesh, flat  # 8 B per net point and axis, not needed past C
-
-    Gf = max(64, 16 * b, n)
-    grid_f = SymbolGrid(Gf, tw)
+    C = _net_points(axes)
     grid_n = SymbolGrid(n, tw)
-
-    def lips(Cm: np.ndarray, psi: LengthFunction, grid: SymbolGrid) -> np.ndarray:
-        # ||Gamma(f, f)||^(1/2) of every row f of a block, by gradient_form's rule
-        stack = Cm.T[:, :, None, None]
-        keys, gam = gradient_coeffs(coords, stack, coords, stack, psi, tw)
-        return np.sqrt(np.maximum(grid.values(keys, gam[..., 0, 0]).real.max(axis=0), 0.0))
-
-    # rescale each net point into D_R at Gf, then measure direction 2 (the
-    # embedded net point against membership in D_R(M_n)); Gf >= n, so a block
-    # of NET_BLOCK_CELLS // Gf rows bounds both grids' values
-    step = max(1, NET_BLOCK_CELLS // Gf)
-    d2 = 0.0
-    for lo in range(0, count, step):
-        Cb = C[lo:lo + step]
-        norms = np.abs(grid_f.values(coords, Cb.T)).max(axis=0)
-        Cb /= np.maximum(1.0, np.maximum(lips(Cb, psi_sym, grid_f), norms / R))[:, None]
-        norms_n = np.abs(grid_n.values(coords, Cb.T)).max(axis=0)
-        sig2 = np.maximum(1.0, np.maximum(lips(Cb, psi_n, grid_n), norms_n / R))
-        d2 = max(d2, float(((1.0 - 1.0 / sig2) * norms_n).max()))
+    d2 = _net_rescale(C, axes[0], coords, R, SymbolGrid(max(64, 16 * b, n), tw), psi_sym,
+                      grid_n, psi_n)
 
     k_val = psi_n.coord_value(1)
     phi = build_smoothing_multiplier(psi_n, k_val, eps)

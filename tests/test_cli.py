@@ -281,6 +281,9 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
      "experiments[0]: theta: bridge-reach needs a rational twist"),
     ({"id": "bridge-reach", "n_schedule": [8], "band": 4, "samples": 1},
      "experiments[0]: band: bridge-reach pulls model elements back on the band window"),
+    ({"id": "bridge-reach", "theta": [1, 2], "n_schedule": [8, 12], "samples": 1},
+     "experiments[0]: n_schedule: schedule entries [12] are not admissible sizes m^(k+1) "
+     "for m=2"),
 ], ids=["n-zero", "n-over-cap", "samples-zero", "samples-negative",
         "amplifications-empty", "amplifications-zero", "theta-triple", "theta-m-zero",
         "theta-gcd", "cutoffs-empty", "grid-zero", "lip-grid-zero", "eps-zero",
@@ -295,7 +298,7 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
         "amplification-over-cap", "amplification-over-cap-fuzzy", "fuzzy-model-over-cap",
         "amplification-over-cap-default-n", "rate-grid-not-a-multiple",
         "band-intertwining-above-half-n", "theta-null-bridge-reach",
-        "band-bridge-reach-aliases"])
+        "band-bridge-reach-aliases", "n-schedule-fuzzy-not-admissible"])
 def test_cli_rejects_out_of_range_config_with_key_path(tmp_path, capsys, entry, prefix):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [entry]})

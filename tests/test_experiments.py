@@ -6,9 +6,9 @@ import pytest
 
 from fuzzytorus import _mats
 from fuzzytorus import experiments as ex
-from fuzzytorus.lattice import band_window
+from fuzzytorus.lattice import LengthFunction, band_window
 from fuzzytorus.matrixmodel import op_norm
-from fuzzytorus.ncpoly import SymbolGrid, TwistMatrix
+from fuzzytorus.ncpoly import SymbolGrid, TwistMatrix, gradient_coeffs
 
 SEED = 424242
 
@@ -185,13 +185,7 @@ def test_net_sup_distance_equals_full_scan(n, b, monkeypatch):
     s = 2 * b + 1
     keys = band_window(b, 1)
     grid = SymbolGrid(n, TwistMatrix.zero(1))
-    axis = 0.2 * np.arange(-3, 4)
-    mesh = [m.reshape(-1) for m in np.meshgrid(*[axis] * s, indexing="ij")]
-    C = np.zeros((len(mesh[0]), s), dtype=complex)
-    C[:, b] = mesh[0]
-    for k in range(1, b + 1):
-        C[:, b + k] = mesh[2 * k - 1] + 1j * mesh[2 * k]
-        C[:, b - k] = C[:, b + k].conj()
+    C = ex._net_points([0.2 * np.arange(-3, 4)] * s)
     C = C / rng.uniform(1.0, 1.5, size=(len(C), 1))
     C = np.concatenate([C, C[::-7]])  # duplicated net points: tied distances
     net_vals = grid.values(keys, C.T).T
@@ -204,6 +198,53 @@ def test_net_sup_distance_equals_full_scan(n, b, monkeypatch):
         for cells in (ex.NET_BLOCK_CELLS, 3 * n):
             monkeypatch.setattr(ex, "NET_BLOCK_CELLS", cells)
             assert ex._net_sup_distance(C, grid, keys, yc) == full
+
+
+def _block_loop_rescale(C, keys, R, grid_f, psi_f, grid_n, psi_n):
+    """Direction 2 as covering-net took it from every net point in full:
+    each point's values and Gamma on grid_f, the rescale, then the same again
+    on grid_n; kept as the reference of _net_rescale."""
+    tw = TwistMatrix.zero(1)
+
+    def lips(Cm, psi, grid):
+        stack = Cm.T[:, :, None, None]
+        gkeys, gam = gradient_coeffs(keys, stack, keys, stack, psi, tw)
+        return np.sqrt(np.maximum(grid.values(gkeys, gam[..., 0, 0]).real.max(axis=0), 0.0))
+
+    norms = np.abs(grid_f.values(keys, C.T)).max(axis=0)
+    C = C / np.maximum(1.0, np.maximum(lips(C, psi_f, grid_f), norms / R))[:, None]
+    norms_n = np.abs(grid_n.values(keys, C.T)).max(axis=0)
+    sig2 = np.maximum(1.0, np.maximum(lips(C, psi_n, grid_n), norms_n / R))
+    return C, float(((1.0 - 1.0 / sig2) * norms_n).max())
+
+
+@pytest.mark.parametrize("n", [32, 40, 64])
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("R", [0.4, 1.0])
+@pytest.mark.parametrize("kind", ["heat", "word"])
+def test_net_rescale_matches_the_full_evaluation(n, b, R, kind, monkeypatch):
+    # Gf = 64 is n itself at n = 64, refines it at n = 32 and does not at
+    # n = 40; the sublattice goes through the grids in one block and in
+    # blocks of 100 rows.  At n | 64, psi_n <= psi on the band and the n-grid
+    # lies in the 64-grid, so d2 is 0 but for rounding; at n = 40 it is about
+    # 1e-4..2e-3, and 1 - 1/sigma magnifies sigma's last bits by
+    # 1/(sigma - 1).  So d2 agrees relative to R, the scale of the norms it
+    # is formed from.
+    keys = band_window(b, 1)
+    axes = [0.25 * np.arange(-5, 6)] + [0.15 * np.arange(-3, 4)] * (2 * b)
+    net = ex._net_points(axes)
+    tw = TwistMatrix.zero(1)
+    grids = (SymbolGrid(64, tw), LengthFunction(kind, (None,)),
+             SymbolGrid(n, tw), LengthFunction(kind, (n,)))
+    ref, d2_ref = _block_loop_rescale(net, keys, R, *grids)
+    assert np.abs(ref).max() < np.abs(net).max()
+    assert (d2_ref > 1e-5) == (n == 40)
+    for cells in (ex.NET_BLOCK_CELLS, 100 * 64):
+        monkeypatch.setattr(ex, "NET_BLOCK_CELLS", cells)
+        C = net.copy()
+        d2 = ex._net_rescale(C, axes[0], keys, R, *grids)
+        assert np.all(np.abs(C - ref).max(axis=1) <= 1e-14 * np.abs(ref).max(axis=1))
+        assert abs(d2 - d2_ref) <= 1e-14 * R
 
 
 @pytest.mark.parametrize("d, b, G", [(1, 3, 64), (2, 2, 16)])
@@ -221,8 +262,9 @@ def test_symbol_grid_values_column_by_column(d, b, G):
 
 
 def test_covering_net_rows_independent_of_block_size(monkeypatch):
-    # 997 rows per block at Gf = 64 (a last block shorter than the rest), the
-    # default, and one block holding the whole net
+    # the 1,225-point mean-zero sublattice in blocks of 997 rows at Gf = 64 (a
+    # last block shorter than the first), the default, and one block; the
+    # sample search's l2 gaps and candidate rows in blocks of the same cell count
     cfg = small("covering-net")
     runs = []
     for cells in (997 * 64, ex.NET_BLOCK_CELLS, 64 * 10**6):
@@ -232,19 +274,33 @@ def test_covering_net_rows_independent_of_block_size(monkeypatch):
     assert 997 < dict((r.metric, r.value) for r in runs[0])["net_size"] < 10**6
 
 
-def test_covering_net_memory_stays_below_net_size_times_grid():
-    # the net workload's covering-net entry: 62,475 net points on a 64-point
-    # grid would take 64 MB per complex array of values; blocks keep the peak
-    # at about 7 MB
-    cfg = small("covering-net", n_schedule=(64,), samples=2)
+def _traced_covering_net(cfg):
     tracemalloc.start()
     try:
         rows = ex.run_experiment(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dict((r.metric, r.value) for r in rows)["net_size"] == 62_475
+    return dict((r.metric, r.value) for r in rows), peak
+
+
+def test_covering_net_memory_stays_below_net_size_times_grid():
+    # the net workload's covering-net entry: 62,475 net points on a 64-point
+    # grid would take 64 MB per complex array of values; the net's
+    # coefficients take 3 MB and the blocks bound the rest
+    by, peak = _traced_covering_net(small("covering-net", n_schedule=(64,), samples=2))
+    assert by["net_size"] == 62_475
     assert peak < 32 * 2**20
+
+
+def test_covering_net_cap_sized_net_memory():
+    # 1,909,755 net points, near the 2,000,000 net_cap maximum: 48 B of
+    # coefficients and 8 B of l2 gap per point, about 105 MB in all
+    cfg = small("covering-net", n_schedule=(64,), eps=0.078, net_cap=2_000_000, samples=2)
+    by, peak = _traced_covering_net(cfg)
+    assert by["net_size"] == 1_909_755
+    assert by["coverage_fraction"] == 1.0
+    assert peak < 128 * 2**20
 
 
 def test_bridge_reach_small():

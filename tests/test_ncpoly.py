@@ -639,6 +639,27 @@ def test_gradient_coeffs_batches_elements(m):
         assert all(np.array_equal(gam[j, i], ref[k]) for j, k in enumerate(keys))
 
 
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("kind", ["heat", "word"])
+@pytest.mark.parametrize("modulus", [None, 16])
+def test_gradient_coeffs_ignores_the_mean_coefficient(b, kind, modulus):
+    # K(0, y) = K(x, 0) = 0, so the mean coefficient enters no live pair and
+    # Gamma(c 1 + z, c 1 + z) = Gamma(z, z) bitwise: covering-net takes the Lip
+    # of every net point from its mean-zero part
+    rng = np.random.default_rng((59, b, modulus or 0))
+    psi = LengthFunction(kind, (modulus,))
+    tw = TwistMatrix.zero(1)
+    xs = band_window(b, 1)
+    stack = rng.standard_normal((len(xs), 6, 1, 1)) + 1j * rng.standard_normal((len(xs), 6, 1, 1))
+    stack[xs.index((0,)), :3] *= 1e3
+    zero = stack.copy()
+    zero[xs.index((0,))] = 0.0
+    keys, gam = gradient_coeffs(xs, stack, xs, stack, psi, tw)
+    keys0, gam0 = gradient_coeffs(xs, zero, xs, zero, psi, tw)
+    assert keys == keys0
+    assert np.array_equal(gam, gam0)
+
+
 # -- normal form uniqueness --------------------------------------------------
 
 
