@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,7 +50,6 @@ __all__ = [
     "ExperimentConfig",
     "ReportRow",
     "EXPERIMENTS",
-    "default_config",
     "run_experiment",
     "kendall_decreasing",
     "row_passes",
@@ -96,128 +95,158 @@ class ReportRow:
                    row_passes(metric, float(value), float(bound)))
 
 
-# Points per axis of each grid-reading experiment's oracle when `grid` is None.
-DEFAULT_GRID = {"isometry": 512, "bridge-reach": 128, "rate": 16384}
 # Largest oracle array, G^d (m q)^2 entries at amplification m, fiber size q.
 GRID_CAP = 2**24
-# Experiments that draw elements at every amplification in `amplifications`.
-AMPLIFIED = ("isometry", "smoothing-tail", "bridge-reach")
+
+# What each experiment reads, with its defaults: every field its run_* function
+# reads, and no other.  A manifest entry or ExperimentConfig call may set these
+# fields only.
+_DEFAULTS: dict[str, dict] = {
+    "intertwining": dict(psi="word", band=4, n_schedule=(16, 32), samples=50),
+    "rate": dict(psi="heat", n_schedule=(16, 32, 64, 128, 256, 512, 1024), grid=16384),
+    "isometry": dict(psi="heat", theta=None, band=2, amplifications=(1, 2),
+                     n_schedule=(16, 32, 64, 128, 256), samples=100,
+                     lip_samples=25, eps=0.05, grid=512, lip_grid=128),
+    "smoothing-tail": dict(psi="heat", band=8, amplifications=(1,), n_schedule=(64,),
+                           samples=200, cutoffs=(2, 4, 8), eps=0.25),
+    "psd-audit": dict(n_schedule=tuple(range(4, 65))),
+    "covering-net": dict(psi="heat", n_schedule=(64,), samples=500, R=1.0,
+                         eps=0.25, sample_band=1, net_cap=500_000),
+    "bridge-reach": dict(psi="heat", theta=(1, 2), band=2,
+                         n_schedule=(8, 16, 32, 64, 128), samples=8,
+                         amplifications=(1, 2), eps=0.1, eps_multiplier=0.01, grid=128),
+    # psi is heat only: hp-ratio compares the heat and the word length itself
+    "hp-ratio": dict(psi="heat", band=4, n_schedule=(64,), samples=40),
+}
+
+# The range of each field, checked in the experiments that read it.
+_RANGES: dict[str, tuple[Callable, str]] = {
+    "psi": (lambda v: v in _KINDS, f"expected one of {_KINDS}"),
+    "band": (lambda v: v >= 0, "need band >= 0"),
+    "amplifications": (lambda v: len(v) > 0 and min(v) >= 1, "need at least one, each >= 1"),
+    "samples": (lambda v: v >= 1, "need at least one sample"),
+    "lip_samples": (lambda v: v >= 1, "need at least one sample"),
+    "R": (lambda v: v > 0, "need R > 0"),
+    "eps": (lambda v: v > 0, "need eps > 0"),
+    "eps_multiplier": (lambda v: 0 < v < 1, "need 0 < eps_multiplier < 1"),
+    "cutoffs": (lambda v: len(v) > 0 and v[0] >= 1 and all(a < b for a, b in zip(v, v[1:])),
+                "need at least one cutoff, each >= 1, strictly increasing"),
+    "sample_band": (lambda v: v >= 0, "need sample_band >= 0"),
+    "net_cap": (lambda v: 1 <= v <= 2_000_000, "need 1 <= net_cap <= 2000000 (4 x the default)"),
+    "grid": (lambda v: v >= 1, "need a positive grid size"),
+    "lip_grid": (lambda v: v >= 1, "need a positive grid size"),
+}
+
+
+# The default of every ExperimentConfig field.  It is not None, because
+# theta = None is a value (the commutative model).
+_UNSET = type("_Unset", (), {"__repr__": lambda self: "<unset>"})()
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs shared by the experiment registry; unused fields are ignored."""
+    """One experiment's inputs.  A field left unset takes the experiment's
+    default from _DEFAULTS, and setting a field the experiment does not read
+    is an error; the fields it does not read stay unset."""
 
     experiment: str
     seed: int
-    psi: str = "heat"
-    theta: Optional[tuple[int, int]] = None  # (p, m) rational; None = commutative
-    band: int = 2
-    amplifications: tuple[int, ...] = (1,)
-    n_schedule: tuple[int, ...] = ()
-    samples: int = 50
-    lip_samples: int = 25
-    R: float = 1.0
-    eps: float = 0.25
-    eps_multiplier: Optional[float] = None
-    cutoffs: tuple[int, ...] = (2, 4, 8)
-    sample_band: int = 1
-    net_cap: int = 500_000
-    grid: Optional[int] = None  # None: DEFAULT_GRID's size, for the experiments that read it
-    lip_grid: int = 128
+    psi: str = _UNSET
+    theta: Optional[tuple[int, int]] = _UNSET  # (p, m) rational; None = commutative
+    band: int = _UNSET
+    amplifications: tuple[int, ...] = _UNSET
+    n_schedule: tuple[int, ...] = _UNSET
+    samples: int = _UNSET
+    lip_samples: int = _UNSET
+    R: float = _UNSET
+    eps: float = _UNSET
+    eps_multiplier: float = _UNSET
+    cutoffs: tuple[int, ...] = _UNSET
+    sample_band: int = _UNSET
+    net_cap: int = _UNSET
+    grid: int = _UNSET
+    lip_grid: int = _UNSET
 
     def __post_init__(self):
+        e = self.experiment
+        if e not in _DEFAULTS:
+            raise ValueError(f"unknown experiment id {e!r}")
+        reads = _DEFAULTS[e]
+        for f in fields(self)[2:]:
+            if f.name in reads and getattr(self, f.name) is _UNSET:
+                object.__setattr__(self, f.name, reads[f.name])
+            elif f.name not in reads and getattr(self, f.name) is not _UNSET:
+                raise ValueError(f"{f.name}: unknown configuration key for {e}")
         ns = tuple(self.n_schedule)
         if not ns:
-            raise ValueError(f"n_schedule: {self.experiment} needs at least one n")
+            raise ValueError(f"n_schedule: {e} needs at least one n")
         if any(not 2 <= n <= DIMENSION_CAP for n in ns):
             raise ValueError(f"n_schedule: every n must lie in 2..{DIMENSION_CAP}")
         if any(b >= a for a, b in zip(ns[1:], ns[:-1])):
             raise ValueError("n schedule must be strictly increasing")
-        if self.samples < 1:
-            raise ValueError("samples: need at least one sample")
-        if self.lip_samples < 1:
-            raise ValueError("lip_samples: need at least one sample")
-        if self.psi not in _KINDS:
-            raise ValueError(f"psi: unknown length kind {self.psi!r}; expected one of {_KINDS}")
-        if self.band < 0:
-            raise ValueError("band: need band >= 0")
-        if self.band < 1 and self.experiment in (*AMPLIFIED, "hp-ratio"):
-            raise ValueError(f"band: {self.experiment} divides by norms or Lipschitz seminorms "
+        n = ns[-1]
+        if e in ("smoothing-tail", "covering-net", "hp-ratio") and len(ns) > 1:
+            raise ValueError(f"n_schedule: {e} builds one model and needs exactly one n, "
+                             f"got {list(ns)}")
+        for key, (ok, need) in _RANGES.items():
+            if key in reads and not ok(getattr(self, key)):
+                raise ValueError(f"{key}: {need}, got {getattr(self, key)!r}")
+        if e == "hp-ratio" and self.psi != "heat":
+            raise ValueError(f"psi: hp-ratio compares the heat and the word length; "
+                             f"need psi = 'heat', got {self.psi!r}")
+        if e != "intertwining" and "band" in reads and self.band < 1:
+            raise ValueError(f"band: {e} divides by norms or Lipschitz seminorms "
                              "of its draws, which are 0 at band 0; need band >= 1")
-        if self.sample_band < 0:
-            raise ValueError("sample_band: need sample_band >= 0")
-        n = ns[-1]  # the one model of smoothing-tail and covering-net
-        if self.experiment == "intertwining" and 2 * self.band > ns[0]:
+        if e == "intertwining" and 2 * self.band > ns[0]:
             raise ValueError(f"band: intertwining needs band <= n/2 at every n; "
                              f"2 band = {2 * self.band} > n = {ns[0]}")
-        if self.experiment == "bridge-reach" and 2 * self.band >= ns[0]:
+        if e == "bridge-reach" and 2 * self.band >= ns[0]:
             raise ValueError(f"band: bridge-reach pulls model elements back on the band "
                              f"window, which needs 2 band < n; 2 band = {2 * self.band} "
                              f">= n = {ns[0]}")
-        if self.grid is not None and self.grid < 1:
-            raise ValueError("grid: need a positive grid size")
-        if self.grid is None and self.experiment in DEFAULT_GRID:
-            object.__setattr__(self, "grid", DEFAULT_GRID[self.experiment])
-        if self.experiment == "rate":
+        if e == "rate":
             bad = [n for n in ns if self.grid % n]
             if bad:
                 raise ValueError(f"n_schedule: rate's oracle grid G = {self.grid} must contain "
                                  f"every n-grid as a subgrid; {bad} do not divide it")
-        if self.experiment == "smoothing-tail" and 2 * self.band >= n:
+        if e == "smoothing-tail" and 2 * self.band >= n:
             raise ValueError(f"band: sample band exceeds the model window; need 2 band < n = {n}")
-        if self.experiment == "covering-net" and 2 * self.sample_band >= n:
+        if e == "covering-net" and 2 * self.sample_band >= n:
             raise ValueError(f"sample_band: frequencies -{self.sample_band}..{self.sample_band} "
                              f"alias mod n = {n}; covering-net needs 2 * sample_band < n")
-        if self.R <= 0:
-            raise ValueError("R: need R > 0")
-        if not self.eps > 0:
-            raise ValueError("eps: need eps > 0")
         # isometry and bridge-reach read eps as a row bound; these two smooth with it
-        if self.experiment == "covering-net" and self.eps >= 1:
+        if e == "covering-net" and self.eps >= 1:
             raise ValueError("eps: covering-net smooths with eps, which must lie in (0, 1)")
-        if self.experiment == "smoothing-tail" and self.eps_multiplier is None and self.eps >= 2:
+        if e == "smoothing-tail" and self.eps >= 2:
             raise ValueError("eps: smoothing-tail smooths with eps/2, which must lie in (0, 1)")
-        if self.eps_multiplier is not None and not 0 < self.eps_multiplier < 1:
-            raise ValueError("eps_multiplier: need 0 < eps_multiplier < 1")
-        if not 1 <= self.net_cap <= 2_000_000:
-            raise ValueError("net_cap: need 1 <= net_cap <= 2000000 (4 times the default)")
-        if not self.amplifications or min(self.amplifications) < 1:
-            raise ValueError("amplifications: need at least one, each >= 1")
-        if not self.cutoffs:
-            raise ValueError("cutoffs: need at least one cutoff")
-        if self.lip_grid < 1:
-            raise ValueError("lip_grid: need a positive grid size")
-        if self.theta is None and self.experiment == "bridge-reach":
+        if e == "bridge-reach" and self.theta is None:
             raise ValueError("theta: bridge-reach needs a rational twist [p, m]")
-        if self.theta is not None:
+        q = 1  # the fiber size of the model
+        if "theta" in reads and self.theta is not None:
             if len(self.theta) != 2 or self.theta[1] < 1:
                 raise ValueError("theta: expected [p, m] with m >= 1")
-            p, m = self.theta
-            if math.gcd(p, m) != 1:
+            p, q = self.theta
+            if math.gcd(p, q) != 1:
                 raise ValueError("theta: need gcd(p, m) = 1")
-            if m > 1:
-                allowed = set(itertools.takewhile(lambda k: k <= n, admissible_sizes(m)))
+            if q > 1:
+                allowed = set(itertools.takewhile(lambda k: k <= n, admissible_sizes(q)))
                 bad = [n for n in ns if n not in allowed]
                 if bad:
                     raise ValueError(f"n_schedule: schedule entries {bad} are not "
-                                     f"admissible sizes m^(k+1) for m={m}")
-        if self.experiment in AMPLIFIED:
+                                     f"admissible sizes m^(k+1) for m={q}")
+        amp = max(self.amplifications) if "amplifications" in reads else 1
+        if amp * q * n > DIMENSION_CAP:
             # the largest matrix built: amplification x model dimension at the last n
-            q = self.theta[1] if self.theta is not None and self.experiment != "smoothing-tail" else 1
-            amp = max(self.amplifications)
-            if amp * q * n > DIMENSION_CAP:
-                raise ValueError(f"amplifications: amplification {amp} of the {q * n}-dimensional "
-                                 f"model at n = {n} gives dimension {amp * q * n}, "
-                                 f"above DIMENSION_CAP = {DIMENSION_CAP}")
-        if self.experiment in DEFAULT_GRID:
-            # rate fills G scalars; isometry and bridge-reach (AMPLIFIED) G^2 blocks of size amp q
-            d, mq = (1, 1) if self.experiment == "rate" else (2, amp * q)
-            lip = {"lip_grid": self.lip_grid} if self.experiment == "isometry" else {}
-            for key, G in {"grid": self.grid, **lip}.items():
-                if G**d * mq * mq > GRID_CAP:
-                    raise ValueError(f"{key}: {G}^{d} grid points with {mq} x {mq} values each "
-                                     f"give {G**d * mq * mq} entries, above GRID_CAP = {GRID_CAP}")
+            raise ValueError(f"amplifications: amplification {amp} of the {q * n}-dimensional "
+                             f"model at n = {n} gives dimension {amp * q * n}, "
+                             f"above DIMENSION_CAP = {DIMENSION_CAP}")
+        # rate fills G scalars; isometry and bridge-reach G^2 blocks of size amp q
+        d, mq = (1, 1) if e == "rate" else (2, amp * q)
+        for key in ("grid", "lip_grid"):
+            G = getattr(self, key)
+            if key in reads and G**d * mq * mq > GRID_CAP:
+                raise ValueError(f"{key}: {G}^{d} grid points with {mq} x {mq} values each "
+                                 f"give {G**d * mq * mq} entries, above GRID_CAP = {GRID_CAP}")
 
 
 def kendall_decreasing(vals: Sequence[float]) -> float:
@@ -388,12 +417,11 @@ def _product_smoother(psi_coord: LengthFunction, k_freq: int, eps: float) -> Mul
 def run_smoothing_tail(cfg: ExperimentConfig) -> list[ReportRow]:
     """sup over samples of ||x - T_phi x|| / (||x||_2 + L(x)) and the pure-Lip
     variant, per frequency cutoff; the sup is reported, monotone in the cutoff."""
-    n = cfg.n_schedule[-1]
+    (n,) = cfg.n_schedule
     model = clock_shift(n)
     tw = TwistMatrix.zero(2)
     psi_n = LengthFunction(cfg.psi, (n, n))
     psi_coord = LengthFunction(cfg.psi, (n,))
-    eps_part = cfg.eps_multiplier if cfg.eps_multiplier is not None else cfg.eps / 2
 
     sample_list = []
     for amp in cfg.amplifications:
@@ -404,7 +432,7 @@ def run_smoothing_tail(cfg: ExperimentConfig) -> list[ReportRow]:
     rows = []
     prev1 = prev2 = None
     for k_freq in cfg.cutoffs:
-        phi = _product_smoother(psi_coord, k_freq, eps_part)
+        phi = _product_smoother(psi_coord, k_freq, cfg.eps / 2)
         sup1 = 0.0
         sup2 = 0.0
         for f, l2, lip in sample_list:
@@ -566,7 +594,7 @@ def _net_rescale(C: np.ndarray, means: np.ndarray, keys, R: float,
 def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     """Coefficient-lattice eps-net of the band-limited D_R ball, checked to
     cover model-side samples within (4R+2) eps (d = 1)."""
-    n = cfg.n_schedule[-1]
+    (n,) = cfg.n_schedule
     b = cfg.sample_band
     R = cfg.R
     eps = cfg.eps
@@ -640,8 +668,7 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
     # one grid for the norms of f and for Gamma(f, f)
     oracle = SymbolGrid(cfg.grid, tw)
 
-    eps_part = cfg.eps_multiplier if cfg.eps_multiplier is not None else 0.01
-    phi = _product_smoother(psi_coord_inf, cfg.band, eps_part)
+    phi = _product_smoother(psi_coord_inf, cfg.band, cfg.eps_multiplier)
 
     # symbol-side unit-Lip samples, shared across n
     a_side = []
@@ -728,7 +755,7 @@ def run_hp_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
     pinned anywhere, so the rows are informational."""
     from .matrixmodel import schatten_norm
 
-    n = cfg.n_schedule[-1]
+    (n,) = cfg.n_schedule
     model = clock_shift(n)
     heat = LengthFunction("heat", (n, n))
     word = LengthFunction("word", (n, n))
@@ -766,31 +793,6 @@ EXPERIMENTS: dict[str, Callable[[ExperimentConfig], list[ReportRow]]] = {
     "hp-ratio": run_hp_ratio,
 }
 
-_DEFAULTS: dict[str, dict] = {
-    "intertwining": dict(psi="word", band=4, n_schedule=(16, 32), samples=50),
-    "rate": dict(psi="heat", n_schedule=(16, 32, 64, 128, 256, 512, 1024)),
-    "isometry": dict(psi="heat", band=2, amplifications=(1, 2),
-                     n_schedule=(16, 32, 64, 128, 256), samples=100,
-                     lip_samples=25, eps=0.05),
-    "smoothing-tail": dict(psi="heat", band=8, n_schedule=(64,), samples=200,
-                           cutoffs=(2, 4, 8), eps=0.25),
-    "psd-audit": dict(n_schedule=tuple(range(4, 65))),
-    "covering-net": dict(psi="heat", n_schedule=(64,), samples=500, R=1.0,
-                         eps=0.25, sample_band=1),
-    "bridge-reach": dict(psi="heat", theta=(1, 2), band=2,
-                         n_schedule=(8, 16, 32, 64, 128), samples=8,
-                         amplifications=(1, 2), eps=0.1, eps_multiplier=0.01),
-    "hp-ratio": dict(psi="heat", band=4, n_schedule=(64,), samples=40),
-}
-
-
-def default_config(experiment: str, seed: int = 20240901) -> ExperimentConfig:
-    if experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment id {experiment!r}")
-    return ExperimentConfig(experiment=experiment, seed=seed, **_DEFAULTS[experiment])
-
 
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
-    if cfg.experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment id {cfg.experiment!r}")
     return EXPERIMENTS[cfg.experiment](cfg)

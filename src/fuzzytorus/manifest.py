@@ -13,31 +13,29 @@ A manifest is a JSON document:
     }
 
 Unknown keys anywhere are errors (reported with their key path); the seed is
-mandatory so reruns are reproducible.  Reports are written with 17 significant
-digits and fixed row order, so identical manifests produce byte-identical
-files.
+mandatory so reruns are reproducible.  An experiment entry may set only the
+keys its experiment reads, which are the keys of its `experiments._DEFAULTS`
+entry; a key it leaves out takes the default given there, and any other key
+is rejected as `experiments[i].<key>: unknown configuration key for <id>`.
+Reports are written with 17 significant digits and fixed row order, so
+identical manifests produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
-from .experiments import EXPERIMENTS, ExperimentConfig, ReportRow, default_config
+from .experiments import _DEFAULTS, ExperimentConfig, ReportRow
 
 __all__ = ["RunManifest", "read_document", "parse_config", "manifest_from_dict", "emit_report"]
 
 _TOP_KEYS = {"seed", "out", "format", "experiments"}
 _TUPLE_FIELDS = {"amplifications", "n_schedule", "cutoffs", "theta"}
-_CFG_FIELDS = {  # the manifest's top-level seed is the only seed
-    f.name for f in dataclasses.fields(ExperimentConfig)
-    if f.name not in ("experiment", "seed")
-}
 
 
 @dataclass(frozen=True)
@@ -105,17 +103,15 @@ def manifest_from_dict(doc: dict) -> RunManifest:
         if "id" not in entry:
             raise ManifestError(f"{path}: missing experiment id")
         exp_id = entry["id"]
-        if exp_id not in EXPERIMENTS:
+        if not isinstance(exp_id, str) or exp_id not in _DEFAULTS:
             raise ManifestError(f"{path}.id: unknown experiment id {exp_id!r}")
-        kwargs = {}
-        for key, value in entry.items():
-            if key == "id":
-                continue
-            if key not in _CFG_FIELDS:
-                raise ManifestError(f"{path}.{key}: unknown configuration key")
-            kwargs[key] = _coerce(key, value, path)
+        # no experiment reads a seed: the manifest's top-level seed is the only seed
+        unread = [key for key in entry if key != "id" and key not in _DEFAULTS[exp_id]]
+        if unread:
+            raise ManifestError(f"{path}.{unread[0]}: unknown configuration key for {exp_id}")
+        kwargs = {key: _coerce(key, value, path) for key, value in entry.items() if key != "id"}
         try:
-            configs.append(replace(default_config(exp_id, seed), **kwargs))
+            configs.append(ExperimentConfig(exp_id, seed, **kwargs))
         except ValueError as exc:
             raise ManifestError(f"{path}: {exc}") from exc
     return RunManifest(seed=seed, out=out, fmt=fmt, experiments=tuple(configs))

@@ -40,13 +40,8 @@ def _report(name: str, ok: bool, detail: str = ""):
     assert ok, f"{name}: {detail}"
 
 
-def _rows(experiment, **overrides):
-    cfg = ex.default_config(experiment, seed=SEED)
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    return ex.run_experiment(cfg)
+def _rows(experiment, seed=SEED):
+    return ex.run_experiment(ex.ExperimentConfig(experiment, seed))
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -194,9 +195,9 @@ def test_cli_rejects_mistyped_scalar_with_key_path(tmp_path, capsys):
     man = _write_manifest(tmp_path, {
         "seed": 5,
         "out": str(tmp_path / "rep"),
-        "experiments": [{"id": "psd-audit", "n_schedule": [4, 5], "samples": "many"}],
+        "experiments": [{"id": "intertwining", "n_schedule": [16], "samples": "many"}],
     })
-    assert main(["audit", "--manifest", man]) == 2
+    assert main(["lip", "--manifest", man]) == 2
     assert "experiments[0].samples: expected int" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "rep")
 
@@ -236,7 +237,7 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
     ({"id": "intertwining", "n_schedule": [16], "samples": 2, "band": -1},
      "experiments[0]: band: "),
     ({"id": "isometry", "n_schedule": [8], "samples": 2, "band": -1}, "experiments[0]: band: "),
-    ({"id": "psd-audit", "psi": "bogus"}, "experiments[0]: psi: "),
+    ({"id": "intertwining", "psi": "bogus"}, "experiments[0]: psi: "),
     ({"id": "isometry", "n_schedule": [8], "samples": 2, "lip_samples": 0},
      "experiments[0]: lip_samples: "),
     ({"id": "covering-net", "samples": 2, "net_cap": 0}, "experiments[0]: net_cap: "),
@@ -247,7 +248,7 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
      "experiments[0]: eps: "),
     ({"id": "bridge-reach", "n_schedule": [8], "samples": 1, "eps_multiplier": 1.5},
      "experiments[0]: eps_multiplier: "),
-    ({"id": "smoothing-tail", "n_schedule": [64], "samples": 2, "eps_multiplier": 0},
+    ({"id": "bridge-reach", "n_schedule": [8], "samples": 1, "eps_multiplier": 0},
      "experiments[0]: eps_multiplier: "),
     ({"id": "smoothing-tail", "n_schedule": [64], "band": 0, "samples": 1},
      "experiments[0]: band: "),
@@ -284,6 +285,25 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
     ({"id": "bridge-reach", "theta": [1, 2], "n_schedule": [8, 12], "samples": 1},
      "experiments[0]: n_schedule: schedule entries [12] are not admissible sizes m^(k+1) "
      "for m=2"),
+    ({"id": "isometry", "cutoffs": [3]},
+     "experiments[0].cutoffs: unknown configuration key for isometry"),
+    ({"id": "isometry", "R": -1}, "experiments[0].R: unknown configuration key for isometry"),
+    ({"id": "psd-audit", "psi": "heat"},
+     "experiments[0].psi: unknown configuration key for psd-audit"),
+    ({"id": "smoothing-tail", "eps_multiplier": 0.1},
+     "experiments[0].eps_multiplier: unknown configuration key for smoothing-tail"),
+    ({"id": "smoothing-tail", "n_schedule": [32, 64], "samples": 1},
+     "experiments[0]: n_schedule: smoothing-tail builds one model and needs exactly one n"),
+    ({"id": "covering-net", "n_schedule": [32, 64], "samples": 1},
+     "experiments[0]: n_schedule: covering-net builds one model and needs exactly one n"),
+    ({"id": "hp-ratio", "n_schedule": [32, 64], "samples": 1},
+     "experiments[0]: n_schedule: hp-ratio builds one model and needs exactly one n"),
+    ({"id": "hp-ratio", "psi": "word", "samples": 1},
+     "experiments[0]: psi: hp-ratio compares the heat and the word length"),
+    ({"id": "isometry", "grid": None}, "experiments[0].grid: expected int, got NoneType"),
+    ({"id": ["rate"]}, "experiments[0].id: unknown experiment id"),
+    ({"id": "smoothing-tail", "cutoffs": [0]}, "experiments[0]: cutoffs: "),
+    ({"id": "smoothing-tail", "cutoffs": [4, 2]}, "experiments[0]: cutoffs: "),
 ], ids=["n-zero", "n-over-cap", "samples-zero", "samples-negative",
         "amplifications-empty", "amplifications-zero", "theta-triple", "theta-m-zero",
         "theta-gcd", "cutoffs-empty", "grid-zero", "lip-grid-zero", "eps-zero",
@@ -298,7 +318,11 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
         "amplification-over-cap", "amplification-over-cap-fuzzy", "fuzzy-model-over-cap",
         "amplification-over-cap-default-n", "rate-grid-not-a-multiple",
         "band-intertwining-above-half-n", "theta-null-bridge-reach",
-        "band-bridge-reach-aliases", "n-schedule-fuzzy-not-admissible"])
+        "band-bridge-reach-aliases", "n-schedule-fuzzy-not-admissible",
+        "unread-cutoffs-isometry", "unread-R-isometry", "unread-psi-psd-audit",
+        "unread-eps-multiplier-smoothing-tail", "two-n-smoothing-tail", "two-n-covering-net",
+        "two-n-hp-ratio", "psi-word-hp-ratio", "grid-null", "id-not-a-string",
+        "cutoffs-zero", "cutoffs-decreasing"])
 def test_cli_rejects_out_of_range_config_with_key_path(tmp_path, capsys, entry, prefix):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [entry]})
@@ -314,6 +338,22 @@ def test_example_manifest_parses():
         "psd-audit", "intertwining", "rate", "isometry", "smoothing-tail",
         "covering-net", "bridge-reach",
     ]
+
+
+def test_checked_in_manifests_validate(tmp_path):
+    # the benchmark's workload manifests (read-only: workloads.py is loaded
+    # from its file), and the default manifest of every experiment, which
+    # must build the config ExperimentConfig builds from the same defaults
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, entries in workloads.WORKLOADS.items():
+        man = manifest_from_dict(workloads.make_manifest(name, 0, str(tmp_path)))
+        assert [c.experiment for c in man.experiments] == [e["id"] for e in entries]
+    for exp_id in EXPERIMENTS:
+        man = manifest_from_dict({"seed": 5, "experiments": [{"id": exp_id}]})
+        assert man.experiments == (ExperimentConfig(exp_id, 5),)
 
 
 def test_cli_rejects_non_integer_seed(tmp_path, capsys):

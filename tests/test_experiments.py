@@ -53,9 +53,9 @@ def test_config_validation():
     cfg = ex.ExperimentConfig("bridge-reach", 1, theta=(1, 2), n_schedule=(8, 16))
     assert cfg.n_schedule == (8, 16)
     with pytest.raises(ValueError, match="unknown experiment id"):
-        ex.run_experiment(ex.ExperimentConfig("bogus", 1, n_schedule=(8,)))
-    with pytest.raises(ValueError):
-        ex.default_config("bogus")
+        ex.ExperimentConfig("bogus", 1, n_schedule=(8,))
+    with pytest.raises(ValueError, match="cutoffs: unknown configuration key for isometry"):
+        ex.ExperimentConfig("isometry", 1, cutoffs=(3,))
 
 
 def test_kendall():
@@ -245,6 +245,8 @@ def test_net_rescale_matches_the_full_evaluation(n, b, R, kind, monkeypatch):
         d2 = ex._net_rescale(C, axes[0], keys, R, *grids)
         assert np.all(np.abs(C - ref).max(axis=1) <= 1e-14 * np.abs(ref).max(axis=1))
         assert abs(d2 - d2_ref) <= 1e-14 * R
+        # at n | 64 (the default n = 64 among them) hausdorff_bound is covering_radius
+        assert d2 > 0 if n == 40 else d2 <= 1e-15 * R
 
 
 @pytest.mark.parametrize("d, b, G", [(1, 3, 64), (2, 2, 16)])
@@ -331,9 +333,9 @@ def test_model_norms_enter_operator_norm_only_through_op_norm(monkeypatch):
 
 
 def test_rate_grid_default_is_written_once():
-    schedule = ex.default_config("rate").n_schedule
-    direct = ex.ExperimentConfig("rate", 20240901, n_schedule=schedule)
-    assert ex.run_experiment(direct) == ex.run_experiment(ex.default_config("rate"))
+    cfg = ex.ExperimentConfig("rate", 20240901)
+    assert cfg.grid == 16384
+    assert ex.ExperimentConfig("rate", 20240901, n_schedule=cfg.n_schedule) == cfg
 
 
 def test_bridge_reach_needs_theta():
