@@ -1,5 +1,12 @@
 """Finite matrix models of noncommutative tori with semigroup Lipschitz norms."""
 
+import os
+
+# Report bytes depend on the BLAS thread count: one thread unless the caller
+# set one.  It takes effect only where numpy is not loaded yet.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .lattice import (
     LengthFunction,
     MultiplierSpec,

@@ -183,7 +183,7 @@ class ExperimentConfig:
         if any(not 2 <= n <= DIMENSION_CAP for n in ns):
             raise ValueError(f"n_schedule: every n must lie in 2..{DIMENSION_CAP}")
         if any(b >= a for a, b in zip(ns[1:], ns[:-1])):
-            raise ValueError("n schedule must be strictly increasing")
+            raise ValueError(f"n_schedule: must be strictly increasing, got {list(ns)}")
         n = ns[-1]
         if e in ("smoothing-tail", "covering-net", "hp-ratio") and len(ns) > 1:
             raise ValueError(f"n_schedule: {e} builds one model and needs exactly one n, "
@@ -211,6 +211,9 @@ class ExperimentConfig:
                                  f"every n-grid as a subgrid; {bad} do not divide it")
         if e == "smoothing-tail" and 2 * self.band >= n:
             raise ValueError(f"band: sample band exceeds the model window; need 2 band < n = {n}")
+        if e == "smoothing-tail" and 2 * self.cutoffs[-1] > n:
+            raise ValueError(f"cutoffs: cutoff {self.cutoffs[-1]} aliases mod n = {n}; "
+                             "need every cutoff <= n/2")
         if e == "covering-net" and 2 * self.sample_band >= n:
             raise ValueError(f"sample_band: frequencies -{self.sample_band}..{self.sample_band} "
                              f"alias mod n = {n}; covering-net needs 2 * sample_band < n")

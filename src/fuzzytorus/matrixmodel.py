@@ -41,9 +41,9 @@ __all__ = [
 
 RELATION_TOL = 1e-12
 DIMENSION_CAP = 4096
-# Bytes of word stacks, with their permutation groups, a model keeps; past it
-# the least recently used stack goes first (a band-8 window on n = 64, 289
-# words, takes 444 KiB).
+# Bytes of cache records, each one support's word stacks and band plans, a
+# model keeps; past it the least recently used record goes first (the word
+# stacks of a band-8 window on n = 64, 289 words, take 444 kB).
 WORD_CACHE_BYTES = 2**25
 
 # A word W is a generalized permutation stored as arrays (perm, phase):
@@ -100,9 +100,7 @@ class MatrixModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "_stacks", OrderedDict())
-        object.__setattr__(self, "_groups", {})
-        object.__setattr__(self, "_plans", {})
+        object.__setattr__(self, "_cache", OrderedDict())
         object.__setattr__(self, "_orders", {})
         ident = (np.arange(self.dim), np.ones(self.dim, dtype=complex))
         gens = [self.power(i, 1) for i in range(self.n_generators)]
@@ -153,12 +151,11 @@ class MatrixModel:
     def words(self, support: Sequence[tuple[int, ...]], axes: Optional[Sequence[int]] = None):
         """Ordered words prod_i W_{axes[i]}^{k[i]} of every key k of support as
         (S, N) perm and phase stacks, composed from power at each axis's folded
-        exponents (one call per distinct exponent).  Cached per (axes, support);
-        past WORD_CACHE_BYTES the least recently used stacks go first."""
-        key, stacks, N = self._word_key(support, axes), self._stacks, self.dim
-        axes = key[0]
-        if key not in stacks:
-            exps = np.array(key[1], dtype=np.intp).reshape(-1, len(axes)) % self.order
+        exponents (one call per distinct exponent).  Cached in the record of
+        (axes, support)."""
+        def build(axes, support):
+            N = self.dim
+            exps = np.array(support, dtype=np.intp).reshape(-1, len(axes)) % self.order
             out = np.tile(np.arange(N), (len(exps), 1)), np.ones((len(exps), N), dtype=complex)
             for axis, col in zip(axes, exps.T):
                 uniq, inv = np.unique(col, return_inverse=True)
@@ -166,51 +163,39 @@ class MatrixModel:
                 perm = np.array([p for p, _ in pw], dtype=np.intp).reshape(-1, N)
                 phase = np.array([ph for _, ph in pw], dtype=complex).reshape(-1, N)
                 out = _compose(out, (perm[inv], phase[inv]))
-            stacks[key] = out
-            self._evict()
-        stacks.move_to_end(key)
-        return stacks[key]
+            return out
+        return self._cached(support, axes, "words", build)
 
-    def word_groups(self, support: Sequence[tuple[int, ...]],
-                    axes: Optional[Sequence[int]] = None) -> tuple[list[np.ndarray], np.ndarray]:
+    def band_plan(self, support: Sequence[tuple[int, ...]], axes: Optional[Sequence[int]],
+                  m: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray, int]:
         """The words of support grouped by permutation, groups in order of
         first occurrence: each group's key indices, ascending, and the (L, N)
-        inverses of the L group permutations.  Cached with the word stacks."""
-        perms = self.words(support, axes)[0]
-        key = self._word_key(support, axes)
-        if key not in self._groups:
+        inverses of the L group permutations; then _band_plan of those at
+        amplification m, the index plan of _band_gram.  Cached in the record
+        of (axes, support), one plan per m."""
+        def build(axes, support):
+            perms = self.words(support, axes)[0]
             groups: dict[bytes, list[int]] = {}
             for a, perm in enumerate(perms):
                 groups.setdefault(perm.tobytes(), []).append(a)
             members = [np.array(g, dtype=np.intp) for g in groups.values()]
-            self._groups[key] = members, np.argsort(perms[[g[0] for g in members]], axis=1)
-            self._evict()
-        return self._groups[key]
+            inv = np.argsort(perms[[g[0] for g in members]], axis=1)
+            return (members, inv, *_band_plan(inv, self.band_order(m), m))
+        return self._cached(support, axes, m, build)
 
-    def band_plan(self, support: Sequence[tuple[int, ...]], axes: Optional[Sequence[int]],
-                  m: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """_band_plan of the word groups of support at amplification m: the
-        index plan of _band_gram.  Cached with the word stacks."""
-        inv = self.word_groups(support, axes)[1]
-        plans = self._plans.setdefault(self._word_key(support, axes), {})
-        if m not in plans:
-            plans[m] = _band_plan(inv, self.band_order(m), m)
-            self._evict()
-        return plans[m]
-
-    def _word_key(self, support, axes) -> tuple:
+    def _cached(self, support, axes, name, build):
+        """Value name of the cache record of (axes, support), from
+        build(axes, support) when missing.  Past WORD_CACHE_BYTES the least
+        recently used records go whole (the newest always stays)."""
         axes = tuple(range(self.n_generators)) if axes is None else tuple(axes)
-        return axes, tuple(support)
-
-    def _evict(self) -> None:
-        """Drop the least recently used stacks, with their groups and plans,
-        until the cache holds at most WORD_CACHE_BYTES (the newest stack
-        always stays)."""
-        stacks = self._stacks
-        while len(stacks) > 1 and _nbytes((stacks, self._groups, self._plans)) > WORD_CACHE_BYTES:
-            key = stacks.popitem(last=False)[0]
-            self._groups.pop(key, None)
-            self._plans.pop(key, None)
+        key, cache = (axes, tuple(support)), self._cache
+        record = cache.setdefault(key, {})
+        cache.move_to_end(key)
+        if name not in record:
+            record[name] = build(*key)
+            while len(cache) > 1 and _nbytes(cache) > WORD_CACHE_BYTES:
+                cache.popitem(last=False)
+        return record[name]
 
     def generators(self) -> list[np.ndarray]:
         return [_dense(self.power(i, 1)) for i in range(self.n_generators)]
@@ -426,11 +411,10 @@ def _band_gram(f: NCPoly, model: MatrixModel, rows: np.ndarray, axes) -> np.ndar
     size = m * model.dim
     if not rows.size:
         return np.zeros((0, size), dtype=complex)
-    members, inv = model.word_groups(support, axes)
+    members, inv, same, flat, w = model.band_plan(support, axes, m)
     phase = model.words(support, axes)[1]
     lam = np.array([np.einsum("ia,acd,ar->ircd", rows[:, g], coef[g], phase[g][:, p])
                     for g, p in zip(members, inv)])
-    same, flat, w = model.band_plan(support, axes, m)
     vals = np.concatenate([np.einsum("irca,hircb->hrab", lam[g].conj(), lam[g:])
                            for g in range(len(lam))])
     vals[same] *= 0.5

@@ -2,10 +2,13 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fuzzytorus
 from fuzzytorus.cli import main
 from fuzzytorus.experiments import EXPERIMENTS, ExperimentConfig, ReportRow
 from fuzzytorus.manifest import (
@@ -209,7 +212,7 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
     })
     assert main(["audit", "--manifest", man]) == 2
     err = capsys.readouterr().err
-    assert "experiments[0]: n schedule must be strictly increasing" in err
+    assert "experiments[0]: n_schedule: " in err and "strictly increasing" in err
 
 
 @pytest.mark.parametrize("entry, prefix", [
@@ -304,6 +307,8 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
     ({"id": ["rate"]}, "experiments[0].id: unknown experiment id"),
     ({"id": "smoothing-tail", "cutoffs": [0]}, "experiments[0]: cutoffs: "),
     ({"id": "smoothing-tail", "cutoffs": [4, 2]}, "experiments[0]: cutoffs: "),
+    ({"id": "smoothing-tail", "cutoffs": [24, 40], "samples": 1},
+     "experiments[0]: cutoffs: cutoff 40 aliases mod n = 64"),
 ], ids=["n-zero", "n-over-cap", "samples-zero", "samples-negative",
         "amplifications-empty", "amplifications-zero", "theta-triple", "theta-m-zero",
         "theta-gcd", "cutoffs-empty", "grid-zero", "lip-grid-zero", "eps-zero",
@@ -322,7 +327,7 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
         "unread-cutoffs-isometry", "unread-R-isometry", "unread-psi-psd-audit",
         "unread-eps-multiplier-smoothing-tail", "two-n-smoothing-tail", "two-n-covering-net",
         "two-n-hp-ratio", "psi-word-hp-ratio", "grid-null", "id-not-a-string",
-        "cutoffs-zero", "cutoffs-decreasing"])
+        "cutoffs-zero", "cutoffs-decreasing", "cutoffs-above-half-n"])
 def test_cli_rejects_out_of_range_config_with_key_path(tmp_path, capsys, entry, prefix):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [entry]})
@@ -482,3 +487,22 @@ def test_cli_runtime_error_keeps_earlier_rows(tmp_path, capsys, monkeypatch):
     lines = (out / "report.csv").read_text().splitlines()
     assert len(lines) > 1
     assert all(line.startswith("rate,") for line in lines[1:])
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cli_report_bytes_default_to_one_blas_thread(tmp_path):
+    """A CLI run with the thread variables unset writes the bytes of a run
+    at one BLAS thread (smoothing-tail's rows differ in their last digits at
+    two threads)."""
+    src = str(Path(fuzzytorus.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    reports = []
+    for name, threads in (("unset", {}), ("one", dict.fromkeys(BLAS_VARS, "1"))):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "fuzzytorus.cli", "converge", "--seed", "7",
+                        "--out", str(out)], env={**base, **threads}, check=True)
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]

@@ -542,10 +542,11 @@ def test_word_cache_keeps_recent_stacks_under_its_byte_cap():
     for support in supports[1:]:
         model.words(support)
         model.words(supports[0])  # the most recently used stack stays
-        assert sum(p.nbytes + ph.nbytes for p, ph in model._stacks.values()) <= WORD_CACHE_BYTES
-    assert 1 < len(model._stacks) < len(supports)
-    assert next(reversed(model._stacks))[1] == tuple(supports[0])
-    assert ((0, 1), tuple(supports[1])) not in model._stacks
+        assert sum(p.nbytes + ph.nbytes
+                   for p, ph in (r["words"] for r in model._cache.values())) <= WORD_CACHE_BYTES
+    assert 1 < len(model._cache) < len(supports)
+    assert next(reversed(model._cache))[1] == tuple(supports[0])
+    assert ((0, 1), tuple(supports[1])) not in model._cache
     for support in (supports[0], supports[1]):  # kept and rebuilt stacks alike
         perm, phase = model.words(support)
         for i in (0, 100, 288):
@@ -559,29 +560,41 @@ def test_word_cache_keeps_recent_stacks_under_its_byte_cap():
     (higher_dim_generators(4, 2), 2)], ids=lambda v: getattr(v, "provenance", ""))
 def test_word_groups_are_cached_in_first_occurrence_order(model, band):
     support = band_window(band, model.n_generators)
-    members, inv = model.word_groups(support)
+    members, inv = model.band_plan(support, None, 1)[:2]
     perms = model.words(support)[0]
     ref: dict[bytes, list[int]] = {}
     for a, perm in enumerate(perms):
         ref.setdefault(perm.tobytes(), []).append(a)
     assert [g.tolist() for g in members] == list(ref.values())
     assert np.array_equal(inv, [np.argsort(perms[g[0]]) for g in members])
-    again = model.word_groups(support)
+    again = model.band_plan(support, None, 1)
     assert again[0] is members and again[1] is inv
+    amplified = model.band_plan(support, None, 2)  # one record, a plan per m
+    assert all(np.array_equal(a, b) for a, b in zip(amplified[0], members))
+    assert np.array_equal(amplified[1], inv)
+
+
+def plan_bytes(plan) -> int:
+    members, inv, same, flat, _ = plan
+    return sum(g.nbytes for g in members) + inv.nbytes + same.nbytes + flat.nbytes
 
 
 def test_word_cache_counts_and_evicts_groups_with_their_stacks():
     model = clock_shift(1024)
     supports = [[(a, b) for a in range(s, s + 17) for b in range(-8, 9)] for s in range(0, 80, 10)]
-    for support in supports:
-        model.band_plan(support, None, 1)  # with the word groups
-        stacks = sum(p.nbytes + ph.nbytes for p, ph in model._stacks.values())
-        groups = sum(inv.nbytes + sum(g.nbytes for g in members)
-                     for members, inv in model._groups.values())
-        plans = sum(same.nbytes + flat.nbytes
-                    for by_m in model._plans.values() for same, flat, _ in by_m.values())
-        assert plans and stacks + groups + plans <= WORD_CACHE_BYTES
-        assert set(model._plans) <= set(model._groups) <= set(model._stacks)
-    assert ((0, 1), tuple(supports[-1])) in model._plans
-    assert ((0, 1), tuple(supports[0])) not in model._groups
-    assert ((0, 1), tuple(supports[0])) not in model._plans
+    first = model.band_plan(supports[0], None, 1)
+    first_words = model.words(supports[0])
+    for support in supports[1:]:
+        model.band_plan(support, None, 1)
+        records = model._cache.values()
+        stacks = sum(p.nbytes + ph.nbytes for p, ph in (r["words"] for r in records))
+        plans = sum(plan_bytes(r[1]) for r in records)
+        assert plans and stacks + plans <= WORD_CACHE_BYTES
+        assert all(set(r) == {"words", 1} for r in records)
+    assert next(reversed(model._cache))[1] == tuple(supports[-1])
+    assert ((0, 1), tuple(supports[0])) not in model._cache  # words and plans alike
+    again = model.band_plan(supports[0], None, 1)
+    assert again is not first and len(again[0]) == len(first[0])
+    assert all(np.array_equal(a, b) for a, b in zip(again[0], first[0]))
+    assert all(np.array_equal(a, b) for a, b in zip(again[1:], first[1:]))
+    assert all(np.array_equal(a, b) for a, b in zip(model.words(supports[0]), first_words))
