@@ -134,15 +134,40 @@ def hermitian_max_eig(ab: np.ndarray) -> float:
 
 
 def hermitian_from_band(ab: np.ndarray) -> np.ndarray:
-    """The dense Hermitian matrix H of lower band storage ab[d, j] = H[j + d, j]."""
+    """The dense Hermitian matrix H of lower band storage ab[d, j] = H[j + d, j],
+    placed by assignment only: the conjugates at H[j, j + d], then ab's
+    entries at H[j + d, j] (the diagonal last, unconjugated)."""
     n = ab.shape[1]
-    h = np.zeros((n, n), dtype=complex)
-    for d in range(ab.shape[0]):
-        j = np.arange(n - d)
-        h[j + d, j] = ab[d, :n - d]
-        if d:
-            h[j, j + d] = ab[d, :n - d].conj()
-    return h
+    src, low, up = _band_entries(ab.shape[0], n)
+    vals = np.take(ab, src)
+    h = np.zeros(n * n, dtype=complex)
+    h[up] = vals.conj()
+    h[low] = vals
+    return h.reshape(n, n)
+
+
+@functools.lru_cache(maxsize=16)
+def _band_entries(diagonals: int, n: int) -> tuple[np.ndarray, ...]:
+    """Flat indices of the band entries ab[d, j], j < n - d, in ab and of
+    their places H[j + d, j] and H[j, j + d] in H (shared: only read)."""
+    d, j = np.nonzero(np.arange(n) < n - np.arange(diagonals)[:, None])
+    return d * n + j, (j + d) * n + j, j * n + j + d
+
+
+def bin_sums(index: np.ndarray, values: np.ndarray, bins: int) -> np.ndarray:
+    """Complex sums, shape (bins, ...), of the rows values[a] per bin index[a],
+    each bin adding its rows entrywise from 0 in input order: np.bincount of
+    the real and imaginary parts, which complex addition adds on their own,
+    so the sums are np.add.at's into a zero array bit for bit."""
+    tail = values.shape[1:]
+    width = math.prod(tail)
+    if width != 1:
+        index = (index[:, None] * width + np.arange(width)).ravel()
+    out = np.empty((bins,) + tail, dtype=complex)
+    flat = out.reshape(-1)
+    flat.real = np.bincount(index, values.real.ravel(), bins * width)
+    flat.imag = np.bincount(index, values.imag.ravel(), bins * width)
+    return out
 
 
 @functools.cache

@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, ConfigError, run_experiment
 from .manifest import ManifestError, RunManifest, emit_report, manifest_from_dict, read_document
 
 DEFAULT_SEED = 20240901
@@ -44,7 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _manifest_for(args) -> RunManifest:
     """The manifest document (or the subcommand's default one) with the set
-    flags written over its keys, validated once, cut to the subcommand."""
+    flags written over its keys, validated once, cut to the subcommand; and
+    the kept entries' indices in the document."""
     ids = SUBCOMMANDS[args.command]
     if args.manifest:
         doc = read_document(args.manifest)
@@ -54,25 +55,28 @@ def _manifest_for(args) -> RunManifest:
     if isinstance(doc, dict):
         doc.update((key, value) for key, value in flags.items() if value is not None)
     man = manifest_from_dict(doc)
-    configs = tuple(c for c in man.experiments if c.experiment in ids)
-    if not configs:
+    picked = [i for i, c in enumerate(man.experiments) if c.experiment in ids]
+    if not picked:
         raise ManifestError(f"manifest holds no experiments for subcommand {args.command!r}")
-    return replace(man, experiments=configs)
+    return replace(man, experiments=tuple(man.experiments[i] for i in picked)), picked
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        man = _manifest_for(args)
+        man, where = _manifest_for(args)
     except (ManifestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = []
     failed = None
-    for cfg in man.experiments:
+    for i, cfg in zip(where, man.experiments):
         print(f"running {cfg.experiment} (seed {cfg.seed}) ...")
         try:
             rows.extend(run_experiment(cfg))
+        except ConfigError as exc:
+            failed = f"experiments[{i}].{exc}"
+            break
         except (ValueError, RuntimeError) as exc:
             failed = f"{cfg.experiment}: {exc}"
             break

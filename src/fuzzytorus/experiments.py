@@ -264,6 +264,22 @@ def kendall_decreasing(vals: Sequence[float]) -> float:
     return s / (n * (n - 1) / 2)
 
 
+class ConfigError(ValueError):
+    """'<key>: <why>' for a config value that passed its checks but not a run."""
+
+
+def _model_for(cfg: ExperimentConfig, n: int) -> MatrixModel:
+    """Every experiment's model at n: fuzzy_generators(p, m, n) for theta =
+    (p, m), else clock_shift(n); a size it rejects is an n_schedule error."""
+    make, args = ((clock_shift, (n,)) if cfg.theta in (None, _UNSET)
+                  else (fuzzy_generators, (*cfg.theta, n)))
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"n_schedule: {make.__name__}({', '.join(map(str, args))}) "
+                          f"rejected: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # intertwining
 # ---------------------------------------------------------------------------
@@ -275,7 +291,7 @@ def run_intertwining(cfg: ExperimentConfig) -> list[ReportRow]:
     tw = TwistMatrix.zero(1)
     rows = []
     for n in cfg.n_schedule:
-        model = clock_shift(n)
+        model = _model_for(cfg, n)
         psi_n = psi_inf.with_moduli((n,))
         order = model.band_order()  # Gamma's basis; the max over entries ignores it
         worst = 0.0
@@ -352,13 +368,6 @@ def run_rate(cfg: ExperimentConfig) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
-def _model_for(cfg: ExperimentConfig, n: int) -> MatrixModel:
-    if cfg.theta is None:
-        return clock_shift(n)
-    p, m = cfg.theta
-    return fuzzy_generators(p, m, n)
-
-
 def run_isometry_defect(cfg: ExperimentConfig) -> list[ReportRow]:
     """eps(n) = worst |norm ratio - 1| of coefficient transport, plus the
     matching Lipschitz-isometry defect on a smaller sample set."""
@@ -421,7 +430,7 @@ def run_smoothing_tail(cfg: ExperimentConfig) -> list[ReportRow]:
     """sup over samples of ||x - T_phi x|| / (||x||_2 + L(x)) and the pure-Lip
     variant, per frequency cutoff; the sup is reported, monotone in the cutoff."""
     (n,) = cfg.n_schedule
-    model = clock_shift(n)
+    model = _model_for(cfg, n)
     tw = TwistMatrix.zero(2)
     psi_n = LengthFunction(cfg.psi, (n, n))
     psi_coord = LengthFunction(cfg.psi, (n,))
@@ -490,8 +499,8 @@ def run_psd_audit(cfg: ExperimentConfig) -> list[ReportRow]:
 
 
 # Grid cells per row block: covering-net evaluates the mean-zero sublattice of
-# its net and a sample's candidate rows on a symbol grid, and takes the net's
-# l2 gaps to a sample, this many values at a time (2,048 rows at G = 64).
+# its net and a sample's candidate rows on a symbol grid this many values at a
+# time (2,048 rows at G = 64).
 NET_BLOCK_CELLS = 2**17
 
 
@@ -516,30 +525,33 @@ def _net_points(axes: list[np.ndarray]) -> np.ndarray:
     return C.reshape(-1, 2 * b + 1)
 
 
-def _net_sup_distance(C: np.ndarray, grid: SymbolGrid, keys, yc: np.ndarray) -> float:
+def _net_sup_distance(C: np.ndarray, norms: np.ndarray, grid: SymbolGrid, keys,
+                      yc: np.ndarray) -> float:
     """min_i max_j |grid.values(keys, C[i])[j] - grid.values(keys, yc)[j]|,
-    the sup distance of the sample with coefficients yc to the net,
-    evaluating only the rows that can attain it.
+    the sup distance of the sample with coefficients yc to the net, with
+    norms[i] = ||C_i||^2, evaluating only the rows that can attain it.
 
     With the grid's keys distinct mod its size, discrete Plancherel gives
-    ||c||_2 <= ||grid.values(c)||_inf for every coefficient gap c.  So a row
-    no farther than dj, the sup distance of the l2-nearest row, has an l2 gap
-    of at most dj; the relative and absolute margins cover the rounding of
-    the gaps and of the grid values.  The FFT transforms each column on its
-    own, and the gaps are summed row by row, so the evaluated rows' distances
+    ||c||_2 <= ||grid.values(c)||_inf for every coefficient gap c.  So the
+    minimising row is within dj, the sup distance of any one row, in l2; the
+    cut's relative and absolute margins cover dj's rounding.  The squared
+    gaps ||C_i||^2 - 2 <C_i, y> + ||y||^2 (one matvec) err by below 2e-15
+    (||C_i||^2 + ||y||^2), as |2 <C_i, y>| is at most that, and the cut's
+    slack of 1e-13 (max ||C_i||^2 + ||y||^2) keeps the minimising row.  The
+    FFT transforms each column on its own, so the passing rows' distances
     are the floats a full scan computes, and the minimum is the same.
     """
     y_vals = grid.values(keys, yc)
-    step = max(1, NET_BLOCK_CELLS // grid.G)
-    flat, y = C.view(np.float64), yc.view(np.float64)
-    gap2 = np.empty(len(C))
-    for lo in range(0, len(C), step):
-        diff = flat[lo:lo + step] - y
-        gap2[lo:lo + step] = np.einsum("ij,ij->i", diff, diff)
+    y = yc.view(np.float64)
+    y2 = float(y @ y)
+    gap2 = np.matmul(C.view(np.float64), -2.0 * y)  # -2 scales exactly
+    gap2 += norms
+    gap2 += y2
     near = grid.values(keys, C[[int(gap2.argmin())]].T)[:, 0]
     dj = np.abs(near - y_vals).max()
     cut = dj * (1 + 1e-9) + 1e-12 * (1.0 + np.abs(yc).sum())
-    (cand,) = np.nonzero(gap2 <= cut * cut)
+    (cand,) = np.nonzero(gap2 <= cut * cut + 1e-13 * (norms.max() + y2))
+    step = max(1, NET_BLOCK_CELLS // grid.G)
     return min(float(np.abs(grid.values(keys, C[cand[lo:lo + step]].T) - y_vals[:, None])
                      .max(axis=0).min())
                for lo in range(0, len(cand), step))
@@ -601,7 +613,7 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     b = cfg.sample_band
     R = cfg.R
     eps = cfg.eps
-    model = clock_shift(n)
+    model = _model_for(cfg, n)
     tw = TwistMatrix.zero(1)
     psi_sym = LengthFunction(cfg.psi, (None,))
     psi_n = LengthFunction(cfg.psi, (n,))
@@ -630,13 +642,14 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     k_val = psi_n.coord_value(1)
     phi = build_smoothing_multiplier(psi_n, k_val, eps)
     samples = lip_ball_sample(R, b, cfg.samples, cfg.seed, psi_n, tw, model)
+    norms = np.einsum("ij,ij->i", C.view(np.float64), C.view(np.float64))
     radius = 0.0
     covered = 0
     resid = 0.0
     for f in samples:
         yc = np.zeros(s, dtype=complex)
         yc[[coords.index(k) for k in f.keys]] = f.blocks[:, 0, 0]
-        dist = _net_sup_distance(C, grid_n, coords, yc)
+        dist = _net_sup_distance(C, norms, grid_n, coords, yc)
         radius = max(radius, dist)
         if dist <= (4 * R + 2) * eps:
             covered += 1
@@ -759,7 +772,7 @@ def run_hp_ratio(cfg: ExperimentConfig) -> list[ReportRow]:
     from .matrixmodel import schatten_norm
 
     (n,) = cfg.n_schedule
-    model = clock_shift(n)
+    model = _model_for(cfg, n)
     heat = LengthFunction("heat", (n, n))
     word = LengthFunction("word", (n, n))
     beta = 0.5

@@ -8,6 +8,7 @@ multipliers, gradient forms and sup-norm oracles all live here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,7 +52,7 @@ class TwistMatrix:
         th = np.array(self.theta, dtype=float)
         if th.ndim != 2 or th.shape[0] != th.shape[1]:
             raise ValueError("twist must be a square matrix")
-        if not np.allclose(th, -th.T, atol=1e-12):
+        if not np.allclose(th, -th.T, rtol=0.0, atol=1e-12):
             raise ValueError("twist must be skew-symmetric")
         d = th.shape[0]
         red = np.zeros_like(th)
@@ -88,7 +89,7 @@ class TwistMatrix:
 
     def same(self, other: "TwistMatrix") -> bool:
         return self is other or self.d == other.d and np.allclose(
-            self.theta, other.theta, atol=1e-12
+            self.theta, other.theta, rtol=0.0, atol=1e-12
         )
 
 
@@ -300,33 +301,43 @@ def gradient_coeffs(
     batch many elements.
 
     Returns the keys y - x in order of first occurrence over the pairs with
-    K(x,y) != 0, x outer, and their blocks; each key adds its terms in that
-    order (one x at a time, all of its y at once).
+    K(x,y) != 0, x outer, and their blocks; each key adds its terms from 0 in
+    that order.  The pairs, keys and weights come from _gradient_plan.
     """
     if psi.dim != twist.d:
         raise ValueError("length function dimension mismatch")
-    shape = np.broadcast_shapes(F.shape[1:], G.shape[1:])
     if not xs or not ys:
-        return [], np.zeros((0,) + shape, dtype=complex)
-    both = xs + [y for y in ys if y not in set(xs)]
+        return [], np.zeros((0,) + np.broadcast_shapes(F.shape[1:], G.shape[1:]), dtype=complex)
+    keys, I, J, slot, w = _gradient_plan(tuple(xs), tuple(ys), psi, twist.theta.tobytes())
+    terms = np.swapaxes(F[I].conj(), -1, -2) @ G[J]
+    terms *= w.reshape((-1,) + (1,) * (terms.ndim - 1))
+    return list(keys), _mats.bin_sums(slot, terms, len(keys))
+
+
+# At most 16 plans are kept, 40 B per live pair (a band-8 window in d = 2 has
+# 83,521 pairs, at most 3.3 MB); the least recently used goes first.
+@functools.lru_cache(maxsize=16)
+def _gradient_plan(xs: tuple, ys: tuple, psi: LengthFunction, theta: bytes):
+    """gradient_coeffs's index plan over the keys xs and ys under the twist of
+    values theta (its bytes, not the object): the keys y - x in order of first
+    occurrence, and over the pairs (x, y) with K(x,y) != 0, x outer, the
+    indices I of x and J of y, the slot of y - x among the keys and the weight
+    K(x,y) conj(phase(-x, x)) phase(-x, y), read-only."""
+    twist = TwistMatrix(np.frombuffer(theta).reshape(math.isqrt(len(theta) // 8), -1))
+    d = twist.d  # a twist of the same values
+    both = xs + tuple(y for y in ys if y not in set(xs))
     pos = {k: i for i, k in enumerate(both)}
     K = gromov_entries_for_coords(psi, both)[np.ix_([pos[x] for x in xs], [pos[y] for y in ys])]
-    X, Y = np.array(xs).reshape(-1, twist.d), np.array(ys).reshape(-1, twist.d)
-    live = K != 0.0
-    pairs = (Y[None, :, :] - X[:, None, :])[live]  # x outer, y inner
-    keys, first, inv = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    slot = np.zeros(K.shape, dtype=np.intp)
-    slot[live] = np.argsort(order)[inv.reshape(-1)]
-    w = K * (normal_order_phase(-X, X, twist).conj()[:, None]
-             * normal_order_phase(-X[:, None], Y, twist))
-    out = np.zeros((len(keys),) + shape, dtype=complex)
-    for i in range(len(X)):
-        (js,) = np.nonzero(live[i])
-        terms = np.swapaxes(F[i].conj(), -1, -2) @ G[js]
-        terms *= w[i, js].reshape((-1,) + (1,) * len(shape))
-        out[slot[i, js]] += terms
-    return [tuple(int(c) for c in k) for k in keys[order]], out
+    X, Y = np.array(xs).reshape(-1, d), np.array(ys).reshape(-1, d)
+    I, J = np.nonzero(K)  # x outer, y inner
+    slots: dict[tuple[int, ...], int] = {}
+    slot = np.array([slots.setdefault(k, len(slots)) for k in map(tuple, (Y[J] - X[I]).tolist())],
+                    dtype=np.intp)
+    w = K[I, J] * (normal_order_phase(-X, X, twist).conj()[I]
+                   * normal_order_phase(-X[I], Y[J], twist))
+    for a in (I, J, slot, w):
+        a.setflags(write=False)
+    return tuple(slots), I, J, slot, w
 
 
 def _sorted_stack(f: NCPoly) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -381,9 +392,10 @@ class SymbolGrid:
         add in key order, as in the direct sum."""
         X = np.asarray(X)
         keys = np.array(keys, dtype=np.intp).reshape(-1, self.d) % self.G
+        cells, bins = np.unique(np.ravel_multi_index(tuple(keys.T), (self.G,) * self.d),
+                                return_inverse=True)
         A = np.zeros((self.G**self.d,) + X.shape[1:], dtype=complex)
-        # one flat index: far faster than a tuple
-        np.add.at(A, np.ravel_multi_index(tuple(keys.T), (self.G,) * self.d), X)
+        A[cells] = _mats.bin_sums(bins, X, len(cells))
         grid = A.reshape((self.G,) * self.d + X.shape[1:])
         np.fft.ifftn(grid, axes=tuple(range(self.d)), norm="forward", out=grid)
         return A

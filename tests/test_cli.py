@@ -309,6 +309,8 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
     ({"id": "smoothing-tail", "cutoffs": [4, 2]}, "experiments[0]: cutoffs: "),
     ({"id": "smoothing-tail", "cutoffs": [24, 40], "samples": 1},
      "experiments[0]: cutoffs: cutoff 40 aliases mod n = 64"),
+    ({"id": "isometry", "n_schedule": [8, 2048]},
+     "experiments[0].n_schedule: clock_shift(2048) rejected: "),
 ], ids=["n-zero", "n-over-cap", "samples-zero", "samples-negative",
         "amplifications-empty", "amplifications-zero", "theta-triple", "theta-m-zero",
         "theta-gcd", "cutoffs-empty", "grid-zero", "lip-grid-zero", "eps-zero",
@@ -327,7 +329,8 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
         "unread-cutoffs-isometry", "unread-R-isometry", "unread-psi-psd-audit",
         "unread-eps-multiplier-smoothing-tail", "two-n-smoothing-tail", "two-n-covering-net",
         "two-n-hp-ratio", "psi-word-hp-ratio", "grid-null", "id-not-a-string",
-        "cutoffs-zero", "cutoffs-decreasing", "cutoffs-above-half-n"])
+        "cutoffs-zero", "cutoffs-decreasing", "cutoffs-above-half-n",
+        "n-schedule-model-rejects"])
 def test_cli_rejects_out_of_range_config_with_key_path(tmp_path, capsys, entry, prefix):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [entry]})

@@ -180,7 +180,9 @@ def _full_scan(net_vals, y_vals):
 def test_net_sup_distance_equals_full_scan(n, b, monkeypatch):
     # rescaled lattice nets as covering-net builds them, and samples with
     # real symbols as covering-net draws them; the candidate rows are
-    # evaluated in one block and in blocks of three rows
+    # evaluated in one block and in blocks of three rows.  Scaled by 1e3, the
+    # gaps ||C_i||^2 - 2 <C_i, y> + ||y||^2 of the rows near a sample cancel
+    # to about 1e-10 of their terms, which the cut's slack must absorb
     rng = np.random.default_rng((n, b))
     s = 2 * b + 1
     keys = band_window(b, 1)
@@ -188,16 +190,19 @@ def test_net_sup_distance_equals_full_scan(n, b, monkeypatch):
     C = ex._net_points([0.2 * np.arange(-3, 4)] * s)
     C = C / rng.uniform(1.0, 1.5, size=(len(C), 1))
     C = np.concatenate([C, C[::-7]])  # duplicated net points: tied distances
-    net_vals = grid.values(keys, C.T).T
     samples = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for _ in range(20)]
     samples = [0.5 * (y + y[::-1].conj()) for y in samples]
     samples += [3.0 * y for y in samples[:5]]  # outside the net's box
     samples += [C[i] for i in rng.integers(len(C), size=5)]  # on a net point
-    for yc in samples:
-        full = _full_scan(net_vals, grid.values(keys, yc))
-        for cells in (ex.NET_BLOCK_CELLS, 3 * n):
-            monkeypatch.setattr(ex, "NET_BLOCK_CELLS", cells)
-            assert ex._net_sup_distance(C, grid, keys, yc) == full
+    for scale in (1.0, 1e3):
+        Cs = scale * C
+        norms = np.einsum("ij,ij->i", Cs.view(np.float64), Cs.view(np.float64))
+        net_vals = grid.values(keys, Cs.T).T
+        for yc in samples:
+            full = _full_scan(net_vals, grid.values(keys, scale * yc))
+            for cells in (ex.NET_BLOCK_CELLS, 3 * n):
+                monkeypatch.setattr(ex, "NET_BLOCK_CELLS", cells)
+                assert ex._net_sup_distance(Cs, norms, grid, keys, scale * yc) == full
 
 
 def _block_loop_rescale(C, keys, R, grid_f, psi_f, grid_n, psi_n):
@@ -297,7 +302,8 @@ def test_covering_net_memory_stays_below_net_size_times_grid():
 
 def test_covering_net_cap_sized_net_memory():
     # 1,909,755 net points, near the 2,000,000 net_cap maximum: 48 B of
-    # coefficients and 8 B of l2 gap per point, about 105 MB in all
+    # coefficients, 8 B of row norm and 8 B of gap buffer per point, a
+    # tracemalloc peak of about 119 MiB in all
     cfg = small("covering-net", n_schedule=(64,), eps=0.078, net_cap=2_000_000, samples=2)
     by, peak = _traced_covering_net(cfg)
     assert by["net_size"] == 1_909_755

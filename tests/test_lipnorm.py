@@ -445,6 +445,32 @@ def test_zero_outer_blocks_leave_zero_diagonals_to_trim():
     assert _model_gamma(f, model, psi_n, axes).shape[0] < _model_gamma(*full).shape[0]
 
 
+def hermitian_from_band_loop(ab):
+    """The per-diagonal placement that hermitian_from_band's cached index
+    arrays replaced; kept as their reference."""
+    n = ab.shape[1]
+    h = np.zeros((n, n), dtype=complex)
+    for d in range(ab.shape[0]):
+        j = np.arange(n - d)
+        h[j + d, j] = ab[d, :n - d]
+        if d:
+            h[j, j + d] = ab[d, :n - d].conj()
+    return h
+
+
+@pytest.mark.parametrize("diagonals,n", [(1, 1), (1, 6), (3, 5), (5, 5), (18, 64), (9, 300)])
+def test_hermitian_from_band_is_the_per_diagonal_placement_bitwise(diagonals, n):
+    # complex and real storage, junk past each diagonal's end, signed zeros
+    # and a diagonal with imaginary parts, which stay unconjugated
+    rng = np.random.default_rng((71, diagonals, n))
+    ab = rng.standard_normal((diagonals, n)) + 1j * rng.standard_normal((diagonals, n))
+    ab[:, ::3] = -0.0
+    for a in (ab, ab.real.copy(), _model_gamma(*random_gamma_input(clock_shift(16), 2, 2))):
+        for _ in range(2):  # the index arrays built, then read from the cache
+            got = _mats.hermitian_from_band(a)
+            assert np.array_equal(got.view(np.uint64), hermitian_from_band_loop(a).view(np.uint64))
+
+
 def test_band_plan_is_cached_with_the_word_groups(monkeypatch):
     from fuzzytorus import matrixmodel
 

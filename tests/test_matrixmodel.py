@@ -13,6 +13,7 @@ from fuzzytorus.matrixmodel import (
     MatrixModel,
     ModelElement,
     _embed_axes,
+    _word_entries,
     admissible_sizes,
     clock_shift,
     embed,
@@ -167,6 +168,38 @@ def test_embed_matches_dense_kron_reference(model, band, m):
         assert np.abs(model.monomial(k) - dense_word(gens, k, model.order)).max() <= 1e-12
 
 
+def kron_sum_add_at(model, axes, keys, blocks):
+    """embed's matrix as one np.add.at over _word_entries' flat indices, the
+    scatter _kron_sum's cached plan and bin sums replaced; kept as their
+    reference."""
+    m = blocks.shape[-1]
+    size = m * model.dim
+    flat = np.zeros(size * size, dtype=complex)
+    idx, phase = _word_entries(model, axes, keys, m)
+    np.add.at(flat, idx, blocks[..., None] * phase[:, None, None, :])
+    return flat.reshape(size, size)
+
+
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("model,band", [
+    (clock_shift(16), 8), (fuzzy_generators(1, 2, 16), 2), (higher_dim_generators(4, 2), 1),
+    (higher_dim_generators(3, 2), 2)], ids=lambda v: getattr(v, "provenance", ""))
+def test_embed_is_the_add_at_scatter_bitwise(model, band, m):
+    # theta = 0 (clock_shift, M_{n^2}) and theta = 1/2 (fuzzy); the clock's
+    # powers share a permutation, so several words add into each entry, and
+    # band 8 on n = 16 (band 2 on n = 3) folds keys onto each other mod n
+    rng = np.random.default_rng((61, m, model.dim))
+    f = rand_poly(rng, model.symbol_twist, band, m=m)
+    blocks = f.blocks.copy()
+    blocks[1] = -0.0  # signed zeros sum as np.add.at sums them
+    g = NCPoly(TwistMatrix.zero(1), m, {(k,): b for k, b in zip(range(-5, 6), blocks)})
+    for p in (NCPoly(f.twist, m, (f.keys, blocks), prune=False),
+              NCPoly(f.twist, m, (f.keys[::-1], blocks[::-1]), prune=False), g):
+        ref = kron_sum_add_at(model, _embed_axes(p, model), p.keys, p.blocks)
+        for _ in range(2):  # the plan built, then read from the cache
+            assert np.array_equal(embed(p, model).matrix.view(np.uint64), ref.view(np.uint64))
+
+
 @pytest.mark.parametrize("m", (1, 2))
 @pytest.mark.parametrize("model,band", ARRAY_MODELS, ids=lambda v: getattr(v, "provenance", ""))
 def test_fourier_roundtrip_all_families(model, band, m):
@@ -217,6 +250,10 @@ def test_embed_twist_compatibility():
         embed(NCPoly.generator(TwistMatrix.zero(2), 0), fz)
     ok = NCPoly.generator(TwistMatrix.rational_2d(1, 2), 0)
     assert embed(ok, fz).matrix.shape == (16, 16)
+    near = NCPoly.generator(TwistMatrix.two_dim(0.500004), 0)  # within a relative 1e-5
+    with pytest.raises(ValueError, match="incompatible with fuzzy"):
+        embed(near, fz)
+    assert embed(NCPoly.generator(TwistMatrix.two_dim(0.5 + 1e-13), 0), fz).matrix.shape == (16, 16)
     hd = higher_dim_generators(3, 2)
     for wrong_d in (2, 3):
         with pytest.raises(ValueError, match="incompatible with higher_dim"):
@@ -575,22 +612,29 @@ def test_word_groups_are_cached_in_first_occurrence_order(model, band):
 
 
 def plan_bytes(plan) -> int:
-    members, inv, same, flat, _ = plan
-    return sum(g.nbytes for g in members) + inv.nbytes + same.nbytes + flat.nbytes
+    members, inv, same, cells, bins, _ = plan
+    return sum(g.nbytes for g in members) + inv.nbytes + same.nbytes + cells.nbytes + bins.nbytes
 
 
 def test_word_cache_counts_and_evicts_groups_with_their_stacks():
+    # each record holds a support's words, its band plan at m = 1 and embed's
+    # scatter plan at m = 1, and all three go together
     model = clock_shift(1024)
     supports = [[(a, b) for a in range(s, s + 17) for b in range(-8, 9)] for s in range(0, 80, 10)]
+    polys = [NCPoly(TwistMatrix.zero(2), 1, (s, np.ones(len(s)))) for s in supports]
     first = model.band_plan(supports[0], None, 1)
     first_words = model.words(supports[0])
-    for support in supports[1:]:
+    first_matrix = embed(polys[0], model).matrix
+    first_scatter = model._cache[((0, 1), tuple(supports[0]))][("embed", 1)]
+    for support, poly in zip(supports[1:], polys[1:]):
         model.band_plan(support, None, 1)
+        embed(poly, model)
         records = model._cache.values()
         stacks = sum(p.nbytes + ph.nbytes for p, ph in (r["words"] for r in records))
         plans = sum(plan_bytes(r[1]) for r in records)
-        assert plans and stacks + plans <= WORD_CACHE_BYTES
-        assert all(set(r) == {"words", 1} for r in records)
+        scatters = sum(a.nbytes for r in records for a in r[("embed", 1)])
+        assert plans and scatters and stacks + plans + scatters <= WORD_CACHE_BYTES
+        assert all(set(r) == {"words", 1, ("embed", 1)} for r in records)
     assert next(reversed(model._cache))[1] == tuple(supports[-1])
     assert ((0, 1), tuple(supports[0])) not in model._cache  # words and plans alike
     again = model.band_plan(supports[0], None, 1)
@@ -598,3 +642,7 @@ def test_word_cache_counts_and_evicts_groups_with_their_stacks():
     assert all(np.array_equal(a, b) for a, b in zip(again[0], first[0]))
     assert all(np.array_equal(a, b) for a, b in zip(again[1:], first[1:]))
     assert all(np.array_equal(a, b) for a, b in zip(model.words(supports[0]), first_words))
+    assert np.array_equal(embed(polys[0], model).matrix, first_matrix)
+    scatter = model._cache[((0, 1), tuple(supports[0]))][("embed", 1)]
+    assert scatter is not first_scatter
+    assert all(np.array_equal(a, b) for a, b in zip(scatter, first_scatter))

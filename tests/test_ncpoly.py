@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzytorus import _mats
+from fuzzytorus import _mats, ncpoly
+from fuzzytorus.experiments import _net_points
 from fuzzytorus.lattice import (
     LengthFunction,
     band_window,
@@ -107,6 +108,14 @@ def test_block_stack_validation():
 def test_twist_validation():
     with pytest.raises(ValueError):
         TwistMatrix(np.array([[0.0, 0.3], [0.3, 0.0]]))  # not skew
+    with pytest.raises(ValueError, match="skew"):  # within a relative 1e-5 of skew
+        TwistMatrix(np.array([[0.0, 1000.0], [-1000.004, 0.0]]))
+    TwistMatrix(np.array([[0.0, 1000.0], [-1000.0 - 1e-13, 0.0]]))
+    half = TwistMatrix.two_dim(0.5)
+    assert not half.same(TwistMatrix.two_dim(0.500004))
+    assert half.same(TwistMatrix.two_dim(0.5 + 1e-13)) and half.same(TwistMatrix.rational_2d(1, 2))
+    with pytest.raises(ValueError, match="twist/amplification mismatch"):
+        NCPoly.generator(half, 0) + NCPoly.generator(TwistMatrix.two_dim(0.500004), 0)
     t = TwistMatrix.two_dim(1.3)
     assert t.theta[0, 1] == pytest.approx(0.3)
     assert t.theta[1, 0] == pytest.approx(-0.3)
@@ -658,6 +667,89 @@ def test_gradient_coeffs_ignores_the_mean_coefficient(b, kind, modulus):
     keys0, gam0 = gradient_coeffs(xs, zero, xs, zero, psi, tw)
     assert keys == keys0
     assert np.array_equal(gam, gam0)
+
+
+def grid_values_add_at(grid, keys, X):
+    """SymbolGrid.values by one np.add.at into the grid, the scatter its bin
+    sums replaced; kept as their reference."""
+    X = np.asarray(X)
+    keys = np.array(keys, dtype=np.intp).reshape(-1, grid.d) % grid.G
+    A = np.zeros((grid.G**grid.d,) + X.shape[1:], dtype=complex)
+    np.add.at(A, np.ravel_multi_index(tuple(keys.T), (grid.G,) * grid.d), X)
+    cube = A.reshape((grid.G,) * grid.d + X.shape[1:])
+    np.fft.ifftn(cube, axes=tuple(range(grid.d)), norm="forward", out=cube)
+    return A
+
+
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("G", [3, 64])
+def test_net_gamma_stacks_are_the_scalar_loop_bitwise(b, G):
+    # covering-net's (S, B, 1, 1) stacks of mean-zero net points, a column
+    # per point, and its grid values of Gamma; at G = 3 keys fold mod G
+    tw = TwistMatrix.zero(1)
+    xs = band_window(b, 1)
+    Z = _net_points([0.3 * np.arange(-2, 3)] * (2 * b + 1))[::7]
+    Z[:, b] = 0.0
+    stack = Z.T[:, :, None, None]
+    grid = SymbolGrid(G, tw)
+    for psi in (LengthFunction.heat((None,)), LengthFunction.word((G,))):
+        keys, gam = gradient_coeffs(xs, stack, xs, stack, psi, tw)
+        assert gam.shape == (len(keys), len(Z), 1, 1)
+        for j in (0, 5, len(Z) - 1):
+            z = NCPoly(tw, 1, (xs, Z[j]), prune=False)
+            ref = _gradient_form_loop(z, z, psi).coeffs
+            assert keys == list(ref)
+            assert all(np.array_equal(gam[i, j].view(np.uint64), ref[k].view(np.uint64))
+                       for i, k in enumerate(keys))
+        got = grid.values(keys, gam[..., 0, 0])
+        assert np.array_equal(got.view(np.uint64),
+                              grid_values_add_at(grid, keys, gam[..., 0, 0]).view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_grid_values_are_the_add_at_scatter_bitwise(m):
+    # blocks on a d = 2 grid whose keys fold onto each other mod G, in two
+    # key orders, real blocks, signed zeros and a rational fiber's lift
+    rng = np.random.default_rng((67, m))
+    keys = band_window(3, 2)
+    X = rng.standard_normal((len(keys), m, m)) + 1j * rng.standard_normal((len(keys), m, m))
+    X[::4] = -0.0
+    zero, half = SymbolGrid(4, TwistMatrix.zero(2)), SymbolGrid(4, TwistMatrix.rational_2d(1, 2))
+    lifted = half._lift(NCPoly(TwistMatrix.rational_2d(1, 2), m, (keys, X), prune=False))
+    for grid, ks, stack in ((zero, keys, X), (zero, keys[::-1], X[::-1]), (zero, keys, X.real),
+                            (half, keys, lifted), (zero, [], X[:0])):
+        ref = grid_values_add_at(grid, ks, stack)
+        assert np.array_equal(grid.values(ks, stack).view(np.uint64), ref.view(np.uint64))
+
+
+def test_equal_twists_share_one_gradient_plan():
+    # a fresh TwistMatrix.zero(1) per call, as covering-net makes per block
+    psi = LengthFunction.heat((97,))
+    xs = band_window(2, 1)
+    stack = np.arange(1.0, 6.0).reshape(5, 1, 1, 1) + 0j
+    first = gradient_coeffs(xs, stack, xs, stack, psi, TwistMatrix.zero(1))
+    before = ncpoly._gradient_plan.cache_info()
+    again = gradient_coeffs(xs, stack, xs, stack, psi, TwistMatrix.zero(1))
+    after = ncpoly._gradient_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert first[0] == again[0] and np.array_equal(first[1], again[1])
+
+
+def test_gradient_plan_cache_stays_under_its_bound():
+    # at most 16 plans; a band-8 window in d = 2 has 83,521 pairs, 82,432 of
+    # them live under the heat length at n = 33, 40 B each
+    plan = ncpoly._gradient_plan
+    big = tuple(band_window(8, 2)), LengthFunction.heat((33, 33)), TwistMatrix.zero(2)
+    first = plan(big[0], big[0], big[1], big[2].theta.tobytes())
+    assert len(first[1]) == 82_432 and sum(a.nbytes for a in first[1:]) <= 3.3e6
+    small, tw = tuple(band_window(1, 1)), TwistMatrix.zero(1).theta.tobytes()
+    for n in range(3, 20):
+        plan(small, small, LengthFunction.heat((n,)), tw)
+        assert plan.cache_info().currsize <= plan.cache_info().maxsize == 16
+    misses = plan.cache_info().misses
+    again = plan(big[0], big[0], big[1], TwistMatrix.zero(2).theta.tobytes())
+    assert plan.cache_info().misses == misses + 1  # evicted, rebuilt with the same bits
+    assert again[0] == first[0] and all(np.array_equal(a, b) for a, b in zip(again[1:], first[1:]))
 
 
 # -- normal form uniqueness --------------------------------------------------
