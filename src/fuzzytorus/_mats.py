@@ -156,17 +156,14 @@ def _band_entries(diagonals: int, n: int) -> tuple[np.ndarray, ...]:
 
 def bin_sums(index: np.ndarray, values: np.ndarray, bins: int) -> np.ndarray:
     """Complex sums, shape (bins, ...), of the rows values[a] per bin index[a],
-    each bin adding its rows entrywise from 0 in input order: np.bincount of
-    the real and imaginary parts, which complex addition adds on their own,
-    so the sums are np.add.at's into a zero array bit for bit."""
+    each bin adding its rows entrywise from 0 in input order: one np.add.at
+    over one flat index per entry (np.add.at over whole rows is slower)."""
     tail = values.shape[1:]
     width = math.prod(tail)
     if width != 1:
         index = (index[:, None] * width + np.arange(width)).ravel()
-    out = np.empty((bins,) + tail, dtype=complex)
-    flat = out.reshape(-1)
-    flat.real = np.bincount(index, values.real.ravel(), bins * width)
-    flat.imag = np.bincount(index, values.imag.ravel(), bins * width)
+    out = np.zeros((bins,) + tail, dtype=complex)
+    np.add.at(out.reshape(-1), index, values.ravel())
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -138,6 +138,16 @@ _RANGES: dict[str, tuple[Callable, str]] = {
 }
 
 
+# The fields given as JSON lists of integers, kept as tuples.
+_TUPLE_FIELDS = {"amplifications", "n_schedule", "cutoffs", "theta"}
+
+
+def _is_a(value, kind: type) -> bool:
+    """JSON type check: an int is also a float, a bool is neither."""
+    kinds = (int, float) if kind is float else kind
+    return not isinstance(value, bool) and isinstance(value, kinds)
+
+
 # The default of every ExperimentConfig field.  It is not None, because
 # theta = None is a value (the commutative model).
 _UNSET = type("_Unset", (), {"__repr__": lambda self: "<unset>"})()
@@ -147,7 +157,8 @@ _UNSET = type("_Unset", (), {"__repr__": lambda self: "<unset>"})()
 class ExperimentConfig:
     """One experiment's inputs.  A field left unset takes the experiment's
     default from _DEFAULTS, and setting a field the experiment does not read
-    is an error; the fields it does not read stay unset."""
+    is an error; the fields it does not read stay unset.  A set field must
+    pass _typed's JSON type check."""
 
     experiment: str
     seed: int
@@ -173,10 +184,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment id {e!r}")
         reads = _DEFAULTS[e]
         for f in fields(self)[2:]:
-            if f.name in reads and getattr(self, f.name) is _UNSET:
-                object.__setattr__(self, f.name, reads[f.name])
-            elif f.name not in reads and getattr(self, f.name) is not _UNSET:
+            value = getattr(self, f.name)
+            if value is not _UNSET and f.name not in reads:
                 raise ValueError(f"{f.name}: unknown configuration key for {e}")
+            object.__setattr__(self, f.name, reads.get(f.name, _UNSET) if value is _UNSET
+                               else _typed(f.name, value))
         ns = tuple(self.n_schedule)
         if not ns:
             raise ValueError(f"n_schedule: {e} needs at least one n")
@@ -250,6 +262,24 @@ class ExperimentConfig:
             if key in reads and G**d * mq * mq > GRID_CAP:
                 raise ValueError(f"{key}: {G}^{d} grid points with {mq} x {mq} values each "
                                  f"give {G**d * mq * mq} entries, above GRID_CAP = {GRID_CAP}")
+
+
+_HINTS = get_type_hints(ExperimentConfig)
+
+
+def _typed(name: str, value):
+    """A set field's value after its JSON type check (_is_a against the
+    field's type): None where the field is Optional, a list as a tuple."""
+    kinds = get_args(_HINTS[name]) or (_HINTS[name],)  # Optional[X] -> (X, None)
+    if value is None and type(None) in kinds:
+        return None
+    if name in _TUPLE_FIELDS:
+        if not isinstance(value, (list, tuple)) or not all(_is_a(v, int) for v in value):
+            raise ValueError(f"{name}: expected a list of integers")
+        return tuple(value)
+    if not _is_a(value, kinds[0]):
+        raise ValueError(f"{name}: expected {kinds[0].__name__}, got {type(value).__name__}")
+    return value
 
 
 def kendall_decreasing(vals: Sequence[float]) -> float:
@@ -717,7 +747,7 @@ def run_bridge_reach(cfg: ExperimentConfig) -> list[ReportRow]:
             mismatch = abs(norm_aphi - op_norm(a_phi, model) / scale)
             worst = max(worst, mismatch + resid)
             delta_norm_max = max(
-                delta_norm_max, max(1.0, ln / scale, (mismatch + resid) / cfg.eps)
+                delta_norm_max, max(1.0, (mismatch + resid) / cfg.eps)
             )
         for amp in cfg.amplifications:
             for i in range(cfg.samples):

@@ -26,16 +26,14 @@ from __future__ import annotations
 import json
 import math
 import os
-import typing
 from dataclasses import dataclass
 from typing import Sequence
 
-from .experiments import _DEFAULTS, ExperimentConfig, ReportRow
+from .experiments import _DEFAULTS, ExperimentConfig, ReportRow, _is_a
 
 __all__ = ["RunManifest", "read_document", "parse_config", "manifest_from_dict", "emit_report"]
 
 _TOP_KEYS = {"seed", "out", "format", "experiments"}
-_TUPLE_FIELDS = {"amplifications", "n_schedule", "cutoffs", "theta"}
 
 
 @dataclass(frozen=True)
@@ -48,31 +46,6 @@ class RunManifest:
 
 class ManifestError(ValueError):
     pass
-
-
-_HINTS = typing.get_type_hints(ExperimentConfig)
-
-
-def _is_a(value, kind: type) -> bool:
-    """JSON type check: an int is also a float, a bool is neither."""
-    return not isinstance(value, bool) and isinstance(
-        value, (int, float) if kind is float else kind
-    )
-
-
-def _coerce(name: str, value, path: str):
-    kinds = typing.get_args(_HINTS[name]) or (_HINTS[name],)  # Optional[X] -> (X, None)
-    if value is None and type(None) in kinds:
-        return None
-    if name in _TUPLE_FIELDS:
-        if not isinstance(value, (list, tuple)) or not all(_is_a(v, int) for v in value):
-            raise ManifestError(f"{path}.{name}: expected a list of integers")
-        return tuple(value)
-    if not _is_a(value, kinds[0]):
-        raise ManifestError(
-            f"{path}.{name}: expected {kinds[0].__name__}, got {type(value).__name__}"
-        )
-    return value
 
 
 def manifest_from_dict(doc: dict) -> RunManifest:
@@ -109,7 +82,7 @@ def manifest_from_dict(doc: dict) -> RunManifest:
         unread = [key for key in entry if key != "id" and key not in _DEFAULTS[exp_id]]
         if unread:
             raise ManifestError(f"{path}.{unread[0]}: unknown configuration key for {exp_id}")
-        kwargs = {key: _coerce(key, value, path) for key, value in entry.items() if key != "id"}
+        kwargs = {key: value for key, value in entry.items() if key != "id"}
         try:
             configs.append(ExperimentConfig(exp_id, seed, **kwargs))
         except ValueError as exc:

@@ -167,8 +167,7 @@ class MatrixModel:
         return self._cached(support, axes, "words", build)
 
     def band_plan(self, support: Sequence[tuple[int, ...]], axes: Optional[Sequence[int]],
-                  m: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray,
-                                   np.ndarray, int]:
+                  m: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray, int]:
         """The words of support grouped by permutation, groups in order of
         first occurrence: each group's key indices, ascending, and the (L, N)
         inverses of the L group permutations; then _band_plan of those at
@@ -358,17 +357,15 @@ def _word_entries(
 
 def _kron_sum(model: MatrixModel, axes, keys, blocks: np.ndarray) -> np.ndarray:
     """New mN x mN matrix sum_k blocks[k] (x) W^k for keys and their
-    (s, m, m) stack, O(s m^2 N): np.unique of _word_entries' indices, cached
-    per m in the record of (axes, keys), and _mats.bin_sums, which adds each
-    entry's terms in key order as np.add.at over those indices does."""
+    (s, m, m) stack, O(s m^2 N): one _mats.bin_sums, which adds each entry's
+    terms in key order, over _word_entries' flat indices (cached per m in the
+    record of (axes, keys))."""
     m = blocks.shape[-1]
     size = m * model.dim
-    cells, bins = model._cached(keys, axes, ("embed", m), lambda axes, support: np.unique(
-        _word_entries(model, axes, support, m)[0].ravel(), return_inverse=True))
-    flat = np.zeros(size * size, dtype=complex)
+    index = model._cached(keys, axes, ("embed", m), lambda axes, support: _word_entries(
+        model, axes, support, m)[0].ravel())
     terms = blocks[..., None] * model.words(keys, axes)[1][:, None, None, :]  # (s, m, m, N)
-    flat[cells] = _mats.bin_sums(bins, terms.reshape(-1), len(cells))
-    return flat.reshape(size, size)
+    return _mats.bin_sums(index, terms.reshape(-1), size * size).reshape(size, size)
 
 
 def fourier_coefficients(
@@ -415,16 +412,15 @@ def _band_gram(f: NCPoly, model: MatrixModel, rows: np.ndarray, axes) -> np.ndar
     size = m * model.dim
     if not rows.size:
         return np.zeros((0, size), dtype=complex)
-    members, inv, same, cells, bins, w = model.band_plan(support, axes, m)
+    members, inv, same, index, w = model.band_plan(support, axes, m)
     phase = model.words(support, axes)[1]
     lam = np.array([np.einsum("ia,acd,ar->ircd", rows[:, g], coef[g], phase[g][:, p])
                     for g, p in zip(members, inv)])
     vals = np.concatenate([np.einsum("irca,hircb->hrab", lam[g].conj(), lam[g:])
                            for g in range(len(lam))])
     vals[same] *= 0.5
-    full = np.zeros((2 * w + 1) * size, dtype=complex)  # A[i, j] at [i - j + w, j]
-    full[cells] = _mats.bin_sums(bins, vals.reshape(-1), len(cells))
-    full = full.reshape(2 * w + 1, size)
+    # A[i, j] at [i - j + w, j]
+    full = _mats.bin_sums(index, vals.reshape(-1), (2 * w + 1) * size).reshape(2 * w + 1, size)
     ab = np.zeros((w + 1, size), dtype=complex)
     for d in range(w + 1):
         ab[d, :size - d] = full[w + d, :size - d] + full[w - d, d:].conj()
@@ -434,10 +430,10 @@ def _band_gram(f: NCPoly, model: MatrixModel, rows: np.ndarray, axes) -> np.ndar
 def _band_plan(inv: np.ndarray, order: np.ndarray, m: int) -> tuple:
     """Where _band_gram's products land, for the inverse group permutations
     inv (L, N) and the basis order of C^m (x) C^N: over the group pairs
-    (g, h >= g) in g <= h order, the mask of the pairs g = h, np.unique of
-    the flat indices into the (2w + 1, mN) full band storage of the
-    (pair, r, a, b) entries, at (pos[g, r, a], pos[h, r, b]) with
-    pos[g, r, a] the band position of a N + inv[g, r], and w."""
+    (g, h >= g) in g <= h order, the mask of the pairs g = h, the flat
+    indices into the (2w + 1, mN) full band storage of the (pair, r, a, b)
+    entries, at (pos[g, r, a], pos[h, r, b]) with pos[g, r, a] the band
+    position of a N + inv[g, r], and w."""
     L, N = inv.shape
     size = m * N
     gs = np.repeat(np.arange(L), np.arange(L, 0, -1))
@@ -448,7 +444,7 @@ def _band_plan(inv: np.ndarray, order: np.ndarray, m: int) -> tuple:
     col = pos[hs][:, :, None, :]
     off = pos[gs][..., None] - col
     w = int(np.abs(off).max())
-    return gs == hs, *np.unique(((off + w) * size + col).ravel(), return_inverse=True), w
+    return gs == hs, ((off + w) * size + col).ravel(), w
 
 
 def _sqrt_top(ab: np.ndarray) -> float:

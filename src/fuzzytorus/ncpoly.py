@@ -85,12 +85,16 @@ class TwistMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return bool(np.all(np.abs(self.theta) < 1e-14))
+        return bool(np.all(_wrapped(self.theta) < 1e-14))
 
     def same(self, other: "TwistMatrix") -> bool:
-        return self is other or self.d == other.d and np.allclose(
-            self.theta, other.theta, rtol=0.0, atol=1e-12
-        )
+        return self is other or self.d == other.d and bool(
+            np.all(_wrapped(self.theta - other.theta) <= 1e-12))
+
+
+def _wrapped(theta: np.ndarray) -> np.ndarray:
+    """Distance of each entry from the nearest integer: twists are angles mod 1."""
+    return np.abs((theta + 0.5) % 1.0 - 0.5)
 
 
 def normal_order_phase(a, b, twist: TwistMatrix):
@@ -392,10 +396,8 @@ class SymbolGrid:
         add in key order, as in the direct sum."""
         X = np.asarray(X)
         keys = np.array(keys, dtype=np.intp).reshape(-1, self.d) % self.G
-        cells, bins = np.unique(np.ravel_multi_index(tuple(keys.T), (self.G,) * self.d),
-                                return_inverse=True)
-        A = np.zeros((self.G**self.d,) + X.shape[1:], dtype=complex)
-        A[cells] = _mats.bin_sums(bins, X, len(cells))
+        A = _mats.bin_sums(np.ravel_multi_index(tuple(keys.T), (self.G,) * self.d), X,
+                           self.G**self.d)
         grid = A.reshape((self.G,) * self.d + X.shape[1:])
         np.fft.ifftn(grid, axes=tuple(range(self.d)), norm="forward", out=grid)
         return A

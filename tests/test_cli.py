@@ -201,7 +201,7 @@ def test_cli_rejects_mistyped_scalar_with_key_path(tmp_path, capsys):
         "experiments": [{"id": "intertwining", "n_schedule": [16], "samples": "many"}],
     })
     assert main(["lip", "--manifest", man]) == 2
-    assert "experiments[0].samples: expected int" in capsys.readouterr().err
+    assert "experiments[0]: samples: expected int" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "rep")
 
 
@@ -303,7 +303,7 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
      "experiments[0]: n_schedule: hp-ratio builds one model and needs exactly one n"),
     ({"id": "hp-ratio", "psi": "word", "samples": 1},
      "experiments[0]: psi: hp-ratio compares the heat and the word length"),
-    ({"id": "isometry", "grid": None}, "experiments[0].grid: expected int, got NoneType"),
+    ({"id": "isometry", "grid": None}, "experiments[0]: grid: expected int, got NoneType"),
     ({"id": ["rate"]}, "experiments[0].id: unknown experiment id"),
     ({"id": "smoothing-tail", "cutoffs": [0]}, "experiments[0]: cutoffs: "),
     ({"id": "smoothing-tail", "cutoffs": [4, 2]}, "experiments[0]: cutoffs: "),

@@ -56,6 +56,16 @@ def test_config_validation():
         ex.ExperimentConfig("bogus", 1, n_schedule=(8,))
     with pytest.raises(ValueError, match="cutoffs: unknown configuration key for isometry"):
         ex.ExperimentConfig("isometry", 1, cutoffs=(3,))
+    # the JSON type check: an int is also a float, a bool is neither
+    for key, value, need in [("band", "2", "int, got str"), ("samples", 2.5, "int, got float"),
+                             ("band", True, "int, got bool"), ("eps", True, "float, got bool"),
+                             ("n_schedule", [16.0], "a list of integers"),
+                             ("amplifications", None, "a list of integers")]:
+        with pytest.raises(ValueError, match=f"^{key}: expected {need}"):
+            ex.ExperimentConfig("isometry", 1, **{key: value})
+    cfg = ex.ExperimentConfig("isometry", 1, theta=[1, 2], n_schedule=[8, 64], eps=1)
+    assert (cfg.theta, cfg.n_schedule, cfg.eps) == ((1, 2), (8, 64), 1)
+    assert ex.ExperimentConfig("isometry", 1, theta=None).theta is None
 
 
 def test_kendall():

@@ -471,6 +471,24 @@ def test_hermitian_from_band_is_the_per_diagonal_placement_bitwise(diagonals, n)
             assert np.array_equal(got.view(np.uint64), hermitian_from_band_loop(a).view(np.uint64))
 
 
+@pytest.mark.parametrize("tail", [(), (3,), (1, 1), (2, 2)], ids=["scalar", "S-B", "S-1-1", "S-2-2"])
+@pytest.mark.parametrize("count,bins", [(0, 4), (1, 1), (40, 3), (200, 50)])
+def test_bin_sums_is_the_row_wise_add_at_bitwise(tail, count, bins):
+    # repeated bins (count >> bins), unhit bins, signed zeros and terms of
+    # mixed scale, whose sums depend on the order each bin adds them in
+    rng = np.random.default_rng((73, count, bins, len(tail)))
+    index = rng.integers(0, bins, size=count)
+    values = rng.standard_normal((count,) + tail) + 1j * rng.standard_normal((count,) + tail)
+    values *= 10.0 ** rng.integers(-8, 9, size=(count,) + tail)
+    values[::4] = -0.0
+    values.imag[1::5] = -0.0
+    ref = np.zeros((bins,) + tail, dtype=complex)
+    np.add.at(ref, index, values)
+    got = _mats.bin_sums(index, values, bins)
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 def test_band_plan_is_cached_with_the_word_groups(monkeypatch):
     from fuzzytorus import matrixmodel
 

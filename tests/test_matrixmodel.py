@@ -612,8 +612,8 @@ def test_word_groups_are_cached_in_first_occurrence_order(model, band):
 
 
 def plan_bytes(plan) -> int:
-    members, inv, same, cells, bins, _ = plan
-    return sum(g.nbytes for g in members) + inv.nbytes + same.nbytes + cells.nbytes + bins.nbytes
+    members, inv, same, index, _ = plan
+    return sum(g.nbytes for g in members) + inv.nbytes + same.nbytes + index.nbytes
 
 
 def test_word_cache_counts_and_evicts_groups_with_their_stacks():
@@ -632,7 +632,7 @@ def test_word_cache_counts_and_evicts_groups_with_their_stacks():
         records = model._cache.values()
         stacks = sum(p.nbytes + ph.nbytes for p, ph in (r["words"] for r in records))
         plans = sum(plan_bytes(r[1]) for r in records)
-        scatters = sum(a.nbytes for r in records for a in r[("embed", 1)])
+        scatters = sum(r[("embed", 1)].nbytes for r in records)
         assert plans and scatters and stacks + plans + scatters <= WORD_CACHE_BYTES
         assert all(set(r) == {"words", 1, ("embed", 1)} for r in records)
     assert next(reversed(model._cache))[1] == tuple(supports[-1])
@@ -645,4 +645,4 @@ def test_word_cache_counts_and_evicts_groups_with_their_stacks():
     assert np.array_equal(embed(polys[0], model).matrix, first_matrix)
     scatter = model._cache[((0, 1), tuple(supports[0]))][("embed", 1)]
     assert scatter is not first_scatter
-    assert all(np.array_equal(a, b) for a, b in zip(scatter, first_scatter))
+    assert np.array_equal(scatter, first_scatter)

@@ -119,6 +119,12 @@ def test_twist_validation():
     t = TwistMatrix.two_dim(1.3)
     assert t.theta[0, 1] == pytest.approx(0.3)
     assert t.theta[1, 0] == pytest.approx(-0.3)
+    # twists are angles mod 1: a theta just below 0 reduces to just below 1
+    assert TwistMatrix.zero(2).same(TwistMatrix.two_dim(-1e-13))
+    assert not TwistMatrix.zero(2).same(TwistMatrix.two_dim(-2e-12))
+    assert TwistMatrix.two_dim(-1e-15).is_zero and TwistMatrix.two_dim(-1e-17).is_zero
+    assert not TwistMatrix.two_dim(-1e-13).is_zero and not half.is_zero
+    SymbolGrid(8, TwistMatrix.two_dim(-1e-15))  # the commutative oracle
 
 
 def test_normal_order_phase_examples():
