@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -59,61 +58,52 @@ def operator_norm(x: np.ndarray) -> float:
     diag = np.diagonal(x)
     if np.count_nonzero(x) == np.count_nonzero(diag):
         return max_abs(diag)
-    # each product in two halves of its output, the second on a helper
-    # thread: x's rows for x v, x's columns for x^T u.  At a split h that is
-    # a multiple of 16 every entry is the same BLAS dot product over x's own
-    # memory as in the one-call product, so the bits are the same
-    h = n // 2 // 16 * 16
-    rows, cols = (x[:h], x[h:]), (x[:, :h].T, x[:, h:].T)
+    # x v and x^T u one np.matmul per 16-row block of x and of x^T, over the
+    # block's span of nonzero columns widened to multiples of 16: every entry
+    # is the same BLAS dot product over x's own memory, its nonzeros in the
+    # same 16-aligned lanes as in the one-call product, and every column left
+    # out is an exact zero, so the bits are the same
     u, w = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
     v = np.ones(n, dtype=complex) + 1e-3 * np.arange(n) / n
     v /= np.linalg.norm(v)
+    forward, backward = _block_windows(x, v, u), _block_windows(x.T, u, w)
     lam = 0.0
-    # the helper waits on `go` for a job (a, vec, out), runs np.matmul on it
-    # and releases `done`; an empty job ends it
-    job, failed = [], []
-    go, done = threading.Lock(), threading.Lock()
-    go.acquire()
-    done.acquire()
-
-    def helper():
-        while go.acquire() and job:
-            try:
-                np.matmul(job[0], job[1], out=job[2])
-            except Exception as exc:  # raised again on the calling thread
-                failed.append(exc)
-            done.release()
-
-    def product(halves, vec, out):
-        job[:] = halves[1], vec, out[h:]
-        go.release()
-        try:
-            np.matmul(halves[0], vec, out=out[:h])
-        finally:
-            done.acquire()
-        if failed:
-            raise failed[0]
-
-    thread = threading.Thread(target=helper, daemon=True)
-    thread.start()
-    try:
-        for _ in range(5000):
-            # x* u as conj(x^T conj(u)): the same kernel over x's own memory
-            # as a conjugate copy would get, and conjugation is exact
-            product(rows, v, u)
-            product(cols, np.conjugate(u, out=u), w)
-            new = float(np.linalg.norm(np.conjugate(w, out=w)))
-            if new == 0.0:
-                return 0.0
-            v = w / new
-            if abs(new - lam) <= 1e-10 * max(new, 1.0):
-                return float(np.sqrt(new))
-            lam = new
-    finally:
-        job.clear()
-        go.release()
-        thread.join()
+    for _ in range(5000):
+        for block, vec, out in forward:
+            np.matmul(block, vec, out=out)
+        # x* u as conj(x^T conj(u)): the same kernel over x's own memory as a
+        # conjugate copy would get, and conjugation is exact
+        np.conjugate(u, out=u)
+        for block, vec, out in backward:
+            np.matmul(block, vec, out=out)
+        new = float(np.linalg.norm(np.conjugate(w, out=w)))
+        if new == 0.0:
+            return 0.0
+        np.divide(w, new, out=v)
+        if abs(new - lam) <= 1e-10 * max(new, 1.0):
+            return float(np.sqrt(new))
+        lam = new
     raise RuntimeError("power iteration did not converge for the operator norm")
+
+
+def _block_windows(a: np.ndarray, vec: np.ndarray, out: np.ndarray) -> list[tuple]:
+    """Views (block, vec window, out block) whose np.matmuls give out = a @ vec:
+    a block is 16 rows of a over the span of their nonzero columns, widened
+    to multiples of 16 (to the row's end when it reaches the last column);
+    an all-zero block has an empty span and writes zeros.  Blocks that cover
+    more than a fifth of a give way to the one-call product (a, vec, out)."""
+    n = a.shape[1]
+    views = []
+    for r in range(0, a.shape[0], 16):
+        groups = np.flatnonzero(a[r:r + 16].any(axis=0)) // 16  # of 16 columns
+        lo, hi = (groups[0] * 16, min(groups[-1] * 16 + 16, n)) if groups.size else (0, 0)
+        views.append((a[r:r + 16, lo:hi], vec[lo:hi], out[r:r + 16]))
+    # x^T's blocks read 16 entries per row of x, strided, and lose to the
+    # one-call product from about a fifth of x on (a band-2 element at m = 1
+    # covers 80/N of x, one at m >= 2 three quarters or more)
+    if 5 * sum(block.size for block, _, _ in views) > a.size:
+        return [(a, vec, out)]
+    return views
 
 
 def hermitian_max_eig(ab: np.ndarray) -> float:

@@ -158,7 +158,7 @@ class ExperimentConfig:
     """One experiment's inputs.  A field left unset takes the experiment's
     default from _DEFAULTS, and setting a field the experiment does not read
     is an error; the fields it does not read stay unset.  A set field must
-    pass _typed's JSON type check."""
+    pass _typed's JSON type check, and the seed must be a non-negative int."""
 
     experiment: str
     seed: int
@@ -182,6 +182,8 @@ class ExperimentConfig:
         e = self.experiment
         if e not in _DEFAULTS:
             raise ValueError(f"unknown experiment id {e!r}")
+        if not _is_a(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed: expected a non-negative integer, got {self.seed!r}")
         reads = _DEFAULTS[e]
         for f in fields(self)[2:]:
             value = getattr(self, f.name)

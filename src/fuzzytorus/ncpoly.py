@@ -85,7 +85,7 @@ class TwistMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return bool(np.all(_wrapped(self.theta) < 1e-14))
+        return bool(np.all(_wrapped(self.theta) <= 1e-12))  # same(TwistMatrix.zero(d))
 
     def same(self, other: "TwistMatrix") -> bool:
         return self is other or self.d == other.d and bool(

@@ -375,7 +375,9 @@ def test_cli_rejects_non_integer_seed(tmp_path, capsys):
 
 @pytest.mark.parametrize("seed, flag", [
     (1.5, None), (True, None), ("12", None), (-3, None), (5, "-3"), ("tomorrow", "-1"),
-], ids=["float", "bool", "string", "negative", "negative-flag", "string-and-flag-minus-one"])
+    (7.0, None), (None, None),
+], ids=["float", "bool", "string", "negative", "negative-flag", "string-and-flag-minus-one",
+        "integral-float", "null"])
 def test_cli_rejects_bad_seed_before_any_experiment(tmp_path, capsys, seed, flag):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {

@@ -63,6 +63,11 @@ def test_config_validation():
                              ("amplifications", None, "a list of integers")]:
         with pytest.raises(ValueError, match=f"^{key}: expected {need}"):
             ex.ExperimentConfig("isometry", 1, **{key: value})
+    # the seed too: the manifest's check, made by the config itself
+    for seed in ("7", True, 2.5, 7.0, -1, None):
+        with pytest.raises(ValueError, match="^seed: expected a non-negative integer"):
+            ex.ExperimentConfig("psd-audit", seed)
+    assert ex.ExperimentConfig("psd-audit", 0).seed == 0
     cfg = ex.ExperimentConfig("isometry", 1, theta=[1, 2], n_schedule=[8, 64], eps=1)
     assert (cfg.theta, cfg.n_schedule, cfg.eps) == ((1, 2), (8, 64), 1)
     assert ex.ExperimentConfig("isometry", 1, theta=None).theta is None

@@ -403,18 +403,40 @@ def copy_power_norm(x):
     raise RuntimeError("no convergence")
 
 
-# n = 520 and 775 split x unevenly at h = 256 and 384 (n // 2 rounded down to
-# a multiple of 16); 777 is not used, since clock_shift(777) fails its
-# adjoint check
-@pytest.mark.parametrize("n", (520, 775, 1024))
-@pytest.mark.parametrize("kind", ("clock_shift", "dense"))
+# 775 is not a multiple of 16, so x's last 16-row block is short and the
+# windows that reach the last column run to the row's end; 777 is not used,
+# since clock_shift(777) fails its adjoint check
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in ("clock_shift", "dense", "zero_slabs")
+                                     for n in (520, 775, 1024)] + [("fuzzy", 1024)])
 def test_power_iteration_needs_no_conjugate_copy(kind, n):
     rng = np.random.default_rng(0)
     if kind == "dense":  # decaying columns: a clear top singular value
         x = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / (1.0 + np.arange(n))
+    elif kind == "fuzzy":  # theta = 1/2 at amplification 2: mN = 2 * 512
+        model = fuzzy_generators(1, 2, 256)
+        x = embed(rand_poly(rng, model.symbol_twist, 2, m=2), model).matrix
     else:
         cs = clock_shift(n)
         x = embed(rand_poly(rng, cs.symbol_twist, 2), cs).matrix
+        if kind == "zero_slabs":  # two empty 16-row blocks of x, one of x^T
+            x[32:64] = 0
+            x[:, 80:96] = 0
+    # each pass of the iteration is the one-call product, bit for bit: 16-row
+    # blocks over their nonzero columns for a banded x, and the one-call
+    # product itself where the blocks would cover more than a fifth of x
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for a, empty in ((x, 2), (x.T, 1)):
+        out = np.full(n, np.nan, dtype=complex)
+        views = _mats._block_windows(a, v, out)
+        for block, vec, part in views:
+            np.matmul(block, vec, out=part)
+        assert np.array_equal(out, a @ v)
+        if kind in ("dense", "fuzzy"):
+            assert len(views) == 1 and views[0][0] is a
+        else:
+            assert len(views) == -(-n // 16)
+            empties = sum(block.size == 0 for block, _, _ in views)
+            assert empties == (empty if kind == "zero_slabs" else 0)
     tracemalloc.start()
     try:
         norm = _mats.operator_norm(x)
@@ -426,29 +448,30 @@ def test_power_iteration_needs_no_conjugate_copy(kind, n):
 
 
 @pytest.mark.parametrize("n", (520, 1024))
-@pytest.mark.parametrize("path", ("return", "main-raises", "helper-raises"))
+@pytest.mark.parametrize("path", ("return", "main-raises", "no-thread"))
 def test_power_iteration_helper_thread_ends_on_every_path(path, n, monkeypatch):
     rng = np.random.default_rng(1)
     x = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / (1.0 + np.arange(n))
     before = threading.active_count()
-    if path == "return":
-        assert _mats.operator_norm(x) == copy_power_norm(x)
-    else:
-        # fail the second step's norm (main) or its first helper product
-        name = "norm" if path == "main-raises" else "matmul"
-        owner = np.linalg if name == "norm" else np
-        call, calls = getattr(owner, name), []
+    if path == "main-raises":  # fail the second step's norm
+        call, calls = np.linalg.norm, []
 
         def failing(*args, **kwargs):
-            if path == "main-raises" or threading.current_thread() is not threading.main_thread():
-                calls.append(1)
-                if len(calls) == 3:
-                    raise FloatingPointError("injected")
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("injected")
             return call(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, failing)
+        monkeypatch.setattr(np.linalg, "norm", failing)
         with pytest.raises(FloatingPointError, match="injected"):
             _mats.operator_norm(x)
+    else:
+        if path == "no-thread":  # the iteration runs on the calling thread alone
+            def no_thread(*args, **kwargs):
+                raise AssertionError("operator_norm started a thread")
+
+            monkeypatch.setattr(threading, "Thread", no_thread)
+        assert _mats.operator_norm(x) == copy_power_norm(x)
     assert threading.active_count() == before
 
 

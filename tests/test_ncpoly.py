@@ -123,8 +123,15 @@ def test_twist_validation():
     assert TwistMatrix.zero(2).same(TwistMatrix.two_dim(-1e-13))
     assert not TwistMatrix.zero(2).same(TwistMatrix.two_dim(-2e-12))
     assert TwistMatrix.two_dim(-1e-15).is_zero and TwistMatrix.two_dim(-1e-17).is_zero
-    assert not TwistMatrix.two_dim(-1e-13).is_zero and not half.is_zero
+    assert not half.is_zero
+    # is_zero is same(TwistMatrix.zero(2)), so embed and SymbolGrid agree
+    for theta in (1e-13, -1e-13, 2e-12, -2e-12):
+        t = TwistMatrix.two_dim(theta)
+        assert t.is_zero == t.same(TwistMatrix.zero(2)) == (abs(theta) <= 1e-12)
     SymbolGrid(8, TwistMatrix.two_dim(-1e-15))  # the commutative oracle
+    SymbolGrid(8, TwistMatrix.two_dim(1e-13))
+    with pytest.raises(ValueError, match="no norm oracle"):
+        SymbolGrid(8, TwistMatrix.two_dim(2e-12))
 
 
 def test_normal_order_phase_examples():
