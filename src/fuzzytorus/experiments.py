@@ -11,13 +11,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence, get_args, get_type_hints
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _mats
 from .lattice import (
     _KINDS,
+    NAIVE_SQUARE,
     LengthFunction,
     MultiplierSpec,
     band_window,
@@ -138,10 +139,6 @@ _RANGES: dict[str, tuple[Callable, str]] = {
 }
 
 
-# The fields given as JSON lists of integers, kept as tuples.
-_TUPLE_FIELDS = {"amplifications", "n_schedule", "cutoffs", "theta"}
-
-
 def _is_a(value, kind: type) -> bool:
     """JSON type check: an int is also a float, a bool is neither."""
     kinds = (int, float) if kind is float else kind
@@ -155,10 +152,10 @@ _UNSET = type("_Unset", (), {"__repr__": lambda self: "<unset>"})()
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's inputs.  A field left unset takes the experiment's
-    default from _DEFAULTS, and setting a field the experiment does not read
-    is an error; the fields it does not read stay unset.  A set field must
-    pass _typed's JSON type check, and the seed must be a non-negative int."""
+    """One experiment's inputs, checked whole before it runs: unset fields it
+    reads take their _DEFAULTS, set ones must pass _typed and their ranges
+    (setting one it does not read is an error), the seed must be a
+    non-negative int, and each model of the schedule is built once."""
 
     experiment: str
     seed: int
@@ -190,7 +187,7 @@ class ExperimentConfig:
             if value is not _UNSET and f.name not in reads:
                 raise ValueError(f"{f.name}: unknown configuration key for {e}")
             object.__setattr__(self, f.name, reads.get(f.name, _UNSET) if value is _UNSET
-                               else _typed(f.name, value))
+                               else _typed(f.name, value, reads[f.name]))
         ns = tuple(self.n_schedule)
         if not ns:
             raise ValueError(f"n_schedule: {e} needs at least one n")
@@ -211,9 +208,13 @@ class ExperimentConfig:
         if e != "intertwining" and "band" in reads and self.band < 1:
             raise ValueError(f"band: {e} divides by norms or Lipschitz seminorms "
                              "of its draws, which are 0 at band 0; need band >= 1")
-        if e == "intertwining" and 2 * self.band > ns[0]:
-            raise ValueError(f"band: intertwining needs band <= n/2 at every n; "
-                             f"2 band = {2 * self.band} > n = {ns[0]}")
+        # both hold only while the keys of Gamma(f, f), within 2 band, do not alias mod n
+        key = "sample_band" if e == "covering-net" else "band"
+        what = ("the intertwining identity" if e == "intertwining"
+                else "the Gromov form of naive_square" if self.psi == NAIVE_SQUARE else None)
+        if what and key in reads and 4 * getattr(self, key) > ns[0]:
+            raise ValueError(f"{key}: {what} needs 4 {key} <= n at every n; "
+                             f"4 {key} = {4 * getattr(self, key)} > n = {ns[0]}")
         if e == "bridge-reach" and 2 * self.band >= ns[0]:
             raise ValueError(f"band: bridge-reach pulls model elements back on the band "
                              f"window, which needs 2 band < n; 2 band = {2 * self.band} "
@@ -225,9 +226,12 @@ class ExperimentConfig:
                                  f"every n-grid as a subgrid; {bad} do not divide it")
         if e == "smoothing-tail" and 2 * self.band >= n:
             raise ValueError(f"band: sample band exceeds the model window; need 2 band < n = {n}")
-        if e == "smoothing-tail" and 2 * self.cutoffs[-1] > n:
-            raise ValueError(f"cutoffs: cutoff {self.cutoffs[-1]} aliases mod n = {n}; "
-                             "need every cutoff <= n/2")
+        if e == "smoothing-tail" and self.cutoffs[-1] >= n // 2:
+            raise ValueError(f"cutoffs: cutoff {self.cutoffs[-1]} has no larger length on Z_{n} "
+                             f"to cut its smoother at; need every cutoff < n // 2 = {n // 2}")
+        if e == "covering-net" and n < 4:
+            raise ValueError(f"n_schedule: covering-net smooths at frequency 1, which has no "
+                             f"larger length on Z_{n} to cut its smoother at; need n >= 4")
         if e == "covering-net" and 2 * self.sample_band >= n:
             raise ValueError(f"sample_band: frequencies -{self.sample_band}..{self.sample_band} "
                              f"alias mod n = {n}; covering-net needs 2 * sample_band < n")
@@ -264,23 +268,32 @@ class ExperimentConfig:
             if key in reads and G**d * mq * mq > GRID_CAP:
                 raise ValueError(f"{key}: {G}^{d} grid points with {mq} x {mq} values each "
                                  f"give {G**d * mq * mq} entries, above GRID_CAP = {GRID_CAP}")
+        if e == "covering-net":
+            pitch, halves, count = _net_shape(self.psi, self.R, self.eps, self.sample_band)
+            if count > self.net_cap:  # the pitch of a cap-sized net on the same s axes
+                s = len(halves)
+                fit = pitch * math.exp(sum(math.log(2 * m + 1) for m in halves) / s)
+                fit /= self.net_cap ** (1.0 / s)
+                raise ValueError(f"net_cap: net budget exceeded: {count:.6g} candidates > cap "
+                                 f"{self.net_cap}; a cap-sized net only achieves pitch {fit:.4g} "
+                                 f"(radius about {s * fit / 2:.4g}) instead of {pitch:.4g}")
+        if e not in ("rate", "psd-audit"):  # the experiments that build models
+            for n in ns:
+                _model_for(self, n)
 
 
-_HINTS = get_type_hints(ExperimentConfig)
-
-
-def _typed(name: str, value):
-    """A set field's value after its JSON type check (_is_a against the
-    field's type): None where the field is Optional, a list as a tuple."""
-    kinds = get_args(_HINTS[name]) or (_HINTS[name],)  # Optional[X] -> (X, None)
-    if value is None and type(None) in kinds:
+def _typed(name: str, value, default):
+    """A set field's value after its JSON type check (_is_a) against the type
+    of its default: where that is a tuple, or for theta, a list of integers,
+    kept as a tuple; theta may also be None, the commutative model."""
+    if name == "theta" and value is None:
         return None
-    if name in _TUPLE_FIELDS:
+    if name == "theta" or isinstance(default, tuple):
         if not isinstance(value, (list, tuple)) or not all(_is_a(v, int) for v in value):
             raise ValueError(f"{name}: expected a list of integers")
         return tuple(value)
-    if not _is_a(value, kinds[0]):
-        raise ValueError(f"{name}: expected {kinds[0].__name__}, got {type(value).__name__}")
+    if not _is_a(value, type(default)):
+        raise ValueError(f"{name}: expected {type(default).__name__}, got {type(value).__name__}")
     return value
 
 
@@ -296,10 +309,6 @@ def kendall_decreasing(vals: Sequence[float]) -> float:
     return s / (n * (n - 1) / 2)
 
 
-class ConfigError(ValueError):
-    """'<key>: <why>' for a config value that passed its checks but not a run."""
-
-
 def _model_for(cfg: ExperimentConfig, n: int) -> MatrixModel:
     """Every experiment's model at n: fuzzy_generators(p, m, n) for theta =
     (p, m), else clock_shift(n); a size it rejects is an n_schedule error."""
@@ -308,8 +317,8 @@ def _model_for(cfg: ExperimentConfig, n: int) -> MatrixModel:
     try:
         return make(*args)
     except ValueError as exc:
-        raise ConfigError(f"n_schedule: {make.__name__}({', '.join(map(str, args))}) "
-                          f"rejected: {exc}") from exc
+        raise ValueError(f"n_schedule: {make.__name__}({', '.join(map(str, args))}) "
+                         f"rejected: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +545,16 @@ def run_psd_audit(cfg: ExperimentConfig) -> list[ReportRow]:
 NET_BLOCK_CELLS = 2**17
 
 
-def _net_axis(limit: float, pitch: float) -> np.ndarray:
-    m = int(math.floor(limit / pitch))
-    return pitch * np.arange(-m, m + 1)
+def _net_shape(psi: str, R: float, eps: float, b: int) -> tuple[float, list[int], float]:
+    """Covering-net's pitch eps / (2 (2b + 1)), the half-length m of each axis
+    pitch * (-m..m), reaching a pitch past R (the mean) or past min(R,
+    (2 psi(k))^(-1/2)) (coefficient k, real and imaginary part), and the count."""
+    pitch = eps / (2 * (2 * b + 1))
+    psi_sym = LengthFunction(psi, (None,))
+    lims = [R] + [min(R, 1.0 / math.sqrt(2.0 * psi_sym.coord_value(k)))
+                  for k in range(1, b + 1) for _ in "re"]
+    halves = [math.floor((lim + pitch) / pitch) for lim in lims]
+    return pitch, halves, math.prod(2.0 * m + 1 for m in halves)
 
 
 def _net_points(axes: list[np.ndarray]) -> np.ndarray:
@@ -650,22 +666,8 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     psi_sym = LengthFunction(cfg.psi, (None,))
     psi_n = LengthFunction(cfg.psi, (n,))
     coords = band_window(b, 1)
-    s = len(coords)
-
-    pitch = eps / (2 * s)
-    axes = [_net_axis(R + pitch, pitch)]
-    for k in range(1, b + 1):
-        lim = min(R, 1.0 / math.sqrt(2.0 * psi_sym.coord_value(k))) + pitch
-        axes.append(_net_axis(lim, pitch))
-        axes.append(_net_axis(lim, pitch))
-    count = int(np.prod([float(len(a)) for a in axes]))
-    if count > cfg.net_cap:
-        feasible = pitch * (count / cfg.net_cap) ** (1.0 / len(axes))
-        raise ValueError(
-            f"net budget exceeded: {count} candidates > cap {cfg.net_cap}; "
-            f"a cap-sized net only achieves pitch {feasible:.4g} "
-            f"(radius about {s * feasible / 2:.4g}) instead of {pitch:.4g}"
-        )
+    pitch, halves, count = _net_shape(cfg.psi, R, eps, b)  # count <= net_cap: the config's check
+    axes = [pitch * np.arange(-m, m + 1) for m in halves]
     C = _net_points(axes)
     grid_n = SymbolGrid(n, tw)
     d2 = _net_rescale(C, axes[0], coords, R, SymbolGrid(max(64, 16 * b, n), tw), psi_sym,
@@ -679,7 +681,7 @@ def run_covering_net(cfg: ExperimentConfig) -> list[ReportRow]:
     covered = 0
     resid = 0.0
     for f in samples:
-        yc = np.zeros(s, dtype=complex)
+        yc = np.zeros(len(coords), dtype=complex)
         yc[[coords.index(k) for k in f.keys]] = f.blocks[:, 0, 0]
         dist = _net_sup_distance(C, norms, grid_n, coords, yc)
         radius = max(radius, dist)

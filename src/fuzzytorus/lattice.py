@@ -278,10 +278,10 @@ def build_smoothing_multiplier(
             band = float(m)
             tail = t
             break
-    if band is None:
-        raise ValueError(
-            "no admissible support cutoff in the configured window; enlarge it"
-        )
+    if band is None:  # k is at least every length in the window
+        where = f"Z_n, n = {psi.moduli}" if None not in psi.moduli else "the window (enlarge it)"
+        raise ValueError(f"no support cutoff: the cutoff k = {k} is at least the largest length "
+                         f"{float(vals.max())} on {where}")
     values = {
         tuple(p): float(w) for p, v, w in zip(pts, vals, weights) if v <= band
     }

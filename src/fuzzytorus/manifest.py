@@ -15,8 +15,9 @@ A manifest is a JSON document:
 Unknown keys anywhere are errors (reported with their key path); the seed is
 mandatory so reruns are reproducible.  An experiment entry may set only the
 keys its experiment reads, which are the keys of its `experiments._DEFAULTS`
-entry; a key it leaves out takes the default given there, and any other key
-is rejected as `experiments[i].<key>: unknown configuration key for <id>`.
+entry; a key it leaves out takes the default given there.  ExperimentConfig
+checks each entry whole, building its models once, before anything runs, and
+every error in an entry reads `experiments[i].<key>: <why>`.
 Reports are written with 17 significant digits and fixed row order, so
 identical manifests produce byte-identical files.
 """
@@ -86,7 +87,7 @@ def manifest_from_dict(doc: dict) -> RunManifest:
         try:
             configs.append(ExperimentConfig(exp_id, seed, **kwargs))
         except ValueError as exc:
-            raise ManifestError(f"{path}: {exc}") from exc
+            raise ManifestError(f"{path}.{exc}") from exc
     return RunManifest(seed=seed, out=out, fmt=fmt, experiments=tuple(configs))
 
 

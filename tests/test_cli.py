@@ -201,7 +201,7 @@ def test_cli_rejects_mistyped_scalar_with_key_path(tmp_path, capsys):
         "experiments": [{"id": "intertwining", "n_schedule": [16], "samples": "many"}],
     })
     assert main(["lip", "--manifest", man]) == 2
-    assert "experiments[0]: samples: expected int" in capsys.readouterr().err
+    assert "experiments[0].samples: expected int" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "rep")
 
 
@@ -212,81 +212,81 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
     })
     assert main(["audit", "--manifest", man]) == 2
     err = capsys.readouterr().err
-    assert "experiments[0]: n_schedule: " in err and "strictly increasing" in err
+    assert "experiments[0].n_schedule: " in err and "strictly increasing" in err
 
 
 @pytest.mark.parametrize("entry, prefix", [
-    ({"id": "rate", "n_schedule": [0]}, "experiments[0]: n_schedule: "),
-    ({"id": "isometry", "n_schedule": [5000], "samples": 2}, "experiments[0]: n_schedule: "),
-    ({"id": "covering-net", "samples": 0}, "experiments[0]: samples: "),
-    ({"id": "isometry", "n_schedule": [8], "samples": -1}, "experiments[0]: samples: "),
+    ({"id": "rate", "n_schedule": [0]}, "experiments[0].n_schedule: "),
+    ({"id": "isometry", "n_schedule": [5000], "samples": 2}, "experiments[0].n_schedule: "),
+    ({"id": "covering-net", "samples": 0}, "experiments[0].samples: "),
+    ({"id": "isometry", "n_schedule": [8], "samples": -1}, "experiments[0].samples: "),
     ({"id": "isometry", "n_schedule": [8], "amplifications": []},
-     "experiments[0]: amplifications: "),
+     "experiments[0].amplifications: "),
     ({"id": "isometry", "n_schedule": [8], "amplifications": [0]},
-     "experiments[0]: amplifications: "),
-    ({"id": "bridge-reach", "theta": [1, 2, 3]}, "experiments[0]: theta: "),
-    ({"id": "bridge-reach", "theta": [1, 0], "n_schedule": [8]}, "experiments[0]: theta: "),
+     "experiments[0].amplifications: "),
+    ({"id": "bridge-reach", "theta": [1, 2, 3]}, "experiments[0].theta: "),
+    ({"id": "bridge-reach", "theta": [1, 0], "n_schedule": [8]}, "experiments[0].theta: "),
     ({"id": "bridge-reach", "theta": [0, 2], "n_schedule": [8], "samples": 1},
-     "experiments[0]: theta: "),
+     "experiments[0].theta: "),
     ({"id": "smoothing-tail", "n_schedule": [64], "samples": 2, "cutoffs": []},
-     "experiments[0]: cutoffs: "),
-    ({"id": "isometry", "n_schedule": [8], "samples": 2, "grid": 0}, "experiments[0]: grid: "),
+     "experiments[0].cutoffs: "),
+    ({"id": "isometry", "n_schedule": [8], "samples": 2, "grid": 0}, "experiments[0].grid: "),
     ({"id": "isometry", "n_schedule": [8], "samples": 2, "lip_grid": 0},
-     "experiments[0]: lip_grid: "),
-    ({"id": "covering-net", "samples": 2, "eps": 0}, "experiments[0]: eps: "),
-    ({"id": "covering-net", "samples": 2, "eps": -0.5}, "experiments[0]: eps: "),
-    ({"id": "covering-net", "samples": 2, "R": -1}, "experiments[0]: R: "),
-    ({"id": "covering-net", "samples": 2, "sample_band": -1}, "experiments[0]: sample_band: "),
+     "experiments[0].lip_grid: "),
+    ({"id": "covering-net", "samples": 2, "eps": 0}, "experiments[0].eps: "),
+    ({"id": "covering-net", "samples": 2, "eps": -0.5}, "experiments[0].eps: "),
+    ({"id": "covering-net", "samples": 2, "R": -1}, "experiments[0].R: "),
+    ({"id": "covering-net", "samples": 2, "sample_band": -1}, "experiments[0].sample_band: "),
     ({"id": "intertwining", "n_schedule": [16], "samples": 2, "band": -1},
-     "experiments[0]: band: "),
-    ({"id": "isometry", "n_schedule": [8], "samples": 2, "band": -1}, "experiments[0]: band: "),
-    ({"id": "intertwining", "psi": "bogus"}, "experiments[0]: psi: "),
+     "experiments[0].band: "),
+    ({"id": "isometry", "n_schedule": [8], "samples": 2, "band": -1}, "experiments[0].band: "),
+    ({"id": "intertwining", "psi": "bogus"}, "experiments[0].psi: "),
     ({"id": "isometry", "n_schedule": [8], "samples": 2, "lip_samples": 0},
-     "experiments[0]: lip_samples: "),
-    ({"id": "covering-net", "samples": 2, "net_cap": 0}, "experiments[0]: net_cap: "),
+     "experiments[0].lip_samples: "),
+    ({"id": "covering-net", "samples": 2, "net_cap": 0}, "experiments[0].net_cap: "),
     ({"id": "covering-net", "n_schedule": [64], "samples": 2, "eps": 0.001,
-      "net_cap": 10**12}, "experiments[0]: net_cap: "),
-    ({"id": "covering-net", "samples": 2, "eps": 2}, "experiments[0]: eps: "),
+      "net_cap": 10**12}, "experiments[0].net_cap: "),
+    ({"id": "covering-net", "samples": 2, "eps": 2}, "experiments[0].eps: "),
     ({"id": "smoothing-tail", "n_schedule": [64], "samples": 2, "eps": 2},
-     "experiments[0]: eps: "),
+     "experiments[0].eps: "),
     ({"id": "bridge-reach", "n_schedule": [8], "samples": 1, "eps_multiplier": 1.5},
-     "experiments[0]: eps_multiplier: "),
+     "experiments[0].eps_multiplier: "),
     ({"id": "bridge-reach", "n_schedule": [8], "samples": 1, "eps_multiplier": 0},
-     "experiments[0]: eps_multiplier: "),
+     "experiments[0].eps_multiplier: "),
     ({"id": "smoothing-tail", "n_schedule": [64], "band": 0, "samples": 1},
-     "experiments[0]: band: "),
-    ({"id": "hp-ratio", "n_schedule": [64], "band": 0, "samples": 1}, "experiments[0]: band: "),
-    ({"id": "isometry", "n_schedule": [8], "band": 0, "samples": 1}, "experiments[0]: band: "),
+     "experiments[0].band: "),
+    ({"id": "hp-ratio", "n_schedule": [64], "band": 0, "samples": 1}, "experiments[0].band: "),
+    ({"id": "isometry", "n_schedule": [8], "band": 0, "samples": 1}, "experiments[0].band: "),
     ({"id": "bridge-reach", "n_schedule": [8], "band": 0, "samples": 1},
-     "experiments[0]: band: "),
+     "experiments[0].band: "),
     ({"id": "isometry", "n_schedule": [8], "grid": 65536},
-     "experiments[0]: grid: 65536^2 grid points with 2 x 2 values each"),
+     "experiments[0].grid: 65536^2 grid points with 2 x 2 values each"),
     ({"id": "intertwining", "n_schedule": [16], "samples": 2, "tol": 5},
      "experiments[0].tol: unknown configuration key"),
     ({"id": "smoothing-tail", "n_schedule": [16], "band": 8, "samples": 1},
-     "experiments[0]: band: sample band exceeds the model window"),
+     "experiments[0].band: sample band exceeds the model window"),
     ({"id": "smoothing-tail", "band": 32, "samples": 1},
-     "experiments[0]: band: sample band exceeds the model window"),
+     "experiments[0].band: sample band exceeds the model window"),
     ({"id": "covering-net", "n_schedule": [4], "sample_band": 2, "samples": 1},
-     "experiments[0]: sample_band: frequencies -2..2 alias mod n = 4"),
+     "experiments[0].sample_band: frequencies -2..2 alias mod n = 4"),
     ({"id": "isometry", "n_schedule": [1024], "amplifications": [64], "samples": 1},
-     "experiments[0]: amplifications: amplification 64 of the 1024-dimensional model"),
+     "experiments[0].amplifications: amplification 64 of the 1024-dimensional model"),
     ({"id": "bridge-reach", "theta": [1, 2], "n_schedule": [8, 2048], "samples": 1},
-     "experiments[0]: amplifications: amplification 2 of the 4096-dimensional model"),
+     "experiments[0].amplifications: amplification 2 of the 4096-dimensional model"),
     ({"id": "bridge-reach", "theta": [1, 2], "n_schedule": [4096], "amplifications": [1]},
-     "experiments[0]: amplifications: amplification 1 of the 8192-dimensional model"),
+     "experiments[0].amplifications: amplification 1 of the 8192-dimensional model"),
     ({"id": "smoothing-tail", "amplifications": [65], "samples": 1},
-     "experiments[0]: amplifications: amplification 65 of the 64-dimensional model"),
+     "experiments[0].amplifications: amplification 65 of the 64-dimensional model"),
     ({"id": "rate", "n_schedule": [16, 24]},
-     "experiments[0]: n_schedule: rate's oracle grid G = 16384 must contain every n-grid"),
+     "experiments[0].n_schedule: rate's oracle grid G = 16384 must contain every n-grid"),
     ({"id": "intertwining", "n_schedule": [4, 16], "band": 4, "samples": 1},
-     "experiments[0]: band: intertwining needs band <= n/2 at every n"),
+     "experiments[0].band: the intertwining identity needs 4 band <= n at every n"),
     ({"id": "bridge-reach", "theta": None, "n_schedule": [8], "samples": 1},
-     "experiments[0]: theta: bridge-reach needs a rational twist"),
+     "experiments[0].theta: bridge-reach needs a rational twist"),
     ({"id": "bridge-reach", "n_schedule": [8], "band": 4, "samples": 1},
-     "experiments[0]: band: bridge-reach pulls model elements back on the band window"),
+     "experiments[0].band: bridge-reach pulls model elements back on the band window"),
     ({"id": "bridge-reach", "theta": [1, 2], "n_schedule": [8, 12], "samples": 1},
-     "experiments[0]: n_schedule: schedule entries [12] are not admissible sizes m^(k+1) "
+     "experiments[0].n_schedule: schedule entries [12] are not admissible sizes m^(k+1) "
      "for m=2"),
     ({"id": "isometry", "cutoffs": [3]},
      "experiments[0].cutoffs: unknown configuration key for isometry"),
@@ -296,21 +296,42 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
     ({"id": "smoothing-tail", "eps_multiplier": 0.1},
      "experiments[0].eps_multiplier: unknown configuration key for smoothing-tail"),
     ({"id": "smoothing-tail", "n_schedule": [32, 64], "samples": 1},
-     "experiments[0]: n_schedule: smoothing-tail builds one model and needs exactly one n"),
+     "experiments[0].n_schedule: smoothing-tail builds one model and needs exactly one n"),
     ({"id": "covering-net", "n_schedule": [32, 64], "samples": 1},
-     "experiments[0]: n_schedule: covering-net builds one model and needs exactly one n"),
+     "experiments[0].n_schedule: covering-net builds one model and needs exactly one n"),
     ({"id": "hp-ratio", "n_schedule": [32, 64], "samples": 1},
-     "experiments[0]: n_schedule: hp-ratio builds one model and needs exactly one n"),
+     "experiments[0].n_schedule: hp-ratio builds one model and needs exactly one n"),
     ({"id": "hp-ratio", "psi": "word", "samples": 1},
-     "experiments[0]: psi: hp-ratio compares the heat and the word length"),
-    ({"id": "isometry", "grid": None}, "experiments[0]: grid: expected int, got NoneType"),
+     "experiments[0].psi: hp-ratio compares the heat and the word length"),
+    ({"id": "isometry", "grid": None}, "experiments[0].grid: expected int, got NoneType"),
     ({"id": ["rate"]}, "experiments[0].id: unknown experiment id"),
-    ({"id": "smoothing-tail", "cutoffs": [0]}, "experiments[0]: cutoffs: "),
-    ({"id": "smoothing-tail", "cutoffs": [4, 2]}, "experiments[0]: cutoffs: "),
+    ({"id": "smoothing-tail", "cutoffs": [0]}, "experiments[0].cutoffs: "),
+    ({"id": "smoothing-tail", "cutoffs": [4, 2]}, "experiments[0].cutoffs: "),
     ({"id": "smoothing-tail", "cutoffs": [24, 40], "samples": 1},
-     "experiments[0]: cutoffs: cutoff 40 aliases mod n = 64"),
+     "experiments[0].cutoffs: cutoff 40 has no larger length on Z_64"),
     ({"id": "isometry", "n_schedule": [8, 2048]},
      "experiments[0].n_schedule: clock_shift(2048) rejected: "),
+    ({"id": "intertwining", "n_schedule": [15, 32], "band": 4, "samples": 1},
+     "experiments[0].band: the intertwining identity needs 4 band <= n at every n; "
+     "4 band = 16 > n = 15"),
+    ({"id": "isometry", "psi": "naive_square", "n_schedule": [8], "band": 3, "samples": 1},
+     "experiments[0].band: the Gromov form of naive_square needs 4 band <= n at every n"),
+    ({"id": "covering-net", "psi": "naive_square", "n_schedule": [7], "sample_band": 2},
+     "experiments[0].sample_band: the Gromov form of naive_square needs 4 sample_band <= n"),
+    ({"id": "smoothing-tail", "n_schedule": [8], "band": 3, "cutoffs": [4], "samples": 1},
+     "experiments[0].cutoffs: cutoff 4 has no larger length on Z_8 to cut its smoother at; "
+     "need every cutoff < n // 2 = 4"),
+    ({"id": "smoothing-tail", "psi": "word", "n_schedule": [7], "band": 3, "cutoffs": [3]},
+     "experiments[0].cutoffs: cutoff 3 has no larger length on Z_7"),
+    ({"id": "smoothing-tail", "cutoffs": [2, 32], "samples": 1},
+     "experiments[0].cutoffs: cutoff 32 has no larger length on Z_64"),
+    ({"id": "covering-net", "n_schedule": [3], "sample_band": 0},
+     "experiments[0].n_schedule: covering-net smooths at frequency 1, which has no larger "
+     "length on Z_3"),
+    ({"id": "covering-net", "n_schedule": [2], "sample_band": 0},
+     "experiments[0].n_schedule: covering-net smooths at frequency 1"),
+    ({"id": "covering-net", "n_schedule": [32], "net_cap": 10},
+     "experiments[0].net_cap: net budget exceeded: 62475 candidates > cap 10"),
 ], ids=["n-zero", "n-over-cap", "samples-zero", "samples-negative",
         "amplifications-empty", "amplifications-zero", "theta-triple", "theta-m-zero",
         "theta-gcd", "cutoffs-empty", "grid-zero", "lip-grid-zero", "eps-zero",
@@ -330,13 +351,48 @@ def test_cli_rejects_bad_schedule_with_key_path(tmp_path, capsys):
         "unread-eps-multiplier-smoothing-tail", "two-n-smoothing-tail", "two-n-covering-net",
         "two-n-hp-ratio", "psi-word-hp-ratio", "grid-null", "id-not-a-string",
         "cutoffs-zero", "cutoffs-decreasing", "cutoffs-above-half-n",
-        "n-schedule-model-rejects"])
+        "n-schedule-model-rejects", "band-intertwining-four-band-above-n",
+        "band-naive-square-aliases", "sample-band-naive-square-aliases",
+        "cutoffs-at-half-n", "cutoffs-at-half-odd-n", "cutoffs-at-half-default-n",
+        "n-schedule-covering-net-3", "n-schedule-covering-net-2", "net-cap-exceeded"])
 def test_cli_rejects_out_of_range_config_with_key_path(tmp_path, capsys, entry, prefix):
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [entry]})
     assert main(["all", "--manifest", man]) == 2
     assert f"error: {prefix}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_rejects_a_model_size_before_any_experiment_runs(tmp_path, capsys):
+    # clock_shift(2048) is rejected while the manifest is read: the psd-audit
+    # entry before it does not run, and no report is written
+    out = tmp_path / "rep"
+    man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [
+        {"id": "psd-audit"}, {"id": "isometry", "n_schedule": [8, 2048]}]})
+    assert main(["all", "--manifest", man]) == 2
+    captured = capsys.readouterr()
+    assert "error: experiments[1].n_schedule: clock_shift(2048) rejected: " in captured.err
+    assert "running" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [
+    {"id": "intertwining", "n_schedule": [16], "band": 4, "samples": 2},
+    {"id": "isometry", "psi": "naive_square", "n_schedule": [12], "band": 3, "samples": 1,
+     "lip_samples": 1, "amplifications": [1], "grid": 64, "lip_grid": 32},
+    {"id": "smoothing-tail", "n_schedule": [8], "band": 3, "cutoffs": [3], "samples": 2},
+    {"id": "smoothing-tail", "psi": "word", "n_schedule": [8], "band": 3, "cutoffs": [3],
+     "samples": 2},
+    {"id": "covering-net", "n_schedule": [4], "samples": 2},
+], ids=["intertwining-four-band-equals-n", "naive-square-four-band-at-most-n",
+        "cutoffs-below-half-n", "cutoffs-below-half-n-word", "covering-net-n-4"])
+def test_cli_runs_configs_at_their_limits(tmp_path, capsys, entry):
+    """The accepting side of each limit: the run writes its rows and no error."""
+    out = tmp_path / "rep"
+    man = _write_manifest(tmp_path, {"seed": 5, "out": str(out), "experiments": [entry]})
+    assert main(["all", "--manifest", man]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+    assert len((out / "report.csv").read_text().splitlines()) > 1
 
 
 def test_example_manifest_parses():
@@ -440,18 +496,22 @@ def test_cli_seed_flag_stands_in_for_the_manifest_seed(tmp_path, capsys, doc_see
     assert "running psd-audit (seed 3) ..." in capsys.readouterr().out
 
 
-def test_cli_failing_experiment_keeps_earlier_rows(tmp_path, capsys):
+def test_cli_failing_experiment_keeps_earlier_rows(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg):
+        raise ValueError("degenerate draws exhausted the retry budget")
+
+    monkeypatch.setitem(EXPERIMENTS, "covering-net", exhausted)
     out = tmp_path / "rep"
     man = _write_manifest(tmp_path, {
         "seed": 5,
         "out": str(out),
         "experiments": [
             {"id": "rate", "psi": "heat", "n_schedule": [16, 64], "grid": 4096},
-            {"id": "covering-net", "n_schedule": [32], "net_cap": 10},
+            {"id": "covering-net", "n_schedule": [32]},
         ],
     })
     assert main(["all", "--manifest", man]) == 2
-    assert "error: covering-net: net budget exceeded" in capsys.readouterr().err
+    assert "error: covering-net: degenerate draws exhausted" in capsys.readouterr().err
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[0] == "experiment,n,metric,value,bound,pass"
     assert len(lines) > 1
@@ -468,7 +528,7 @@ def test_cli_rejects_empty_schedule_with_key_path(tmp_path, capsys, exp_id):
     })
     assert main(["all", "--manifest", man]) == 2
     err = capsys.readouterr().err
-    assert f"error: experiments[0]: n_schedule: {exp_id} needs at least one n" in err
+    assert f"error: experiments[0].n_schedule: {exp_id} needs at least one n" in err
     assert not out.exists()
 
 

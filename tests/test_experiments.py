@@ -177,8 +177,8 @@ def test_covering_small_run_covers():
 
 
 def test_covering_net_cap():
-    with pytest.raises(ValueError):
-        ex.run_experiment(small("covering-net", net_cap=10))
+    with pytest.raises(ValueError, match="^net_cap: net budget exceeded: 62475 candidates"):
+        small("covering-net", net_cap=10)
 
 
 def test_covering_net_rejects_aliased_band():

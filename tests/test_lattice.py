@@ -243,6 +243,12 @@ def test_multiplier_window_too_small():
         build_smoothing_multiplier(psi, 20, 0.01, window=8)
 
 
+def test_multiplier_names_the_largest_length_on_z_n():
+    with pytest.raises(ValueError, match=r"cutoff k = 4 is at least the largest length 4\.0 on "
+                                         r"Z_n, n = \(8,\)$"):
+        build_smoothing_multiplier(LengthFunction.word((8,)), 4, 0.25)
+
+
 def test_multiplier_rejects_bad_eps():
     psi = LengthFunction.word((8,))
     with pytest.raises(ValueError):
